@@ -21,13 +21,17 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .heattrace import EnergyLevel, expand_levels, group_energies, heat_trace
+from .heattrace import weyl_convergence_scan
 from .specfun import DEFAULT_QUADRATURE, QuadratureError
 from .spectra import (
     DEGENERACY_REL_TOLERANCE,
+    Spectrum,
     angular_modes,
+    ball_spectrum,
     box_modes,
+    group_energies,
     hilbert_dim_min,
+    interval_spectrum,
     radial_modes,
     solve_radial_numeric,
 )
@@ -56,13 +60,14 @@ class UsageError(Exception):
     """Bad command-line input; maps to exit code 2."""
 
 
-def load_levels(path: str | Path) -> list[EnergyLevel]:
+def load_levels(path: str | Path) -> Spectrum:
     """Parse an energy,multiplicity level file (one pair per line, # comments)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read levels file {path}: {exc}") from exc
-    levels: list[EnergyLevel] = []
+    energies: list[float] = []
+    multiplicities: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -86,11 +91,11 @@ def load_levels(path: str | Path) -> list[EnergyLevel]:
             raise UsageError(
                 f"{path}:{lineno}: multiplicity must be >= 1, got {multiplicity}"
             )
-        levels.append(EnergyLevel(energy=energy, multiplicity=multiplicity))
-    if not levels:
+        energies.append(energy)
+        multiplicities.append(multiplicity)
+    if not energies:
         raise UsageError(f"{path}: no levels found")
-    levels.sort(key=lambda lv: (lv.energy, lv.multiplicity))
-    return levels
+    return Spectrum(energies, multiplicities)
 
 
 # ----------------------------- serialization -------------------------------
@@ -161,14 +166,6 @@ def _units_from(args: argparse.Namespace) -> UnitSystem:
         raise UsageError(str(exc)) from exc
 
 
-def _interval_levels(length: float, n_max: int, u: UnitSystem) -> list[EnergyLevel]:
-    pref = kinetic_prefactor(u)
-    return [
-        EnergyLevel(energy=pref * (n * math.pi / length) ** 2, multiplicity=1)
-        for n in range(1, n_max + 1)
-    ]
-
-
 def _auto_axis_modes(length: float, t_min: float, n_max: int | None) -> int:
     if n_max is not None:
         if n_max < 1:
@@ -180,18 +177,6 @@ def _auto_axis_modes(length: float, t_min: float, n_max: int | None) -> int:
             f"t={t_min!r} needs {count} modes per axis; pass --n-max to override"
         )
     return count
-
-
-def _ball_levels(r0: float, n_max: int, l_max: int, u: UnitSystem) -> list[EnergyLevel]:
-    # Radial tower, optionally tensored with the angular sectors up to l_max.
-    pref = kinetic_prefactor(u)
-    levels = []
-    for sector in angular_modes(l_max, u):
-        for n in range(1, n_max + 1):
-            energy = sector.kinetic_energy + pref * (n * math.pi / r0) ** 2
-            levels.append(EnergyLevel(energy=energy, multiplicity=sector.degeneracy))
-    levels.sort(key=lambda lv: (lv.energy, lv.multiplicity))
-    return levels
 
 
 def _units_config(args: argparse.Namespace) -> dict:
@@ -259,46 +244,32 @@ def _cmd_weyl(args, u: UnitSystem):
     for t in t_values:
         _require_positive("t", t)
     t_min = min(t_values)
+    d = args.d if args.d is not None else (3 if args.domain == "cube" else 1)
+    if d < 1:
+        raise UsageError(f"--d must be >= 1, got {d}")
 
     if args.domain == "ball":
-        d = args.d if args.d is not None else 1
         _require_positive("r0", args.r0)
         n_max = _auto_axis_modes(args.r0, t_min, args.n_max)
-        levels = _interval_levels(args.r0, n_max, u)
+        spectrum = interval_spectrum(args.r0, n_max, u)
         config = {"domain": "ball", "r0": args.r0, "d": d, "n_max": n_max}
-        per_axis = 1  # radial tower is already the full spectrum
+        axes = 1  # radial tower is already the full spectrum
     elif args.domain == "cube":
-        d = args.d if args.d is not None else 3
-        if d < 1:
-            raise UsageError(f"--d must be >= 1, got {d}")
         _require_positive("L", args.L)
         n_max = _auto_axis_modes(args.L, t_min, args.n_max)
-        levels = _interval_levels(args.L, n_max, u)
+        spectrum = interval_spectrum(args.L, n_max, u)
         config = {"domain": "cube", "L": args.L, "d": d, "n_max_per_axis": n_max}
-        per_axis = d  # one-axis trace raised to the d-th power
+        axes = d  # product of d identical intervals
     else:
         if args.levels is None:
             raise UsageError("--levels FILE is required for --domain custom")
-        d = args.d if args.d is not None else 1
-        if d < 1:
-            raise UsageError(f"--d must be >= 1, got {d}")
-        levels = load_levels(args.levels)
+        spectrum = load_levels(args.levels)
         config = {"domain": "custom", "levels": str(args.levels), "d": d}
-        per_axis = 1
+        axes = 1
 
     config["t"] = list(t_values)
     columns = ["t", "trace", "volume_estimate"]
-    rows = []
-    for t in t_values:
-        axis = heat_trace(levels, t, u)
-        if per_axis == 1:
-            trace = axis.trace
-            estimate = trace * (4.0 * math.pi * t) ** (0.5 * d)
-        else:
-            # product domain: full trace factorizes into the d-th power
-            trace = axis.trace ** per_axis
-            estimate = (axis.trace * math.sqrt(4.0 * math.pi * t)) ** per_axis
-        rows.append([t, trace, estimate])
+    rows = weyl_convergence_scan(spectrum, t_values, d, u, axes)
     results = {"columns": columns, "rows": rows}
     return config, results, (columns, rows)
 
@@ -358,7 +329,7 @@ def _cmd_partition(args, u: UnitSystem):
         _require_positive("r0", args.r0)
         if args.l_max < 0:
             raise UsageError(f"--l-max must be >= 0, got {args.l_max}")
-        levels = _ball_levels(args.r0, args.n_max, args.l_max, u)
+        levels = ball_spectrum(args.r0, args.n_max, args.l_max, u)
         config = {
             "domain": "ball",
             "r0": args.r0,
@@ -385,7 +356,7 @@ def _cmd_partition(args, u: UnitSystem):
     quasistatic = quasistatic_partition(levels, args.tau, u)
     results: dict = {
         "quasistatic": quasistatic,
-        "dim_min": hilbert_dim_min(expand_levels(levels)),
+        "dim_min": hilbert_dim_min(levels),
         "level_count": len(levels),
     }
     if args.tau > 0.0:

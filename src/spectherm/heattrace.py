@@ -5,56 +5,30 @@ supplied here as kinetic energies E >= 0 through lambda = -E / (hbar^2/2m).
 Multiplying the trace by (4 pi t)^(d/2) recovers the domain volume as
 t -> 0, which is what the convergence scan tabulates.
 
-Sums run in ascending energy order with compensated accumulation, truncated
-once terms stop mattering at the 1e-16 relative level; a geometric bound on
-the omitted tail is reported alongside the trace.
+The heat trace at diffusion time t and the partition function at imaginary
+time tau are the same sum of m * exp(-s * E), with s = t/(hbar^2/2m) or
+s = tau/hbar. One kernel evaluates it for both: every term of the finite
+spectrum is summed exactly by math.fsum (Shewchuk's algorithm) and rounded
+once, so the result does not depend on the order of the levels and nothing
+is truncated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .summation import CompensatedSum
+import numpy as np
+
+from .spectra import Spectrum
 from .units import UnitSystem, kinetic_prefactor
 
 __all__ = [
-    "EnergyLevel",
-    "HeatTraceResult",
     "WeylScanRow",
     "heat_trace",
     "weyl_volume_estimate",
     "weyl_convergence_scan",
-    "expand_levels",
-    "group_energies",
 ]
-
-# Terms below this fraction of the running sum are dropped into the tail bound.
-_TRUNCATION_RATIO = 1e-16
-
-
-@dataclass(frozen=True)
-class EnergyLevel:
-    """An energy eigenvalue with its multiplicity."""
-
-    energy: float
-    multiplicity: int
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.energy):
-            raise ValueError(f"energy must be finite, got {self.energy!r}")
-        if self.multiplicity < 1:
-            raise ValueError(f"multiplicity must be >= 1, got {self.multiplicity!r}")
-
-
-@dataclass(frozen=True)
-class HeatTraceResult:
-    """Trace value at diffusion time t plus an upper bound on the omitted tail."""
-
-    t: float
-    trace: float
-    truncation_bound: float
 
 
 class WeylScanRow(NamedTuple):
@@ -63,101 +37,57 @@ class WeylScanRow(NamedTuple):
     volume_estimate: float
 
 
-def _sorted_levels(levels: Sequence[EnergyLevel]) -> list[EnergyLevel]:
-    if len(levels) == 0:
-        raise ValueError("level list must be nonempty")
-    return sorted(levels, key=lambda lv: (lv.energy, lv.multiplicity))
+def _boltzmann_sum(spectrum: Spectrum, s: float) -> float:
+    """Sum of multiplicity * exp(-s * energy) over every level, rounded once."""
+    with np.errstate(over="ignore"):
+        terms = spectrum.multiplicities * np.exp(-s * spectrum.energies)
+    total = math.fsum(terms.tolist())
+    if not math.isfinite(total):
+        raise OverflowError(f"spectral sum at s={s!r} exceeds the double-precision range")
+    return total
 
 
-def heat_trace(levels: Sequence[EnergyLevel], t: float, u: UnitSystem) -> HeatTraceResult:
+def heat_trace(spectrum: Spectrum, t: float, u: UnitSystem) -> float:
     """Sum of multiplicity * exp(t * lambda) with lambda = -energy/(hbar^2/2m).
 
-    Levels are summed in ascending |lambda| order with compensated
-    accumulation, so permutations of the input change nothing. Requires
-    t > 0 and nonnegative energies.
+    Every level is summed exactly, so permutations of the input change
+    nothing. Requires t > 0 and nonnegative energies.
     """
     if not (math.isfinite(t) and t > 0.0):
         raise ValueError(f"t must be positive and finite, got {t!r}")
-    ordered = _sorted_levels(levels)
-    if ordered[0].energy < 0.0:
-        raise ValueError(f"energies must be >= 0, got {ordered[0].energy!r}")
-
-    pref = kinetic_prefactor(u)
-    acc = CompensatedSum()
-    tail_bound = 0.0
-    previous_term = math.inf
-    for level in ordered:
-        lam = -level.energy / pref
-        term = level.multiplicity * math.exp(t * lam)
-        if term < _TRUNCATION_RATIO * acc.value and term < previous_term:
-            # geometric bound on everything from here on
-            ratio = term / previous_term
-            tail_bound = term / (1.0 - ratio)
-            break
-        acc.add(term)
-        previous_term = term
-    return HeatTraceResult(t=t, trace=acc.value, truncation_bound=tail_bound)
+    if spectrum.energies[0] < 0.0:
+        raise ValueError(f"energies must be >= 0, got {spectrum.energies[0]!r}")
+    return _boltzmann_sum(spectrum, t / kinetic_prefactor(u))
 
 
-def weyl_volume_estimate(
-    levels: Sequence[EnergyLevel], t: float, d: int, u: UnitSystem
-) -> float:
+def weyl_volume_estimate(spectrum: Spectrum, t: float, d: int, u: UnitSystem) -> float:
     """Volume recovered from the trace: heat_trace * (4 pi t)^(d/2)."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d!r}")
-    result = heat_trace(levels, t, u)
-    return result.trace * (4.0 * math.pi * t) ** (0.5 * d)
+    return weyl_convergence_scan(spectrum, [t], d, u)[0].volume_estimate
 
 
 def weyl_convergence_scan(
-    levels: Sequence[EnergyLevel],
+    spectrum: Spectrum,
     t_values: Sequence[float],
     d: int,
     u: UnitSystem,
+    axes: int = 1,
 ) -> list[WeylScanRow]:
-    """One (t, trace, volume estimate) row per requested t, in input order."""
+    """One (t, trace, volume estimate) row per requested t, in input order.
+
+    With axes > 1 the spectrum is one axis of a product domain made of
+    `axes` identical factors, such as the d-cube with axes = d: the trace
+    factorizes into the axes-th power of the one-axis trace, and so does
+    the volume estimate.
+    """
     if len(t_values) == 0:
         raise ValueError("t_values must be nonempty")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d!r}")
+    if axes < 1:
+        raise ValueError(f"axes must be >= 1, got {axes!r}")
     rows = []
     for t in t_values:
-        result = heat_trace(levels, t, u)
-        estimate = result.trace * (4.0 * math.pi * t) ** (0.5 * d)
-        rows.append(WeylScanRow(t=t, trace=result.trace, volume_estimate=estimate))
+        axis = heat_trace(spectrum, t, u)
+        estimate = axis * (4.0 * math.pi * t) ** (0.5 * d / axes)
+        rows.append(WeylScanRow(t=t, trace=axis**axes, volume_estimate=estimate**axes))
     return rows
-
-
-def expand_levels(levels: Sequence[EnergyLevel]) -> list[float]:
-    """Flat ascending energy list with each level repeated by its multiplicity."""
-    expanded: list[float] = []
-    for level in _sorted_levels(levels):
-        expanded.extend([level.energy] * level.multiplicity)
-    return expanded
-
-
-def group_energies(
-    energies: Sequence[float], rel_tolerance: float = 1e-9
-) -> list[EnergyLevel]:
-    """Cluster an energy list into (energy, multiplicity) levels.
-
-    Adjacent energies closer than rel_tolerance * max(1, |E|) merge into one
-    level carrying the cluster's smallest energy. Input order is irrelevant.
-    """
-    if len(energies) == 0:
-        raise ValueError("energies must be nonempty")
-    ordered = sorted(float(e) for e in energies)
-    levels: list[EnergyLevel] = []
-    start = ordered[0]
-    count = 1
-    previous = ordered[0]
-    for e in ordered[1:]:
-        if e - previous <= rel_tolerance * max(1.0, abs(e)):
-            count += 1
-        else:
-            levels.append(EnergyLevel(energy=start, multiplicity=count))
-            start = e
-            count = 1
-        previous = e
-    levels.append(EnergyLevel(energy=start, multiplicity=count))
-    return levels

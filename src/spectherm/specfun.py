@@ -20,8 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from .summation import CompensatedSum
-
 __all__ = [
     "QuadratureSpec",
     "QuadratureError",
@@ -100,8 +98,8 @@ def integrate(
     if a == b:
         return 0.0
 
-    total = CompensatedSum()
-    bound = CompensatedSum()
+    values: list[float] = []
+    errors: list[float] = []
     # Stack entries: (lo, hi, single-panel value, local tolerance, depth).
     stack = [(a, b, _panel(f, a, b), spec.abs_tolerance, 0)]
     while stack:
@@ -112,15 +110,15 @@ def integrate(
         fine = left + right
         err = abs(fine - coarse)
         if err <= tol or depth >= spec.max_subdivisions:
-            total.add(fine)
-            bound.add(err)
+            values.append(fine)
+            errors.append(err)
         else:
             half_tol = 0.5 * tol
             stack.append((mid, hi, right, half_tol, depth + 1))
             stack.append((lo, mid, left, half_tol, depth + 1))
 
-    estimate = total.value
-    error_bound = bound.value
+    estimate = math.fsum(values)
+    error_bound = math.fsum(errors)
     if not (error_bound <= spec.abs_tolerance):  # also trips on NaN
         raise QuadratureError(estimate, error_bound, spec.abs_tolerance)
     return estimate

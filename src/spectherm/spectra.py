@@ -8,6 +8,11 @@ Analytic mode families:
   which are sine modes of wavenumber n*pi/r0 divided by r;
 * Cartesian box modes in d dimensions with vanishing boundary values.
 
+Level lists are carried as a `Spectrum`: sorted energies with their
+multiplicities, as arrays. One gap rule decides which neighbouring energies
+are degenerate, both when raw energies are grouped into levels and when the
+lowest eigenspace is counted.
+
 A finite-difference solver covers the radial problem with an arbitrary
 radial potential. Substituting u(r) = r*psi(r) removes the first-derivative
 term and the coordinate singularity at r = 0, leaving a plain Dirichlet
@@ -29,6 +34,7 @@ from scipy.linalg import eigh_tridiagonal
 from .units import UnitSystem, kinetic_prefactor
 
 __all__ = [
+    "Spectrum",
     "AngularMode",
     "RadialMode",
     "BoxMode",
@@ -37,6 +43,9 @@ __all__ = [
     "DEGENERACY_REL_TOLERANCE",
     "angular_modes",
     "radial_modes",
+    "interval_spectrum",
+    "ball_spectrum",
+    "group_energies",
     "eval_radial_wavefunction",
     "box_modes",
     "solve_radial_numeric",
@@ -44,10 +53,55 @@ __all__ = [
     "tensor_ground_space",
 ]
 
-# Energies closer to the minimum than this fraction of the spectral spread
-# count as degenerate with it. Far below physical level spacings at desk
-# scale, far above accumulated rounding.
+# Neighbouring energies E < E' are degenerate when E' - E is at most this
+# fraction of max(1, |E'|). Far below physical level spacings at desk scale,
+# far above accumulated rounding.
 DEGENERACY_REL_TOLERANCE = 1e-9
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Energy levels with their multiplicities, as two sorted float64 arrays.
+
+    Energies must be finite and multiplicities positive integers; omitted
+    multiplicities default to one per listed energy. Multiplicities are
+    stored as float64, so counts beyond the int64 range (1e30, say) stay
+    representable. Construction sorts the levels by energy and makes both
+    arrays read-only, so a Spectrum is validated once and never changes.
+    len() is the number of levels.
+    """
+
+    energies: np.ndarray
+    multiplicities: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        energies = np.array(self.energies, dtype=np.float64)
+        if energies.ndim != 1 or energies.size == 0:
+            raise ValueError("energies must be a nonempty one-dimensional sequence")
+        if self.multiplicities is None:
+            multiplicities = np.ones_like(energies)
+        else:
+            multiplicities = np.array(self.multiplicities, dtype=np.float64)
+        if multiplicities.shape != energies.shape:
+            raise ValueError(
+                f"got {multiplicities.size} multiplicities for {energies.size} energies"
+            )
+        if not np.all(np.isfinite(energies)):
+            raise ValueError("energies must be finite")
+        if not np.all(
+            np.isfinite(multiplicities)
+            & (multiplicities >= 1.0)
+            & (multiplicities == np.floor(multiplicities))
+        ):
+            raise ValueError("multiplicities must be positive integers")
+        order = np.lexsort((multiplicities, energies))
+        for name, values in (("energies", energies), ("multiplicities", multiplicities)):
+            values = values[order]
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
+    def __len__(self) -> int:
+        return self.energies.size
 
 
 @dataclass(frozen=True)
@@ -162,6 +216,31 @@ def radial_modes(r0: float, n_max: int, u: UnitSystem) -> list[RadialMode]:
     return modes
 
 
+def interval_spectrum(length: float, n_max: int, u: UnitSystem) -> Spectrum:
+    """Dirichlet levels pref*(n*pi/length)^2, n = 1..n_max, each simple."""
+    if not (math.isfinite(length) and length > 0.0):
+        raise ValueError(f"length must be positive and finite, got {length!r}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max!r}")
+    n = np.arange(1, n_max + 1, dtype=np.float64)
+    return Spectrum(kinetic_prefactor(u) * (n * math.pi / length) ** 2)
+
+
+def ball_spectrum(r0: float, n_max: int, l_max: int, u: UnitSystem) -> Spectrum:
+    """Angular sectors l = 0..l_max tensored with the radial tower n = 1..n_max.
+
+    Level (l, n) has energy pref*l(l+1) + pref*(n*pi/r0)^2 and multiplicity
+    2l+1; coinciding energies from different sectors stay separate levels.
+    """
+    if l_max < 0:
+        raise ValueError(f"l_max must be >= 0, got {l_max!r}")
+    radial = interval_spectrum(r0, n_max, u).energies
+    l = np.arange(l_max + 1, dtype=np.float64)[:, None]
+    energies = kinetic_prefactor(u) * l * (l + 1.0) + radial
+    multiplicities = np.broadcast_to(2.0 * l + 1.0, energies.shape)
+    return Spectrum(energies.ravel(), multiplicities.ravel())
+
+
 def eval_radial_wavefunction(mode: RadialMode, r: float) -> float:
     """psi_n(r) = sqrt(2/r0) * sin(c_n r) / r for r in (0, r0].
 
@@ -252,20 +331,48 @@ def solve_radial_numeric(
     )
 
 
-def hilbert_dim_min(energies: Sequence[float], rel_tolerance: float = DEGENERACY_REL_TOLERANCE) -> int:
-    """Dimension of the lowest-energy eigenspace in a list of energies.
-
-    Counts entries within rel_tolerance of the minimum, measured relative
-    to the spread max - min (absolute when the spread vanishes).
-    """
-    if len(energies) == 0:
-        raise ValueError("energies must be nonempty")
+def _degenerate_with_previous(energies: np.ndarray, rel_tolerance: float) -> np.ndarray:
+    # The one degeneracy predicate: for ascending energies, entry i says
+    # whether energies[i + 1] is degenerate with energies[i].
     if not (rel_tolerance > 0.0):
         raise ValueError(f"rel_tolerance must be positive, got {rel_tolerance!r}")
-    lowest = min(energies)
-    spread = max(energies) - lowest
-    threshold = rel_tolerance * spread if spread > 0.0 else rel_tolerance
-    return sum(1 for e in energies if e - lowest <= threshold)
+    upper = energies[1:]
+    return upper - energies[:-1] <= rel_tolerance * np.maximum(1.0, np.abs(upper))
+
+
+def group_energies(
+    energies: Sequence[float], rel_tolerance: float = DEGENERACY_REL_TOLERANCE
+) -> Spectrum:
+    """Cluster an energy list into (energy, multiplicity) levels.
+
+    Adjacent energies E < E' with E' - E <= rel_tolerance * max(1, |E'|)
+    merge into one level carrying the cluster's smallest energy. Input
+    order is irrelevant.
+    """
+    ordered = np.sort(np.asarray(energies, dtype=np.float64))
+    if ordered.size == 0:
+        raise ValueError("energies must be nonempty")
+    starts = np.flatnonzero(
+        np.concatenate(([True], ~_degenerate_with_previous(ordered, rel_tolerance)))
+    )
+    counts = np.diff(np.append(starts, ordered.size))
+    return Spectrum(ordered[starts], counts)
+
+
+def hilbert_dim_min(
+    spectrum: Spectrum, rel_tolerance: float = DEGENERACY_REL_TOLERANCE
+) -> int:
+    """Dimension of the lowest-energy eigenspace of a spectrum.
+
+    Walks up from the lowest level while each next level is degenerate with
+    the one below it under the gap rule of group_energies: E' - E <=
+    rel_tolerance * max(1, |E'|). Returns the summed multiplicities of
+    those levels. The count depends only on the levels near the bottom,
+    never on how far the spectrum extends.
+    """
+    chained = _degenerate_with_previous(spectrum.energies, rel_tolerance)
+    ground_levels = 1 + int(np.logical_and.accumulate(chained).sum())
+    return int(spectrum.multiplicities[:ground_levels].sum())
 
 
 def tensor_ground_space(angular_dim: int, radial_dim: int) -> int:

@@ -17,17 +17,10 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
 
-from .heattrace import EnergyLevel, expand_levels
-from .spectra import (
-    DEGENERACY_REL_TOLERANCE,
-    eval_radial_wavefunction,
-    hilbert_dim_min,
-    radial_modes,
-)
+from .heattrace import _boltzmann_sum
+from .spectra import Spectrum, eval_radial_wavefunction, hilbert_dim_min, radial_modes
 from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, integrate, sine_integral
-from .summation import CompensatedSum
 from .units import UnitSystem
 
 __all__ = [
@@ -284,36 +277,28 @@ def real_time_phase(energy: float, t: float, u: UnitSystem) -> complex:
     return cmath.exp(complex(0.0, -energy * t / u.hbar))
 
 
-def qm_partition(levels: Sequence[EnergyLevel], tau: float, u: UnitSystem) -> float:
+def qm_partition(spectrum: Spectrum, tau: float, u: UnitSystem) -> float:
     """Partition sum over levels at imaginary time tau.
 
-    Computes sum of multiplicity * exp(-E tau / hbar) in ascending energy
-    order with compensated accumulation.
+    Computes sum of multiplicity * exp(-E tau / hbar) with the heat-trace
+    kernel, so in natural units it equals heat_trace at t = tau bit for bit.
     """
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"tau must be positive and finite, got {tau!r}")
-    if len(levels) == 0:
-        raise ValueError("level list must be nonempty")
-    ordered = sorted(levels, key=lambda lv: (lv.energy, lv.multiplicity))
-    acc = CompensatedSum()
-    for level in ordered:
-        acc.add(level.multiplicity * math.exp(-level.energy * tau / u.hbar))
-    return acc.value
+    return _boltzmann_sum(spectrum, tau / u.hbar)
 
 
-def thermal_partition(
-    levels: Sequence[EnergyLevel], temperature: float, u: UnitSystem
-) -> float:
+def thermal_partition(spectrum: Spectrum, temperature: float, u: UnitSystem) -> float:
     """Boltzmann sum at temperature T, evaluated through the dual imaginary time.
 
     Shares the arithmetic path of qm_partition exactly, so the two sides of
     the substitution agree bit for bit whenever tau and T are duals.
     """
     tau = duality_map_from_temperature(temperature, u).imaginary_time
-    return qm_partition(levels, tau, u)
+    return qm_partition(spectrum, tau, u)
 
 
-def quasistatic_partition(levels: Sequence[EnergyLevel], tau: float, u: UnitSystem) -> float:
+def quasistatic_partition(spectrum: Spectrum, tau: float, u: UnitSystem) -> float:
     """Ground-level contribution: dim(lowest eigenspace) * exp(-E_min tau / hbar).
 
     At tau = 0 this returns the lowest-level multiplicity exactly, counting
@@ -321,10 +306,7 @@ def quasistatic_partition(levels: Sequence[EnergyLevel], tau: float, u: UnitSyst
     """
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be >= 0 and finite, got {tau!r}")
-    if len(levels) == 0:
-        raise ValueError("level list must be nonempty")
-    dim = hilbert_dim_min(expand_levels(levels), DEGENERACY_REL_TOLERANCE)
+    dim = hilbert_dim_min(spectrum)
     if tau == 0.0:
         return float(dim)
-    e_min = min(level.energy for level in levels)
-    return dim * math.exp(-e_min * tau / u.hbar)
+    return dim * math.exp(-float(spectrum.energies[0]) * tau / u.hbar)

@@ -129,6 +129,42 @@ def interval_trace_direct(t: float, length: float = 1.0) -> float:
     return math.fsum(terms)
 
 
+def interval_trace_theta(t: float, length: float = 1.0):
+    """sum_{n>=1} exp(-t (n pi / length)^2) through the Jacobi theta identity.
+
+    theta_3 inversion turns the slowly converging small-t sum into
+    (L / sqrt(pi t) * (1 + 2 sum_{k>=1} exp(-k^2 L^2 / t)) - 1) / 2, whose
+    correction terms vanish fast exactly where the direct sum is long.
+    Returned as a 40-digit mpmath number.
+    """
+    with mp.workdps(40):
+        L, tt = mp.mpf(length), mp.mpf(t)
+        theta = mp.mpf(1)
+        k = 1
+        while True:
+            q = mp.exp(-(k * k) * L * L / tt)
+            if q < mp.mpf(10) ** -45:
+                break
+            theta += 2 * q
+            k += 1
+        return (L / mp.sqrt(mp.pi * tt) * theta - 1) / 2
+
+
+def boltzmann_sum_mpmath(energies, multiplicities, s: float) -> float:
+    """sum m * exp(-x) with x = s * E formed in double precision, summed at 50 digits.
+
+    The exponent is rounded exactly as a double-precision kernel forms it,
+    so the comparison isolates the exponential and the summation.
+    """
+    with mp.workdps(50):
+        return float(
+            mp.fsum(
+                mp.mpf(m) * mp.exp(-mp.mpf(s * e))
+                for e, m in zip(energies, multiplicities)
+            )
+        )
+
+
 def dirichlet_tridiagonal_eigenvalue(k: int, grid_points: int, r0: float = 1.0) -> float:
     """Exact k-th eigenvalue of the central-difference Dirichlet matrix.
 

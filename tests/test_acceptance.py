@@ -8,11 +8,11 @@ import time
 import numpy as np
 
 from spectherm import (
-    EnergyLevel,
     FundamentalEquation,
     NEGATIVE_INFINITE_ENTROPY,
     NoRealSolution,
     QuadratureSpec,
+    Spectrum,
     angular_modes,
     box_modes,
     duality_map,
@@ -48,10 +48,8 @@ def _report(number: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number:02d} {name}: {detail}"
 
 
-def interval_levels(n_max: int, length: float = 1.0) -> list[EnergyLevel]:
-    return [
-        EnergyLevel((n * math.pi / length) ** 2, 1) for n in range(1, n_max + 1)
-    ]
+def interval_levels(n_max: int, length: float = 1.0) -> Spectrum:
+    return Spectrum([(n * math.pi / length) ** 2 for n in range(1, n_max + 1)])
 
 
 def test_criterion_01_entropy_closed_form():
@@ -129,14 +127,14 @@ def test_criterion_04_ground_space_dimensions():
     ]
     cube_excited = [m.kinetic_energy for m in box_modes(1.0, 3, 3, U)][1:]
     dims = (
-        hilbert_dim_min(ball),
-        hilbert_dim_min(sphere),
-        hilbert_dim_min(cube_excited),
+        hilbert_dim_min(Spectrum(ball)),
+        hilbert_dim_min(Spectrum(sphere)),
+        hilbert_dim_min(Spectrum(cube_excited)),
     )
     partition_dims = (
-        quasistatic_partition([EnergyLevel(e, 1) for e in ball], 0.0, U),
-        quasistatic_partition([EnergyLevel(e, 1) for e in sphere], 0.0, U),
-        quasistatic_partition([EnergyLevel(e, 1) for e in cube_excited], 0.0, U),
+        quasistatic_partition(Spectrum(ball), 0.0, U),
+        quasistatic_partition(Spectrum(sphere), 0.0, U),
+        quasistatic_partition(Spectrum(cube_excited), 0.0, U),
     )
     ok = dims == (1, 1, 3) and partition_dims == (1.0, 1.0, 3.0)
     _report(
@@ -207,7 +205,7 @@ def test_criterion_07_duality_substitution():
         == tau
         for tau in taus
     )
-    levels = [EnergyLevel(m.kinetic_energy, 1) for m in radial_modes(1.0, 10, U)]
+    levels = Spectrum([m.kinetic_energy for m in radial_modes(1.0, 10, U)])
     bitwise = all(
         thermal_partition(levels, duality_map(tau, U).temperature, U)
         == qm_partition(levels, tau, U)

@@ -9,7 +9,10 @@ from oracles import (
     CUBE_VOLUME_ESTIMATE_1E6,
     ENTROPY_EXPECTATION,
     INTERVAL_VOLUME_ESTIMATE,
+    interval_trace_theta,
 )
+
+EPS = 2.0**-52
 
 
 def run_json(capsys, argv):
@@ -24,7 +27,10 @@ class TestLoadLevels:
         path = tmp_path / "levels.txt"
         path.write_text("0,1\n1,2\n")
         levels = load_levels(path)
-        assert [(lv.energy, lv.multiplicity) for lv in levels] == [(0.0, 1), (1.0, 2)]
+        assert list(zip(levels.energies.tolist(), levels.multiplicities.tolist())) == [
+            (0.0, 1),
+            (1.0, 2),
+        ]
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "levels.txt"
@@ -34,7 +40,7 @@ class TestLoadLevels:
     def test_unsorted_input_sorted(self, tmp_path):
         path = tmp_path / "levels.txt"
         path.write_text("3.0,1\n1.0,2\n2.0,1\n")
-        energies = [lv.energy for lv in load_levels(path)]
+        energies = load_levels(path).energies.tolist()
         assert energies == [1.0, 2.0, 3.0]
 
     def test_empty_file_rejected(self, tmp_path):
@@ -153,6 +159,13 @@ class TestPartitionCommand:
     def test_missing_levels_flag(self, capsys):
         assert run(["partition", "--domain", "custom", "--tau", "1"]) == 2
 
+    def test_ground_dimension_independent_of_truncation(self, capsys):
+        report = run_json(
+            capsys, ["partition", "--domain", "ball", "--tau", "0", "--n-max", "100000"]
+        )
+        assert report["results"]["dim_min"] == 1
+        assert report["results"]["quasistatic"] == 1.0
+
 
 class TestWeylCommand:
     def test_cube_example(self, capsys):
@@ -212,6 +225,21 @@ class TestWeylCommand:
 
     def test_nonpositive_t_rejected(self, capsys):
         assert run(["weyl", "--domain", "ball", "--t", "-1e-4"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv,t,d",
+        [
+            (["weyl", "--domain", "ball"], 1e-6, 1),
+            (["weyl", "--domain", "ball"], 1e-8, 1),
+            (["weyl", "--domain", "ball"], 1e-10, 1),
+            (["weyl", "--domain", "cube", "--d", "3"], 1e-8, 3),
+        ],
+    )
+    def test_small_t_trace_matches_jacobi_theta(self, capsys, argv, t, d):
+        report = run_json(capsys, argv + ["--t", repr(t)])
+        trace = report["results"]["rows"][0][1]
+        reference = float(interval_trace_theta(t) ** d)
+        assert abs(trace - reference) <= 8 * EPS * reference
 
 
 class TestFiducialCommand:

@@ -1,15 +1,17 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectherm import (
-    EnergyLevel,
+    Spectrum,
     UnitSystem,
     box_modes,
-    expand_levels,
     group_energies,
     heat_trace,
     natural_units,
+    qm_partition,
     radial_modes,
     weyl_convergence_scan,
     weyl_volume_estimate,
@@ -19,43 +21,60 @@ from oracles import (
     CUBE_VOLUME_ESTIMATE_1E6,
     EXP_MINUS_PI2_OVER_10,
     INTERVAL_VOLUME_ESTIMATE,
+    boltzmann_sum_mpmath,
     interval_trace_direct,
 )
+
+EPS = 2.0**-52
+U = natural_units()
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+# (energy, multiplicity) lists; with the scales below every exponent
+# s * E stays under 700, so each term is a normal double.
+level_lists = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=100.0),
+        st.integers(min_value=1, max_value=10**30),
+    ),
+    min_size=1,
+    max_size=40,
+)
+scales = st.floats(min_value=1e-6, max_value=7.0)
 
 
 def interval_levels(n_max, length=1.0, u=None):
     u = u or natural_units()
-    return [
-        EnergyLevel((n * math.pi / length) ** 2 * (u.hbar**2 / (2 * u.mass)), 1)
+    return Spectrum([
+        (n * math.pi / length) ** 2 * (u.hbar**2 / (2 * u.mass))
         for n in range(1, n_max + 1)
-    ]
+    ])
 
 
-class TestEnergyLevel:
+class TestSpectrum:
     def test_validation(self):
         with pytest.raises(ValueError):
-            EnergyLevel(math.nan, 1)
+            Spectrum([math.nan], [1])
         with pytest.raises(ValueError):
-            EnergyLevel(1.0, 0)
+            Spectrum([1.0], [0])
 
     def test_zero_energy_level_accepted(self, u):
-        result = heat_trace([EnergyLevel(0.0, 2)], 3.0, u)
-        assert result.trace == 2.0
+        result = heat_trace(Spectrum([0.0], [2]), 3.0, u)
+        assert result == 2.0
 
 
 class TestHeatTrace:
     @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 50.0])
     def test_single_zero_level(self, u, t):
-        assert heat_trace([EnergyLevel(0.0, 1)], t, u).trace == 1.0
+        assert heat_trace(Spectrum([0.0], [1]), t, u) == 1.0
 
     def test_single_level_exponential(self, u):
-        result = heat_trace([EnergyLevel(math.pi**2, 1)], 0.1, u)
-        assert result.trace == pytest.approx(EXP_MINUS_PI2_OVER_10, abs=1e-15)
+        result = heat_trace(Spectrum([math.pi**2], [1]), 0.1, u)
+        assert result == pytest.approx(EXP_MINUS_PI2_OVER_10, abs=1e-15)
 
     def test_interval_trace_matches_direct_summation(self, u):
         levels = interval_levels(2500)
         for t in (1e-2, 1e-4, 1e-6):
-            ours = heat_trace(levels, t, u).trace
+            ours = heat_trace(levels, t, u)
             direct = interval_trace_direct(t)
             assert ours == pytest.approx(direct, rel=1e-13)
 
@@ -63,42 +82,34 @@ class TestHeatTrace:
         # trace depends on the Laplacian eigenvalue -E/(hbar^2/2m) only
         u2 = UnitSystem(hbar=2.0, k_boltzmann=1.0, mass=1.0)
         levels_natural = interval_levels(50)
-        levels_scaled = [
-            EnergyLevel(lv.energy * 2.0, lv.multiplicity) for lv in levels_natural
-        ]
-        a = heat_trace(levels_natural, 0.05, natural_units()).trace
-        b = heat_trace(levels_scaled, 0.05, u2).trace
+        levels_scaled = Spectrum(
+            levels_natural.energies * 2.0, levels_natural.multiplicities
+        )
+        a = heat_trace(levels_natural, 0.05, natural_units())
+        b = heat_trace(levels_scaled, 0.05, u2)
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_permutation_invariance(self, u):
-        levels = interval_levels(400)
-        scrambled = levels[::-1][::3] + levels[::-1][1::3] + levels[::-1][2::3]
-        a = heat_trace(levels, 1e-3, u).trace
-        b = heat_trace(scrambled, 1e-3, u).trace
+        energies = interval_levels(400).energies.tolist()
+        levels = Spectrum(energies)
+        scrambled = Spectrum(energies[::-1][::3] + energies[::-1][1::3] + energies[::-1][2::3])
+        a = heat_trace(levels, 1e-3, u)
+        b = heat_trace(scrambled, 1e-3, u)
         assert abs(a - b) / a < 1e-13
 
     def test_strictly_decreasing_in_t(self, u):
         levels = interval_levels(30)
         ts = [0.01, 0.03, 0.1, 0.5, 2.0]
-        traces = [heat_trace(levels, t, u).trace for t in ts]
+        traces = [heat_trace(levels, t, u) for t in ts]
         assert all(b < a for a, b in zip(traces, traces[1:]))
-
-    def test_truncation_bound_nonnegative_and_small(self, u):
-        result = heat_trace(interval_levels(2500), 1e-2, u)
-        assert result.truncation_bound >= 0.0
-        assert result.truncation_bound < 1e-12 * result.trace
-
-    def test_no_truncation_for_short_lists(self, u):
-        result = heat_trace(interval_levels(3), 0.1, u)
-        assert result.truncation_bound == 0.0
 
     def test_validation(self, u):
         with pytest.raises(ValueError):
-            heat_trace([], 0.1, u)
+            heat_trace(Spectrum([], []), 0.1, u)
         with pytest.raises(ValueError):
-            heat_trace([EnergyLevel(1.0, 1)], 0.0, u)
+            heat_trace(Spectrum([1.0], [1]), 0.0, u)
         with pytest.raises(ValueError):
-            heat_trace([EnergyLevel(-1.0, 1)], 0.1, u)
+            heat_trace(Spectrum([-1.0], [1]), 0.1, u)
 
 
 class TestWeylVolumeEstimate:
@@ -118,9 +129,9 @@ class TestWeylVolumeEstimate:
         for d in (2, 3):
             modes = box_modes(1.0, d, 12, u)
             full = heat_trace(
-                [EnergyLevel(m.kinetic_energy, 1) for m in modes], t, u
-            ).trace
-            axis = heat_trace(interval_levels(12), t, u).trace
+                Spectrum([m.kinetic_energy for m in modes]), t, u
+            )
+            axis = heat_trace(interval_levels(12), t, u)
             assert full == pytest.approx(axis**d, rel=1e-10)
 
     def test_cube_estimate_via_factorization(self, u):
@@ -132,7 +143,7 @@ class TestWeylVolumeEstimate:
         # lambda -> lambda/s^2 with t -> t s^2 rescales the estimate by s^d
         s = 2.5
         levels = interval_levels(200)
-        scaled = [EnergyLevel(lv.energy / s**2, lv.multiplicity) for lv in levels]
+        scaled = Spectrum(levels.energies / s**2, levels.multiplicities)
         t = 1e-3
         base = weyl_volume_estimate(levels, t, 1, u)
         stretched = weyl_volume_estimate(scaled, t * s**2, 1, u)
@@ -163,7 +174,7 @@ class TestWeylConvergenceScan:
         levels = interval_levels(100)
         row = weyl_convergence_scan(levels, [1e-3], 1, u)[0]
         assert row.volume_estimate == weyl_volume_estimate(levels, 1e-3, 1, u)
-        assert row.trace == heat_trace(levels, 1e-3, u).trace
+        assert row.trace == heat_trace(levels, 1e-3, u)
 
     def test_empty_t_list_rejected(self, u):
         with pytest.raises(ValueError):
@@ -171,25 +182,21 @@ class TestWeylConvergenceScan:
 
 
 class TestLevelHelpers:
-    def test_expand_levels(self):
-        levels = [EnergyLevel(1.0, 2), EnergyLevel(0.0, 1)]
-        assert expand_levels(levels) == [0.0, 1.0, 1.0]
-
     def test_group_energies_clusters_ties(self, u):
         energies = [m.kinetic_energy for m in box_modes(1.0, 3, 2, u)]
         levels = group_energies(energies)
-        assert levels[0].multiplicity == 1
-        assert levels[1].multiplicity == 3
-        assert sum(lv.multiplicity for lv in levels) == len(energies)
+        assert levels.multiplicities[0] == 1
+        assert levels.multiplicities[1] == 3
+        assert sum(levels.multiplicities) == len(energies)
 
     def test_group_energies_respects_gaps(self):
         levels = group_energies([0.0, 0.0, 1.0, 1.0 + 5e-10, 2.0])
-        assert [lv.multiplicity for lv in levels] == [2, 2, 1]
+        assert levels.multiplicities.tolist() == [2, 2, 1]
 
     def test_group_round_trip(self, u):
-        levels = [EnergyLevel(0.0, 2), EnergyLevel(3.0, 1)]
-        regrouped = group_energies(expand_levels(levels))
-        assert [(lv.energy, lv.multiplicity) for lv in regrouped] == [
+        levels = Spectrum([0.0, 3.0], [2, 1])
+        regrouped = group_energies(np.repeat(levels.energies, levels.multiplicities.astype(int)))
+        assert list(zip(regrouped.energies.tolist(), regrouped.multiplicities.tolist())) == [
             (0.0, 2),
             (3.0, 1),
         ]
@@ -198,14 +205,42 @@ class TestLevelHelpers:
         with pytest.raises(ValueError):
             group_energies([])
 
-    def test_expand_empty_rejected(self):
-        with pytest.raises(ValueError):
-            expand_levels([])
+
+class TestSpectralSumKernel:
+    @PROPERTY
+    @given(levels=level_lists, s=scales, data=st.data())
+    def test_permutation_gives_identical_bits(self, levels, s, data):
+        shuffled = data.draw(st.permutations(levels))
+        a, b = Spectrum(*zip(*levels)), Spectrum(*zip(*shuffled))
+        assert heat_trace(a, s, U) == heat_trace(b, s, U)
+        assert qm_partition(a, s, U) == qm_partition(b, s, U)
+
+    @PROPERTY
+    @given(levels=level_lists, x=scales)
+    def test_heat_trace_equals_partition_in_natural_units(self, levels, x):
+        spectrum = Spectrum(*zip(*levels))
+        assert heat_trace(spectrum, x, U) == qm_partition(spectrum, x, U)
+
+    @PROPERTY
+    @given(levels=level_lists, s=scales)
+    def test_matches_mpmath_oracle(self, levels, s):
+        spectrum = Spectrum(*zip(*levels))
+        reference = boltzmann_sum_mpmath(
+            spectrum.energies.tolist(), spectrum.multiplicities.tolist(), s
+        )
+        assert abs(heat_trace(spectrum, s, U) - reference) <= 2 * EPS * reference
+
+    def test_huge_multiplicity_behind_a_gap_is_summed(self, u):
+        # the last term is 1e30 * exp(-101), about 1.4e-14 of the total
+        spectrum = Spectrum([0.0, 1.0, 100.0, 101.0], [1, 1, 1, 10**30])
+        exact_terms = [1.0, math.exp(-1.0), math.exp(-100.0), float(10**30) * math.exp(-101.0)]
+        assert heat_trace(spectrum, 1.0, u) == math.fsum(exact_terms)
+        assert qm_partition(spectrum, 1.0, u) == math.fsum(exact_terms)
 
 
 def test_radial_levels_feed_heat_trace(u):
-    levels = [EnergyLevel(m.kinetic_energy, 1) for m in radial_modes(1.0, 50, u)]
+    levels = Spectrum([m.kinetic_energy for m in radial_modes(1.0, 50, u)])
     result = heat_trace(levels, 0.1, u)
-    assert result.trace == pytest.approx(math.fsum(
+    assert result == pytest.approx(math.fsum(
         math.exp(-0.1 * m.kinetic_energy) for m in radial_modes(1.0, 50, u)
     ), rel=1e-14)

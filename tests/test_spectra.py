@@ -7,6 +7,7 @@ import sympy
 from spectherm import (
     Potential,
     QuadratureSpec,
+    Spectrum,
     angular_modes,
     box_modes,
     eval_radial_wavefunction,
@@ -225,7 +226,7 @@ class TestNumericSolver:
         spectrum = solve_radial_numeric(
             1.0, 800, 6, u, potential=Potential.from_callable(well)
         )
-        assert hilbert_dim_min(list(spectrum.energies)) == 1
+        assert hilbert_dim_min(Spectrum(spectrum.energies)) == 1
 
     def test_potential_ground_energy_matches_shooting_method(self, u):
         well = lambda r: r * r
@@ -310,28 +311,28 @@ class TestNumericSolver:
 class TestHilbertDimMin:
     def test_free_ball_ground_space(self, u):
         energies = [m.kinetic_energy for m in radial_modes(1.0, 8, u)]
-        assert hilbert_dim_min(energies) == 1
+        assert hilbert_dim_min(Spectrum(energies)) == 1
 
     def test_sphere_kernel(self, u):
         expanded = [
             m.kinetic_energy for m in angular_modes(4, u) for _ in range(m.degeneracy)
         ]
-        assert hilbert_dim_min(expanded) == 1
+        assert hilbert_dim_min(Spectrum(expanded)) == 1
 
     def test_cube_first_excited_level(self, u):
         energies = [m.kinetic_energy for m in box_modes(1.0, 3, 3, u)]
-        assert hilbert_dim_min(energies[1:]) == 3
+        assert hilbert_dim_min(Spectrum(energies[1:])) == 3
 
     def test_all_equal(self):
-        assert hilbert_dim_min([5.0, 5.0, 5.0]) == 3
+        assert hilbert_dim_min(Spectrum([5.0, 5.0, 5.0])) == 3
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            hilbert_dim_min([])
+            hilbert_dim_min(Spectrum([]))
 
     def test_tolerance_validated(self):
         with pytest.raises(ValueError):
-            hilbert_dim_min([1.0], rel_tolerance=0.0)
+            hilbert_dim_min(Spectrum([1.0]), rel_tolerance=0.0)
 
 
 class TestBoxModes:
@@ -342,7 +343,7 @@ class TestBoxModes:
 
     def test_ground_state_unique(self, u):
         energies = [m.kinetic_energy for m in box_modes(1.0, 3, 2, u)]
-        assert hilbert_dim_min(energies) == 1
+        assert hilbert_dim_min(Spectrum(energies)) == 1
 
     def test_one_dimensional_box_equals_radial_spectrum(self, u):
         box = box_modes(1.0, 1, 5, u)

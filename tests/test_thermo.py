@@ -1,21 +1,21 @@
 import math
 
+import numpy as np
 import pytest
 
 from spectherm import (
     NEGATIVE_INFINITE_ENTROPY,
     DualityPoint,
-    EnergyLevel,
     EntropyOverflowError,
     FundamentalEquation,
     NoRealSolution,
+    Spectrum,
     boltzmann_weight_from_entropy,
     density_from_entropy,
     duality_map,
     duality_map_from_temperature,
     entropy_expectation,
     entropy_from_density,
-    expand_levels,
     hilbert_dim_min,
     ideal_gas_entropy,
     natural_units,
@@ -32,7 +32,7 @@ from oracles import ENTROPY_EXPECTATION, entropy_expectation_mpmath
 
 def radial_levels(n_max, r0=1.0, u=None):
     u = u or natural_units()
-    return [EnergyLevel(m.kinetic_energy, 1) for m in radial_modes(r0, n_max, u)]
+    return Spectrum([m.kinetic_energy for m in radial_modes(r0, n_max, u)])
 
 
 class TestFundamentalEquation:
@@ -313,10 +313,10 @@ class TestRealTimePhase:
 class TestQmPartition:
     @pytest.mark.parametrize("tau", [0.1, 1.0, 10.0])
     def test_single_zero_level(self, u, tau):
-        assert qm_partition([EnergyLevel(0.0, 1)], tau, u) == 1.0
+        assert qm_partition(Spectrum([0.0], [1]), tau, u) == 1.0
 
     def test_two_level_example(self, u):
-        levels = [EnergyLevel(0.0, 2), EnergyLevel(1.0, 1)]
+        levels = Spectrum([0.0, 1.0], [2, 1])
         assert qm_partition(levels, 1.0, u) == pytest.approx(
             2.0 + math.exp(-1.0), abs=1e-15
         )
@@ -334,7 +334,7 @@ class TestQmPartition:
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_log_convex_in_tau(self, u):
-        levels = [EnergyLevel(0.0, 1), EnergyLevel(1.0, 2), EnergyLevel(3.0, 1)]
+        levels = Spectrum([0.0, 1.0, 3.0], [1, 2, 1])
         for t1 in (0.2, 0.5, 1.1):
             t3 = t1 + 0.6
             t2 = 0.5 * (t1 + t3)
@@ -349,16 +349,16 @@ class TestQmPartition:
         from spectherm import UnitSystem
 
         u2 = UnitSystem(hbar=2.0, k_boltzmann=1.0, mass=0.5)
-        levels = [EnergyLevel(1.0, 1)]
+        levels = Spectrum([1.0], [1])
         assert qm_partition(levels, 2.0, u2) == qm_partition(
             levels, 1.0, natural_units()
         )
 
     def test_validation(self, u):
         with pytest.raises(ValueError):
-            qm_partition([], 1.0, u)
+            qm_partition(Spectrum([], []), 1.0, u)
         with pytest.raises(ValueError):
-            qm_partition([EnergyLevel(0.0, 1)], 0.0, u)
+            qm_partition(Spectrum([0.0], [1]), 0.0, u)
 
 
 class TestThermalDualityConsistency:
@@ -369,7 +369,7 @@ class TestThermalDualityConsistency:
         assert thermal_partition(levels, temperature, u) == qm_partition(levels, tau, u)
 
     def test_thermal_partition_directly(self, u):
-        levels = [EnergyLevel(0.0, 1), EnergyLevel(2.0, 1)]
+        levels = Spectrum([0.0, 2.0], [1, 1])
         # T = 2 corresponds to tau = 1/2 in natural units
         assert thermal_partition(levels, 2.0, u) == pytest.approx(
             1.0 + math.exp(-1.0), abs=1e-15
@@ -381,7 +381,7 @@ class TestQuasistaticPartition:
         assert quasistatic_partition(radial_levels(10), 0.0, u) == 1.0
 
     def test_multiplicity_three_at_zero(self, u):
-        assert quasistatic_partition([EnergyLevel(0.0, 3)], 0.0, u) == 3.0
+        assert quasistatic_partition(Spectrum([0.0], [3]), 0.0, u) == 3.0
 
     def test_exponential_decay(self, u):
         levels = radial_levels(5)
@@ -391,7 +391,7 @@ class TestQuasistaticPartition:
 
     def test_ratio_to_full_partition_approaches_one(self, u):
         levels = radial_levels(20)
-        gap = levels[1].energy - levels[0].energy
+        gap = levels.energies[1] - levels.energies[0]
         tau = 10.0 / gap
         ratio = qm_partition(levels, tau, u) / quasistatic_partition(levels, tau, u)
         assert 1.0 <= ratio < 1.001
@@ -399,18 +399,19 @@ class TestQuasistaticPartition:
     def test_matches_hilbert_dim_min(self, u):
         cases = [
             radial_levels(10),
-            [EnergyLevel(0.0, 3), EnergyLevel(1.0, 2)],
-            [EnergyLevel(1.0, 2), EnergyLevel(1.0 + 1e-12, 1), EnergyLevel(5.0, 1)],
+            Spectrum([0.0, 1.0], [3, 2]),
+            Spectrum([1.0, 1.0 + 1e-12, 5.0], [2, 1, 1]),
         ]
         for levels in cases:
-            dim = hilbert_dim_min(expand_levels(levels))
+            expanded = np.repeat(levels.energies, levels.multiplicities.astype(int))
+            dim = hilbert_dim_min(Spectrum(expanded))
             assert quasistatic_partition(levels, 0.0, u) == float(dim)
 
     def test_validation(self, u):
         with pytest.raises(ValueError):
-            quasistatic_partition([], 0.0, u)
+            quasistatic_partition(Spectrum([], []), 0.0, u)
         with pytest.raises(ValueError):
-            quasistatic_partition([EnergyLevel(0.0, 1)], -1.0, u)
+            quasistatic_partition(Spectrum([0.0], [1]), -1.0, u)
 
 
 def test_negative_infinite_entropy_constant():
