@@ -226,7 +226,9 @@ def _cmd_spectrum(args, u: UnitSystem):
                 f"--k must satisfy 1 <= k < grid_points - 1, got {args.k}"
             )
         config.update({"r0": args.r0, "grid_points": args.grid_points, "k": args.k})
-        spectrum = solve_radial_numeric(args.r0, args.grid_points, args.k, u)
+        spectrum = solve_radial_numeric(
+            args.r0, args.grid_points, args.k, u, eigvals_only=True
+        )
         pref = kinetic_prefactor(u)
         columns = ["index", "energy", "wavenumber_estimate"]
         rows = [

@@ -18,7 +18,10 @@ radial potential. Substituting u(r) = r*psi(r) removes the first-derivative
 term and the coordinate singularity at r = 0, leaving a plain Dirichlet
 problem -pref * u'' + U(r) u = E u on the interval, discretized by central
 differences into a symmetric tridiagonal matrix whose lowest eigenpairs are
-extracted by bisection with Sturm counts (bit-stable across runs).
+extracted by bisection with Sturm counts (bit-stable across runs). With
+eigvals_only=True the eigenvectors are skipped and the eigenvalues are the
+same bits. The solver is the only user of scipy, so scipy.linalg is imported
+when it first runs, not when this module is imported.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .units import UnitSystem, kinetic_prefactor
 
@@ -177,13 +179,14 @@ class NumericSpectrum:
     """Finite-difference eigenpairs of the radial problem.
 
     energies are ascending. Each row of modes holds u(r) = r*psi(r) on the
-    full grid (both endpoints zero), normalized so that sum(u^2) * h = 1.
+    full grid (both endpoints zero), normalized so that sum(u^2) * h = 1;
+    modes is None when only eigenvalues were requested.
     """
 
     r0: float
     grid_points: int
     energies: np.ndarray
-    modes: np.ndarray
+    modes: np.ndarray | None
     grid: np.ndarray = field(repr=False)
 
     @property
@@ -280,12 +283,16 @@ def solve_radial_numeric(
     k_lowest: int,
     u: UnitSystem,
     potential: Potential | None = None,
+    *,
+    eigvals_only: bool = False,
 ) -> NumericSpectrum:
     """Lowest k_lowest eigenpairs of -pref*u'' + U(r)u = E u with u(0) = u(r0) = 0.
 
     Uniform grid of grid_points nodes spanning [0, r0], second-order central
     differences. Eigenvalues come out ascending; eigenvectors are fixed to a
     deterministic sign (positive slope at the origin) and grid-normalized.
+    With eigvals_only the eigenvectors are never computed and modes is None;
+    the energies are bit-identical to those of the eigenpair solve.
     """
     if not (math.isfinite(r0) and r0 > 0.0):
         raise ValueError(f"r0 must be positive and finite, got {r0!r}")
@@ -312,9 +319,22 @@ def solve_radial_numeric(
     inv_h2 = pref / (h * h)
     diagonal = 2.0 * inv_h2 + u_interior
     off_diagonal = np.full(grid_points - 3, -inv_h2)
-    energies, vectors = eigh_tridiagonal(
-        diagonal, off_diagonal, select="i", select_range=(0, k_lowest - 1)
+
+    # Deferred: scipy.linalg is most of the package's import time, and
+    # only this solver needs it.
+    from scipy.linalg import eigh_tridiagonal
+
+    # Both paths run LAPACK stebz for the eigenvalues; only the eigenpair
+    # path follows it with stein for the vectors.
+    solved = eigh_tridiagonal(
+        diagonal, off_diagonal, eigvals_only=eigvals_only,
+        select="i", select_range=(0, k_lowest - 1),
     )
+    if eigvals_only:
+        return NumericSpectrum(
+            r0=r0, grid_points=grid_points, energies=solved, modes=None, grid=grid
+        )
+    energies, vectors = solved
 
     modes = np.zeros((k_lowest, grid_points))
     norm = 1.0 / math.sqrt(h)

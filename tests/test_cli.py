@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,18 @@ from oracles import (
 )
 
 EPS = 2.0**-52
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports spectherm from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def run_json(capsys, argv):
@@ -372,3 +388,35 @@ class TestExitCodesAndOutput:
         run(["duality", "--tau", "3"])
         payload = capsys.readouterr().out
         assert "0.33333333333333331" in payload
+
+
+class TestFreshProcess:
+    # Subprocesses, because pytest and the test modules import scipy themselves.
+
+    def test_import_loads_no_scipy(self):
+        probe = run_python(
+            "-c",
+            "import spectherm, spectherm.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        )
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout == "[]\n"
+
+    def test_numeric_spectrum_resolves_deferred_scipy_import(self):
+        argv = ["spectrum", "--kind", "numeric", "--grid-points", "50", "--k", "2"]
+        probe = run_python(
+            "-c", f"import sys; from spectherm.cli import run; sys.exit(run({argv!r}))"
+        )
+        assert probe.returncode == 0, probe.stderr
+        assert len(json.loads(probe.stdout)["results"]["rows"]) == 2
+
+    def test_python_m_matches_console_script(self):
+        argv = ["duality", "--tau", "1"]
+        module = run_python("-m", "spectherm", *argv)
+        # the [project.scripts] target, called the way the installed script calls it
+        script = run_python(
+            "-c", "import sys; from spectherm.cli import main; sys.exit(main())", *argv
+        )
+        assert module.returncode == script.returncode == 0, module.stderr + script.stderr
+        assert module.stdout == script.stdout
+        assert json.loads(module.stdout)["results"]["rows"] == [[1.0, 1.0]]

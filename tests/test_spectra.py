@@ -276,6 +276,24 @@ class TestNumericSolver:
         assert np.array_equal(first.energies, second.energies)
         assert np.array_equal(first.modes, second.modes)
 
+    @pytest.mark.parametrize(
+        "potential",
+        [
+            None,
+            Potential.from_callable(lambda r: 3.0 * r * r),
+            Potential.from_samples(np.cos(np.linspace(0.0, 5.0, 2000)).tolist()),
+        ],
+        ids=["free", "callable", "sampled"],
+    )
+    def test_eigvals_only_matches_eigenpair_energies(self, u, potential):
+        pairs = solve_radial_numeric(1.0, 2000, 8, u, potential=potential)
+        only = solve_radial_numeric(
+            1.0, 2000, 8, u, potential=potential, eigvals_only=True
+        )
+        assert only.modes is None
+        assert only.grid_points == pairs.grid_points
+        assert np.array_equal(only.energies, pairs.energies)
+
     def test_nonfinite_potential_rejected(self, u):
         with pytest.raises(ValueError):
             solve_radial_numeric(
