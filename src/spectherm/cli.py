@@ -17,9 +17,14 @@ import csv
 import io
 import json
 import math
+import os
+import re
 import sys
+import warnings
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .heattrace import weyl_convergence_scan
 from .specfun import DEFAULT_QUADRATURE, QuadratureError
@@ -54,6 +59,9 @@ __all__ = ["UsageError", "load_levels", "run", "main"]
 # 1e-18 are negligible against the leading ones.
 _TAIL_LOG = -math.log(1e-18)
 _MAX_AUTO_MODES = 2_000_000
+# np.loadtxt reads a line of blanks, or blanks before a comment, as a row
+_BLANK_LINE_PREFIX = re.compile(r"^[^\S\n]+(?=#|$)", re.MULTILINE)
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 class UsageError(Exception):
@@ -61,41 +69,67 @@ class UsageError(Exception):
 
 
 def load_levels(path: str | Path) -> Spectrum:
-    """Parse an energy,multiplicity level file (one pair per line, # comments)."""
+    """Parse an energy,multiplicity level file (one pair per line, # comments).
+
+    One np.loadtxt call parses the file in C and `Spectrum` checks it. Only
+    if that fails is the text read in Python: lines of blanks are cleared
+    and the parse retried, then halves of the rows are parsed to find the
+    first bad line.
+    """
+    # np.loadtxt fetches a path with a URL's scheme and host, reads a
+    # missing file's compressed sibling and decompresses by suffix. An
+    # absolute path that exists and has no such suffix is opened as it is.
+    file = os.path.abspath(path)
+    if not os.path.exists(file):
+        raise UsageError(f"cannot read levels file {path}: no such file")
+    if file.endswith(_COMPRESSED_SUFFIXES):
+        raise UsageError(f"cannot read levels file {path}: compressed files are not read")
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        return _parse_levels(file)
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read levels file {path}: {exc}") from exc
-    energies: list[float] = []
-    multiplicities: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 2:
-            raise UsageError(
-                f"{path}:{lineno}: expected 'energy,multiplicity', got {raw!r}"
-            )
+    except ValueError as exc:
+        error = exc
+    text, cleared = _BLANK_LINE_PREFIX.subn("", Path(file).read_text(encoding="utf-8"))
+    lines = text.split("\n")
+    if cleared:
         try:
-            energy = float(parts[0])
+            return _parse_levels(lines)
         except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: bad energy {parts[0]!r}") from exc
-        if not math.isfinite(energy):
-            raise UsageError(f"{path}:{lineno}: energy must be finite")
+            error = exc
+    rows = [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.split("#", 1)[0]]
+    if not rows:
+        raise UsageError(f"{path}: {error}") from error
+    # each row parses to one row of the table, so a set of rows fails exactly
+    # when one of them fails alone, and rows[lo:hi] always fails
+    lo, hi = 0, len(rows)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         try:
-            multiplicity = int(parts[1])
-        except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: bad multiplicity {parts[1]!r}") from exc
-        if multiplicity < 1:
-            raise UsageError(
-                f"{path}:{lineno}: multiplicity must be >= 1, got {multiplicity}"
-            )
-        energies.append(energy)
-        multiplicities.append(multiplicity)
-    if not energies:
-        raise UsageError(f"{path}: no levels found")
-    return Spectrum(energies, multiplicities)
+            _parse_levels([line for _, line in rows[lo:mid]])
+            lo = mid
+        except ValueError:
+            hi = mid
+    lineno, line = rows[lo]
+    try:
+        _parse_levels([line])
+    except ValueError as bad:
+        error = bad
+    reason = str(error).split(" at row ")[0]  # loadtxt's row is not the line
+    raise UsageError(f"{path}:{lineno}: {reason}, in line {line!r}") from error
+
+
+def _parse_levels(source) -> Spectrum:
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        table = np.loadtxt(
+            source, delimiter=",", comments="#", dtype=np.float64, ndmin=2, encoding="utf-8"
+        )
+    if table.size == 0:
+        raise ValueError("no levels found")
+    if table.shape[1] != 2:
+        raise ValueError(f"expected 'energy,multiplicity', got {table.shape[1]} columns")
+    return Spectrum(table[:, 0], table[:, 1])
 
 
 # ----------------------------- serialization -------------------------------
@@ -177,10 +211,6 @@ def _auto_axis_modes(length: float, t_min: float, n_max: int | None) -> int:
             f"t={t_min!r} needs {count} modes per axis; pass --n-max to override"
         )
     return count
-
-
-def _units_config(args: argparse.Namespace) -> dict:
-    return {"hbar": args.hbar, "k_boltzmann": args.kb, "mass": args.mass}
 
 
 # ------------------------------ subcommands --------------------------------
@@ -506,9 +536,10 @@ def run(argv: Sequence[str]) -> int:
                 )
             payload = _render_csv(*table)
         else:
+            units_config = {"hbar": args.hbar, "k_boltzmann": args.kb, "mass": args.mass}
             report = {
                 "subcommand": args.subcommand,
-                "config": {**_units_config(args), **config},
+                "config": {**units_config, **config},
                 "results": results,
             }
             payload = _render_json(report)
@@ -517,10 +548,7 @@ def run(argv: Sequence[str]) -> int:
         else:
             sys.stdout.write(payload)
         return 0
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NoRealSolution, QuadratureError, EntropyOverflowError, OverflowError, ValueError) as exc:
@@ -530,3 +558,7 @@ def run(argv: Sequence[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

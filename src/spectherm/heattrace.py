@@ -10,7 +10,8 @@ time tau are the same sum of m * exp(-s * E), with s = t/(hbar^2/2m) or
 s = tau/hbar. One kernel evaluates it for both: every term of the finite
 spectrum is summed exactly by math.fsum (Shewchuk's algorithm) and rounded
 once, so the result does not depend on the order of the levels and nothing
-is truncated.
+is truncated: terms that underflowed to exactly 0.0 are skipped, which cannot
+change an fsum, and every nonzero term, subnormal ones too, is summed.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def _boltzmann_sum(spectrum: Spectrum, s: float) -> float:
     """Sum of multiplicity * exp(-s * energy) over every level, rounded once."""
     with np.errstate(over="ignore"):
         terms = spectrum.multiplicities * np.exp(-s * spectrum.energies)
-    total = math.fsum(terms.tolist())
+    total = math.fsum(terms[terms != 0.0].tolist())
     if not math.isfinite(total):
         raise OverflowError(f"spectral sum at s={s!r} exceeds the double-precision range")
     return total

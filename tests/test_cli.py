@@ -1,12 +1,17 @@
+import gzip
 import json
 import math
 import os
 import subprocess
 import sys
+import urllib.request
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spectherm import Spectrum
 from spectherm.cli import UsageError, load_levels, run
 
 from oracles import (
@@ -92,6 +97,119 @@ class TestLoadLevels:
     def test_missing_file(self, tmp_path):
         with pytest.raises(UsageError):
             load_levels(tmp_path / "absent.txt")
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        levels=st.lists(
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.integers(min_value=1, max_value=10**30),
+                st.sampled_from(["", " ", "\t", "  "]),  # padding around fields
+                st.sampled_from(["", "  # inline", "#x,y,z"]),
+                st.sampled_from(["", "\n", "# comment\n", " \t\n", "  # indented\n"]),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        newline=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_round_trip_matches_per_field_parse(self, tmp_path_factory, levels, newline):
+        text = "".join(
+            f"{extra}{pad}{e!r}{pad},{pad}{m}{pad}{comment}\n"
+            for e, m, pad, comment, extra in levels
+        )
+        path = tmp_path_factory.mktemp("levels") / "levels.txt"
+        path.write_bytes(text.replace("\n", newline).encode())
+        fields = [
+            [part.strip() for part in line.split("#", 1)[0].split(",")]
+            for line in text.splitlines()
+            if line.split("#", 1)[0].strip()
+        ]
+        expected = Spectrum([float(e) for e, _ in fields], [int(m) for _, m in fields])
+        loaded = load_levels(path)
+        assert loaded.energies.tobytes() == expected.energies.tobytes()
+        assert loaded.multiplicities.tobytes() == expected.multiplicities.tobytes()
+
+    def test_huge_multiplicity(self, tmp_path):
+        path = tmp_path / "levels.txt"
+        path.write_text("0,1000000000000000000000000000000\n")
+        assert load_levels(path).multiplicities.tolist() == [float(10**30)]
+
+    def test_integral_float_multiplicities_accepted(self, tmp_path):
+        path = tmp_path / "levels.txt"
+        path.write_text("0,2.0\n1,1e3\n")
+        assert load_levels(path).multiplicities.tolist() == [2.0, 1000.0]
+
+    @pytest.mark.parametrize("row", ["1,2,3", "5", "2,1_000"])
+    def test_bad_row_reports_its_line(self, tmp_path, row):
+        path = tmp_path / "levels.txt"
+        path.write_text(f"# header\n0,1\n\n  # indented\n{row}\n4,1\n")
+        with pytest.raises(UsageError, match=":5:"):
+            load_levels(path)
+
+    def test_non_utf8_file_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "levels.txt"
+        path.write_bytes(b"0,1\n\xff,2\n")
+        with pytest.raises(UsageError, match="cannot read levels file"):
+            load_levels(path)
+
+    def test_comment_only_file_warns_nothing(self, tmp_path, capsys):
+        path = tmp_path / "levels.txt"
+        path.write_text("# nothing here\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError, match="no levels found"):
+                load_levels(path)
+            code = run(["weyl", "--domain", "custom", "--levels", str(path), "--t", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: no levels found\n"
+
+    @pytest.mark.parametrize(
+        "rows, lineno",
+        [
+            (["x,1"], 1),
+            (["0,1"] * 999 + ["1,x"], 1000),
+            (["0,1"] * 500 + ["1,0"] + ["0,1"] * 499, 501),
+            (["0,1"] * 300 + ["inf,1"] + ["0,1"] * 300 + ["y,1"], 301),
+            (["0,1"] * 700 + ["1,2,3"] + ["# c", "  ", "2,x"], 701),
+        ],
+    )
+    def test_first_bad_line_of_many_reported(self, tmp_path, rows, lineno):
+        path = tmp_path / "levels.txt"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(UsageError, match=rf":{lineno}:.*in line '{rows[lineno - 1]}'$"):
+            load_levels(path)
+
+    def test_missing_file_does_not_read_compressed_sibling(self, tmp_path):
+        (tmp_path / "levels.txt.gz").write_bytes(gzip.compress(b"0,1\n"))
+        with pytest.raises(UsageError, match="cannot read levels file"):
+            load_levels(tmp_path / "levels.txt")
+
+    def test_compressed_file_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "levels.txt.gz"
+        path.write_bytes(gzip.compress(b"0,1\n"))
+        with pytest.raises(UsageError, match="compressed"):
+            load_levels(path)
+
+    def test_directory_is_a_usage_error(self, tmp_path):
+        with pytest.raises(UsageError, match="cannot read levels file"):
+            load_levels(tmp_path)
+
+    def test_url_shaped_path_is_a_local_path(self, tmp_path, monkeypatch):
+        def no_urlopen(*args, **kwargs):
+            raise AssertionError("levels path was fetched as a URL")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_urlopen)
+        monkeypatch.chdir(tmp_path)
+        url = "http://127.0.0.1:9/levels.txt"
+        with pytest.raises(UsageError, match="cannot read levels file"):
+            load_levels(url)
+        assert list(tmp_path.iterdir()) == []
+        local = tmp_path / "http:" / "127.0.0.1:9" / "levels.txt"
+        local.parent.mkdir(parents=True)
+        local.write_text("2,3\n")
+        levels = load_levels(url)
+        assert levels.energies.tolist() == [2.0] and levels.multiplicities.tolist() == [3.0]
 
 
 class TestEntropyCommand:
@@ -420,3 +538,10 @@ class TestFreshProcess:
         assert module.returncode == script.returncode == 0, module.stderr + script.stderr
         assert module.stdout == script.stdout
         assert json.loads(module.stdout)["results"]["rows"] == [[1.0, 1.0]]
+
+    def test_python_m_cli_matches_python_m_package(self):
+        argv = ["duality", "--tau", "1"]
+        package = run_python("-m", "spectherm", *argv)
+        module = run_python("-m", "spectherm.cli", *argv)
+        assert package.returncode == module.returncode == 0, package.stderr + module.stderr
+        assert module.stdout == package.stdout != ""

@@ -237,6 +237,36 @@ class TestSpectralSumKernel:
         assert heat_trace(spectrum, 1.0, u) == math.fsum(exact_terms)
         assert qm_partition(spectrum, 1.0, u) == math.fsum(exact_terms)
 
+    @PROPERTY
+    @given(
+        levels=level_lists,
+        s=scales,
+        padding=st.lists(
+            st.tuples(
+                st.floats(min_value=747.0, max_value=1e6),
+                st.integers(min_value=1, max_value=10**30),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_underflowed_levels_change_no_bit(self, levels, s, padding):
+        # s * E > 746 makes exp(-s * E) exactly 0.0, whatever the multiplicity
+        pad = [(x / s, m) for x, m in padding]
+        assert np.all(np.exp(-s * np.array([e for e, _ in pad])) == 0.0)
+        base, padded = Spectrum(*zip(*levels)), Spectrum(*zip(*(levels + pad)))
+        assert heat_trace(padded, s, U) == heat_trace(base, s, U)
+        assert qm_partition(padded, s, U) == qm_partition(base, s, U)
+
+    def test_subnormal_terms_are_all_summed(self, u):
+        energies = np.linspace(740.0, 744.0, 9)
+        multiplicities = np.arange(1.0, 10.0)
+        terms = multiplicities * np.exp(-energies)
+        assert np.all((terms > 0.0) & (terms < np.finfo(np.float64).tiny))
+        spectrum = Spectrum(energies, multiplicities)
+        assert heat_trace(spectrum, 1.0, u) == math.fsum(terms.tolist()) > 0.0
+        assert qm_partition(spectrum, 1.0, u) == math.fsum(terms.tolist())
+
 
 def test_radial_levels_feed_heat_trace(u):
     levels = Spectrum([m.kinetic_energy for m in radial_modes(1.0, 50, u)])
