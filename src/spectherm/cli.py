@@ -6,8 +6,15 @@ invocation. Reports are deterministic: identical argument vectors produce
 byte-identical output, floats are serialized with 17 significant digits,
 and every report embeds the resolved configuration it was produced from.
 
+Arguments are checked where they are used: the library raises InputError
+for any value it rejects, and load_levels for an unreadable or malformed
+level file. The front end itself checks only what no library call sees:
+that a custom domain names a level file, that duality gets a value, and
+that csv is asked for a table.
+
 Exit codes: 0 success, 1 computational failure (no real root, quadrature
-breakdown, overflow), 2 usage error.
+breakdown, overflow), 2 rejected input (InputError, an unreadable file, or
+an argument argparse refuses).
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .heattrace import weyl_convergence_scan
+from .heattrace import trace_axis_modes, weyl_convergence_scan
 from .specfun import DEFAULT_QUADRATURE, QuadratureError
 from .spectra import (
     DEGENERACY_REL_TOLERANCE,
@@ -41,7 +48,6 @@ from .spectra import (
     solve_radial_numeric,
 )
 from .thermo import (
-    EntropyOverflowError,
     FundamentalEquation,
     NoRealSolution,
     duality_map,
@@ -51,21 +57,13 @@ from .thermo import (
     quasistatic_partition,
     solve_fiducial_wavenumber,
 )
-from .units import UnitSystem, kinetic_prefactor
+from .units import InputError, UnitSystem, kinetic_prefactor
 
-__all__ = ["UsageError", "load_levels", "run", "main"]
+__all__ = ["load_levels", "run", "main"]
 
-# Per-axis mode cutoff for heat traces: terms exp(-(pi n / L)^2 t) below
-# 1e-18 are negligible against the leading ones.
-_TAIL_LOG = -math.log(1e-18)
-_MAX_AUTO_MODES = 2_000_000
 # np.loadtxt reads a line of blanks, or blanks before a comment, as a row
 _BLANK_LINE_PREFIX = re.compile(r"^[^\S\n]+(?=#|$)", re.MULTILINE)
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-
-
-class UsageError(Exception):
-    """Bad command-line input; maps to exit code 2."""
 
 
 def load_levels(path: str | Path) -> Spectrum:
@@ -74,20 +72,20 @@ def load_levels(path: str | Path) -> Spectrum:
     One np.loadtxt call parses the file in C and `Spectrum` checks it. Only
     if that fails is the text read in Python: lines of blanks are cleared
     and the parse retried, then halves of the rows are parsed to find the
-    first bad line.
+    first bad line. Every failure raises InputError.
     """
     # np.loadtxt fetches a path with a URL's scheme and host, reads a
     # missing file's compressed sibling and decompresses by suffix. An
     # absolute path that exists and has no such suffix is opened as it is.
     file = os.path.abspath(path)
     if not os.path.exists(file):
-        raise UsageError(f"cannot read levels file {path}: no such file")
+        raise InputError(f"cannot read levels file {path}: no such file")
     if file.endswith(_COMPRESSED_SUFFIXES):
-        raise UsageError(f"cannot read levels file {path}: compressed files are not read")
+        raise InputError(f"cannot read levels file {path}: compressed files are not read")
     try:
         return _parse_levels(file)
     except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read levels file {path}: {exc}") from exc
+        raise InputError(f"cannot read levels file {path}: {exc}") from exc
     except ValueError as exc:
         error = exc
     text, cleared = _BLANK_LINE_PREFIX.subn("", Path(file).read_text(encoding="utf-8"))
@@ -99,7 +97,7 @@ def load_levels(path: str | Path) -> Spectrum:
             error = exc
     rows = [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.split("#", 1)[0]]
     if not rows:
-        raise UsageError(f"{path}: {error}") from error
+        raise InputError(f"{path}: {error}") from error
     # each row parses to one row of the table, so a set of rows fails exactly
     # when one of them fails alone, and rows[lo:hi] always fails
     lo, hi = 0, len(rows)
@@ -116,7 +114,7 @@ def load_levels(path: str | Path) -> Spectrum:
     except ValueError as bad:
         error = bad
     reason = str(error).split(" at row ")[0]  # loadtxt's row is not the line
-    raise UsageError(f"{path}:{lineno}: {reason}, in line {line!r}") from error
+    raise InputError(f"{path}:{lineno}: {reason}, in line {line!r}") from error
 
 
 def _parse_levels(source) -> Spectrum:
@@ -126,9 +124,9 @@ def _parse_levels(source) -> Spectrum:
             source, delimiter=",", comments="#", dtype=np.float64, ndmin=2, encoding="utf-8"
         )
     if table.size == 0:
-        raise ValueError("no levels found")
+        raise InputError("no levels found")
     if table.shape[1] != 2:
-        raise ValueError(f"expected 'energy,multiplicity', got {table.shape[1]} columns")
+        raise InputError(f"expected 'energy,multiplicity', got {table.shape[1]} columns")
     return Spectrum(table[:, 0], table[:, 1])
 
 
@@ -185,50 +183,17 @@ def _render_csv(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
     return buffer.getvalue()
 
 
-# ------------------------------- helpers -----------------------------------
-
-def _require_positive(name: str, value: float) -> float:
-    if not (math.isfinite(value) and value > 0.0):
-        raise UsageError(f"--{name} must be positive and finite, got {value!r}")
-    return value
-
-
-def _units_from(args: argparse.Namespace) -> UnitSystem:
-    try:
-        return UnitSystem(hbar=args.hbar, k_boltzmann=args.kb, mass=args.mass)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _auto_axis_modes(length: float, t_min: float, n_max: int | None) -> int:
-    if n_max is not None:
-        if n_max < 1:
-            raise UsageError(f"--n-max must be >= 1, got {n_max}")
-        return n_max
-    count = math.ceil(length / math.pi * math.sqrt(_TAIL_LOG / t_min)) + 2
-    if count > _MAX_AUTO_MODES:
-        raise UsageError(
-            f"t={t_min!r} needs {count} modes per axis; pass --n-max to override"
-        )
-    return count
-
-
 # ------------------------------ subcommands --------------------------------
 
 def _cmd_spectrum(args, u: UnitSystem):
     config: dict = {"kind": args.kind}
     if args.kind == "angular":
-        if args.l_max < 0:
-            raise UsageError(f"--l-max must be >= 0, got {args.l_max}")
         config["l_max"] = args.l_max
         columns = ["l", "kinetic_energy", "degeneracy"]
         rows = [
             [m.l, m.kinetic_energy, m.degeneracy] for m in angular_modes(args.l_max, u)
         ]
     elif args.kind == "radial":
-        _require_positive("r0", args.r0)
-        if args.n_max < 1:
-            raise UsageError(f"--n-max must be >= 1, got {args.n_max}")
         config.update({"r0": args.r0, "n_max": args.n_max})
         columns = ["n", "wavenumber", "kinetic_energy"]
         rows = [
@@ -236,11 +201,6 @@ def _cmd_spectrum(args, u: UnitSystem):
             for m in radial_modes(args.r0, args.n_max, u)
         ]
     elif args.kind == "box":
-        _require_positive("L", args.L)
-        if args.d < 1:
-            raise UsageError(f"--d must be >= 1, got {args.d}")
-        if args.n_max < 1:
-            raise UsageError(f"--n-max must be >= 1, got {args.n_max}")
         config.update({"L": args.L, "d": args.d, "n_max_per_axis": args.n_max})
         columns = ["quantum_numbers", "kinetic_energy"]
         rows = [
@@ -248,13 +208,6 @@ def _cmd_spectrum(args, u: UnitSystem):
             for m in box_modes(args.L, args.d, args.n_max, u)
         ]
     else:  # numeric
-        _require_positive("r0", args.r0)
-        if args.grid_points < 3:
-            raise UsageError(f"--grid-points must be >= 3, got {args.grid_points}")
-        if not (1 <= args.k < args.grid_points - 1):
-            raise UsageError(
-                f"--k must satisfy 1 <= k < grid_points - 1, got {args.k}"
-            )
         config.update({"r0": args.r0, "grid_points": args.grid_points, "k": args.k})
         spectrum = solve_radial_numeric(
             args.r0, args.grid_points, args.k, u, eigvals_only=True
@@ -270,46 +223,34 @@ def _cmd_spectrum(args, u: UnitSystem):
 
 
 def _cmd_weyl(args, u: UnitSystem):
-    t_values = args.t
-    if not t_values:
-        raise UsageError("at least one --t value is required")
-    for t in t_values:
-        _require_positive("t", t)
-    t_min = min(t_values)
     d = args.d if args.d is not None else (3 if args.domain == "cube" else 1)
-    if d < 1:
-        raise UsageError(f"--d must be >= 1, got {d}")
-
-    if args.domain == "ball":
-        _require_positive("r0", args.r0)
-        n_max = _auto_axis_modes(args.r0, t_min, args.n_max)
-        spectrum = interval_spectrum(args.r0, n_max, u)
-        config = {"domain": "ball", "r0": args.r0, "d": d, "n_max": n_max}
-        axes = 1  # radial tower is already the full spectrum
-    elif args.domain == "cube":
-        _require_positive("L", args.L)
-        n_max = _auto_axis_modes(args.L, t_min, args.n_max)
-        spectrum = interval_spectrum(args.L, n_max, u)
-        config = {"domain": "cube", "L": args.L, "d": d, "n_max_per_axis": n_max}
-        axes = d  # product of d identical intervals
-    else:
+    if args.domain == "custom":
         if args.levels is None:
-            raise UsageError("--levels FILE is required for --domain custom")
+            raise InputError("--levels FILE is required for --domain custom")
         spectrum = load_levels(args.levels)
         config = {"domain": "custom", "levels": str(args.levels), "d": d}
         axes = 1
+    else:
+        length = args.r0 if args.domain == "ball" else args.L
+        n_max = args.n_max
+        if n_max is None:
+            n_max = trace_axis_modes(length, min(args.t))
+        spectrum = interval_spectrum(length, n_max, u)
+        if args.domain == "ball":
+            config = {"domain": "ball", "r0": args.r0, "d": d, "n_max": n_max}
+            axes = 1  # radial tower is already the full spectrum
+        else:
+            config = {"domain": "cube", "L": args.L, "d": d, "n_max_per_axis": n_max}
+            axes = d  # product of d identical intervals
 
-    config["t"] = list(t_values)
+    config["t"] = list(args.t)
     columns = ["t", "trace", "volume_estimate"]
-    rows = weyl_convergence_scan(spectrum, t_values, d, u, axes)
+    rows = weyl_convergence_scan(spectrum, args.t, d, u, axes)
     results = {"columns": columns, "rows": rows}
     return config, results, (columns, rows)
 
 
 def _cmd_entropy(args, u: UnitSystem):
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
-    _require_positive("r0", args.r0)
     config = {
         "n": args.n,
         "r0": args.r0,
@@ -327,13 +268,6 @@ def _cmd_entropy(args, u: UnitSystem):
 
 
 def _cmd_fiducial(args, u: UnitSystem):
-    _require_positive("r0", args.r0)
-    _require_positive("v0", args.v0)
-    _require_positive("temperature", args.temperature)
-    if args.branch < 1:
-        raise UsageError(f"--branch must be >= 1, got {args.branch}")
-    if math.isnan(args.s0) or args.s0 == math.inf:
-        raise UsageError(f"--s0 must be finite or -inf, got {args.s0!r}")
     fe = FundamentalEquation(s0=args.s0, v0=args.v0, temperature_fixed=args.temperature)
     config = {
         "r0": args.r0,
@@ -352,15 +286,7 @@ def _cmd_fiducial(args, u: UnitSystem):
 
 
 def _cmd_partition(args, u: UnitSystem):
-    if args.tau < 0.0 or not math.isfinite(args.tau):
-        raise UsageError(f"--tau must be >= 0 and finite, got {args.tau!r}")
-    if args.n_max < 1:
-        raise UsageError(f"--n-max must be >= 1, got {args.n_max}")
-
     if args.domain == "ball":
-        _require_positive("r0", args.r0)
-        if args.l_max < 0:
-            raise UsageError(f"--l-max must be >= 0, got {args.l_max}")
         levels = ball_spectrum(args.r0, args.n_max, args.l_max, u)
         config = {
             "domain": "ball",
@@ -369,16 +295,13 @@ def _cmd_partition(args, u: UnitSystem):
             "l_max": args.l_max,
         }
     elif args.domain == "cube":
-        _require_positive("L", args.L)
         d = args.d if args.d is not None else 3
-        if d < 1:
-            raise UsageError(f"--d must be >= 1, got {d}")
         modes = box_modes(args.L, d, args.n_max, u)
         levels = group_energies([m.kinetic_energy for m in modes])
         config = {"domain": "cube", "L": args.L, "d": d, "n_max_per_axis": args.n_max}
     else:
         if args.levels is None:
-            raise UsageError("--levels FILE is required for --domain custom")
+            raise InputError("--levels FILE is required for --domain custom")
         levels = load_levels(args.levels)
         config = {"domain": "custom", "levels": str(args.levels)}
 
@@ -407,11 +330,7 @@ def _cmd_duality(args, u: UnitSystem):
     taus = args.tau or []
     temperatures = args.temperature or []
     if not taus and not temperatures:
-        raise UsageError("provide at least one --tau or --temperature")
-    for value in taus:
-        _require_positive("tau", value)
-    for value in temperatures:
-        _require_positive("temperature", value)
+        raise InputError("provide at least one --tau or --temperature")
     config = {"tau": list(taus), "temperature": list(temperatures)}
     columns = ["tau", "temperature"]
     rows = []
@@ -526,11 +445,11 @@ def run(argv: Sequence[str]) -> int:
         return 0 if exc.code in (0, None) else 2
 
     try:
-        units = _units_from(args)
+        units = UnitSystem(hbar=args.hbar, k_boltzmann=args.kb, mass=args.mass)
         config, results, table = _HANDLERS[args.subcommand](args, units)
         if args.format == "csv":
             if table is None:
-                raise UsageError(
+                raise InputError(
                     "csv output is only available for table subcommands "
                     "(spectrum, weyl, duality)"
                 )
@@ -548,10 +467,10 @@ def run(argv: Sequence[str]) -> int:
         else:
             sys.stdout.write(payload)
         return 0
-    except (UsageError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NoRealSolution, QuadratureError, EntropyOverflowError, OverflowError, ValueError) as exc:
+    except (NoRealSolution, QuadratureError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

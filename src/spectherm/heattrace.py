@@ -12,6 +12,10 @@ spectrum is summed exactly by math.fsum (Shewchuk's algorithm) and rounded
 once, so the result does not depend on the order of the levels and nothing
 is truncated: terms that underflowed to exactly 0.0 are skipped, which cannot
 change an fsum, and every nonzero term, subnormal ones too, is summed.
+
+Truncation happens only where an infinite family is cut to a finite
+spectrum: trace_axis_modes picks the modes per axis of an interval that a
+trace down to a given t needs.
 """
 
 from __future__ import annotations
@@ -22,14 +26,19 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .spectra import Spectrum
-from .units import UnitSystem, kinetic_prefactor
+from .units import InputError, UnitSystem, kinetic_prefactor, require_at_least, require_positive
 
 __all__ = [
     "WeylScanRow",
     "heat_trace",
+    "trace_axis_modes",
     "weyl_volume_estimate",
     "weyl_convergence_scan",
 ]
+
+
+_TAIL_LOG = -math.log(1e-18)
+_MAX_AUTO_MODES = 2_000_000
 
 
 class WeylScanRow(NamedTuple):
@@ -54,11 +63,28 @@ def heat_trace(spectrum: Spectrum, t: float, u: UnitSystem) -> float:
     Every level is summed exactly, so permutations of the input change
     nothing. Requires t > 0 and nonnegative energies.
     """
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"t must be positive and finite, got {t!r}")
+    require_positive("t", t)
     if spectrum.energies[0] < 0.0:
-        raise ValueError(f"energies must be >= 0, got {spectrum.energies[0]!r}")
+        raise InputError(f"energies must be >= 0, got {float(spectrum.energies[0])!r}")
     return _boltzmann_sum(spectrum, t / kinetic_prefactor(u))
+
+
+def trace_axis_modes(length: float, t_min: float) -> int:
+    """Dirichlet modes per axis of an interval for heat traces at t >= t_min.
+
+    Past this count every term exp(-(pi n / length)^2 t) is below 1e-18,
+    negligible against the leading ones. Counts above two million are
+    rejected: such a t needs n_max chosen explicitly.
+    """
+    require_positive("length", length)
+    require_positive("t", t_min)
+    bound = length / math.pi * math.sqrt(_TAIL_LOG / t_min)
+    if bound > _MAX_AUTO_MODES - 2:
+        raise InputError(
+            f"t={t_min!r} with length={length!r} needs more than {_MAX_AUTO_MODES} "
+            "modes per axis; choose n_max explicitly"
+        )
+    return math.ceil(bound) + 2
 
 
 def weyl_volume_estimate(spectrum: Spectrum, t: float, d: int, u: UnitSystem) -> float:
@@ -81,11 +107,9 @@ def weyl_convergence_scan(
     the volume estimate.
     """
     if len(t_values) == 0:
-        raise ValueError("t_values must be nonempty")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d!r}")
-    if axes < 1:
-        raise ValueError(f"axes must be >= 1, got {axes!r}")
+        raise InputError("t_values must be nonempty")
+    require_at_least("d", d, 1)
+    require_at_least("axes", axes, 1)
     rows = []
     for t in t_values:
         axis = heat_trace(spectrum, t, u)

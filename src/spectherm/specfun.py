@@ -20,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from .units import InputError, require_at_least, require_positive
+
 __all__ = [
     "QuadratureSpec",
     "QuadratureError",
@@ -37,10 +39,8 @@ class QuadratureSpec:
     max_subdivisions: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.abs_tolerance) and self.abs_tolerance > 0.0):
-            raise ValueError(f"abs_tolerance must be positive, got {self.abs_tolerance!r}")
-        if self.max_subdivisions < 1:
-            raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions!r}")
+        require_positive("abs_tolerance", self.abs_tolerance)
+        require_at_least("max_subdivisions", self.max_subdivisions, 1)
 
 
 DEFAULT_QUADRATURE = QuadratureSpec(abs_tolerance=1e-10, max_subdivisions=60)
@@ -92,9 +92,9 @@ def integrate(
     QuadratureError is raised if that bound ends up above the tolerance.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"integration bounds must be finite, got [{a!r}, {b!r}]")
+        raise InputError(f"integration bounds must be finite, got [{a!r}, {b!r}]")
     if a > b:
-        raise ValueError(f"lower bound {a!r} exceeds upper bound {b!r}")
+        raise InputError(f"lower bound {a!r} exceeds upper bound {b!r}")
     if a == b:
         return 0.0
 
@@ -175,7 +175,7 @@ def sine_integral(x: float) -> float:
     t = 0 is absorbed by the series representation.
     """
     if not math.isfinite(x):
-        raise ValueError(f"sine_integral requires finite input, got {x!r}")
+        raise InputError(f"sine_integral requires finite input, got {x!r}")
     ax = abs(x)
     if ax <= _SERIES_CUTOFF:
         return _si_power_series(x)

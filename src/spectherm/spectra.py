@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .units import UnitSystem, kinetic_prefactor
+from .units import InputError, UnitSystem, kinetic_prefactor, require_at_least, require_positive
 
 __all__ = [
     "Spectrum",
@@ -81,23 +81,23 @@ class Spectrum:
     def __post_init__(self) -> None:
         energies = np.array(self.energies, dtype=np.float64)
         if energies.ndim != 1 or energies.size == 0:
-            raise ValueError("energies must be a nonempty one-dimensional sequence")
+            raise InputError("energies must be a nonempty one-dimensional sequence")
         if self.multiplicities is None:
             multiplicities = np.ones_like(energies)
         else:
             multiplicities = np.array(self.multiplicities, dtype=np.float64)
         if multiplicities.shape != energies.shape:
-            raise ValueError(
+            raise InputError(
                 f"got {multiplicities.size} multiplicities for {energies.size} energies"
             )
         if not np.all(np.isfinite(energies)):
-            raise ValueError("energies must be finite")
+            raise InputError("energies must be finite")
         if not np.all(
             np.isfinite(multiplicities)
             & (multiplicities >= 1.0)
             & (multiplicities == np.floor(multiplicities))
         ):
-            raise ValueError("each multiplicity must be a positive integer")
+            raise InputError("each multiplicity must be a positive integer")
         order = np.lexsort((multiplicities, energies))
         for name, values in (("energies", energies), ("multiplicities", multiplicities)):
             values = values[order]
@@ -150,7 +150,7 @@ class Potential:
 
     def __post_init__(self) -> None:
         if (self.func is None) == (self.samples is None):
-            raise ValueError("exactly one of func or samples must be given")
+            raise InputError("exactly one of func or samples must be given")
 
     @classmethod
     def from_callable(cls, func: Callable[[float], float]) -> "Potential":
@@ -166,13 +166,13 @@ class Potential:
             values = np.array([float(self.func(float(ri))) for ri in r], dtype=float)
         else:
             if len(self.samples) != len(r):
-                raise ValueError(
+                raise InputError(
                     f"potential has {len(self.samples)} samples but the grid has {len(r)} nodes"
                 )
             values = np.asarray(self.samples, dtype=float)
         if not np.all(np.isfinite(values)):
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise ValueError(f"potential is not finite at grid node {bad} (r={r[bad]!r})")
+            raise InputError(f"potential is not finite at grid node {bad} (r={float(r[bad])!r})")
         return values
 
 
@@ -198,8 +198,7 @@ class NumericSpectrum:
 
 def angular_modes(l_max: int, u: UnitSystem) -> list[AngularMode]:
     """Angular sectors l = 0..l_max with energies pref*l(l+1) and degeneracy 2l+1."""
-    if l_max < 0:
-        raise ValueError(f"l_max must be >= 0, got {l_max!r}")
+    require_at_least("l_max", l_max, 0)
     pref = kinetic_prefactor(u)
     return [
         AngularMode(l=l, kinetic_energy=pref * l * (l + 1), degeneracy=2 * l + 1)
@@ -209,10 +208,8 @@ def angular_modes(l_max: int, u: UnitSystem) -> list[AngularMode]:
 
 def radial_modes(r0: float, n_max: int, u: UnitSystem) -> list[RadialMode]:
     """Radial modes n = 1..n_max on [0, r0], ascending in energy."""
-    if not (math.isfinite(r0) and r0 > 0.0):
-        raise ValueError(f"r0 must be positive and finite, got {r0!r}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max!r}")
+    require_positive("r0", r0)
+    require_at_least("n_max", n_max, 1)
     pref = kinetic_prefactor(u)
     modes = []
     for n in range(1, n_max + 1):
@@ -223,10 +220,8 @@ def radial_modes(r0: float, n_max: int, u: UnitSystem) -> list[RadialMode]:
 
 def interval_spectrum(length: float, n_max: int, u: UnitSystem) -> Spectrum:
     """Dirichlet levels pref*(n*pi/length)^2, n = 1..n_max, each simple."""
-    if not (math.isfinite(length) and length > 0.0):
-        raise ValueError(f"length must be positive and finite, got {length!r}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max!r}")
+    require_positive("length", length)
+    require_at_least("n_max", n_max, 1)
     n = np.arange(1, n_max + 1, dtype=np.float64)
     return Spectrum(kinetic_prefactor(u) * (n * math.pi / length) ** 2)
 
@@ -237,8 +232,7 @@ def ball_spectrum(r0: float, n_max: int, l_max: int, u: UnitSystem) -> Spectrum:
     Level (l, n) has energy pref*l(l+1) + pref*(n*pi/r0)^2 and multiplicity
     2l+1; coinciding energies from different sectors stay separate levels.
     """
-    if l_max < 0:
-        raise ValueError(f"l_max must be >= 0, got {l_max!r}")
+    require_at_least("l_max", l_max, 0)
     radial = interval_spectrum(r0, n_max, u).energies
     l = np.arange(l_max + 1, dtype=np.float64)[:, None]
     energies = kinetic_prefactor(u) * l * (l + 1.0) + radial
@@ -253,7 +247,7 @@ def eval_radial_wavefunction(mode: RadialMode, r: float) -> float:
     zero up to the rounding of the sine argument.
     """
     if not (0.0 < r <= mode.r0):
-        raise ValueError(f"r must lie in (0, {mode.r0!r}], got {r!r}")
+        raise InputError(f"r must lie in (0, {mode.r0!r}], got {r!r}")
     return math.sqrt(2.0 / mode.r0) * math.sin(mode.wavenumber * r) / r
 
 
@@ -263,12 +257,9 @@ def box_modes(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> list[B
     Sorted ascending by energy; ties broken by ascending lexicographic
     order of the quantum-number tuples so the output is reproducible.
     """
-    if not (math.isfinite(side) and side > 0.0):
-        raise ValueError(f"side must be positive and finite, got {side!r}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d!r}")
-    if n_max_per_axis < 1:
-        raise ValueError(f"n_max_per_axis must be >= 1, got {n_max_per_axis!r}")
+    require_positive("side", side)
+    require_at_least("d", d, 1)
+    require_at_least("n_max_per_axis", n_max_per_axis, 1)
     scale = kinetic_prefactor(u) * (math.pi / side) ** 2
     modes = [
         BoxMode(quantum_numbers=numbers, side=side,
@@ -296,12 +287,10 @@ def solve_radial_numeric(
     With eigvals_only the eigenvectors are never computed and modes is None;
     the energies are bit-identical to those of the eigenpair solve.
     """
-    if not (math.isfinite(r0) and r0 > 0.0):
-        raise ValueError(f"r0 must be positive and finite, got {r0!r}")
-    if grid_points < 3:
-        raise ValueError(f"grid too coarse: need at least 3 points, got {grid_points!r}")
+    require_positive("r0", r0)
+    require_at_least("grid_points", grid_points, 3)
     if not (1 <= k_lowest < grid_points - 1):
-        raise ValueError(
+        raise InputError(
             f"k_lowest must satisfy 1 <= k_lowest < grid_points - 1, got {k_lowest!r}"
         )
 
@@ -357,7 +346,7 @@ def _degenerate_with_previous(energies: np.ndarray, rel_tolerance: float) -> np.
     # The one degeneracy predicate: for ascending energies, entry i says
     # whether energies[i + 1] is degenerate with energies[i].
     if not (rel_tolerance > 0.0):
-        raise ValueError(f"rel_tolerance must be positive, got {rel_tolerance!r}")
+        raise InputError(f"rel_tolerance must be positive, got {rel_tolerance!r}")
     upper = energies[1:]
     return upper - energies[:-1] <= rel_tolerance * np.maximum(1.0, np.abs(upper))
 
@@ -373,7 +362,7 @@ def group_energies(
     """
     ordered = np.sort(np.asarray(energies, dtype=np.float64))
     if ordered.size == 0:
-        raise ValueError("energies must be nonempty")
+        raise InputError("energies must be nonempty")
     starts = np.flatnonzero(
         np.concatenate(([True], ~_degenerate_with_previous(ordered, rel_tolerance)))
     )
@@ -400,7 +389,7 @@ def hilbert_dim_min(
 def tensor_ground_space(angular_dim: int, radial_dim: int) -> int:
     """Dimension of the product of the angular and radial ground spaces."""
     if angular_dim < 1 or radial_dim < 1:
-        raise ValueError(
+        raise InputError(
             f"dimensions must be >= 1, got ({angular_dim!r}, {radial_dim!r})"
         )
     return angular_dim * radial_dim

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .heattrace import _boltzmann_sum
 from .spectra import Spectrum, eval_radial_wavefunction, hilbert_dim_min, radial_modes
 from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, integrate, sine_integral
-from .units import UnitSystem
+from .units import InputError, UnitSystem, require_at_least, require_positive
 
 __all__ = [
     "NEGATIVE_INFINITE_ENTROPY",
@@ -73,13 +73,9 @@ class FundamentalEquation:
 
     def __post_init__(self) -> None:
         if math.isnan(self.s0) or self.s0 == math.inf:
-            raise ValueError(f"s0 must be finite or -inf, got {self.s0!r}")
-        if not (math.isfinite(self.v0) and self.v0 > 0.0):
-            raise ValueError(f"v0 must be positive and finite, got {self.v0!r}")
-        if not (math.isfinite(self.temperature_fixed) and self.temperature_fixed > 0.0):
-            raise ValueError(
-                f"temperature_fixed must be positive, got {self.temperature_fixed!r}"
-            )
+            raise InputError(f"s0 must be finite or -inf, got {self.s0!r}")
+        require_positive("v0", self.v0)
+        require_positive("temperature_fixed", self.temperature_fixed)
 
     @property
     def has_finite_entropy(self) -> bool:
@@ -99,9 +95,7 @@ class DualityPoint:
 
     def __post_init__(self) -> None:
         for name in ("imaginary_time", "temperature"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            require_positive(name, getattr(self, name))
 
     def residual(self, u: UnitSystem) -> float:
         """Relative defect of tau * k_B * T = hbar; zero up to rounding."""
@@ -110,8 +104,7 @@ class DualityPoint:
 
 def ideal_gas_entropy(v: float, fe: FundamentalEquation, u: UnitSystem) -> float:
     """S(V) = S0 + k_B ln(V/V0); returns -inf in the formal S0 = -inf limit."""
-    if not (math.isfinite(v) and v > 0.0):
-        raise ValueError(f"volume must be positive and finite, got {v!r}")
+    require_positive("volume", v)
     if not fe.has_finite_entropy:
         return NEGATIVE_INFINITE_ENTROPY
     return fe.s0 + u.k_boltzmann * math.log(v / fe.v0)
@@ -146,21 +139,18 @@ def entropy_expectation(
     numerically. The two agree to 1e-8 k_B, and neither depends on r0: the
     fiducial radius cancels from the expectation.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    if not (math.isfinite(r0) and r0 > 0.0):
-        raise ValueError(f"r0 must be positive and finite, got {r0!r}")
+    require_at_least("n", n, 1)
+    require_positive("r0", r0)
     if method == "closed_form":
         return _entropy_closed_form(n, u)
     if method == "quadrature":
         return _entropy_quadrature(n, r0, u, quad_spec)
-    raise ValueError(f"method must be 'closed_form' or 'quadrature', got {method!r}")
+    raise InputError(f"method must be 'closed_form' or 'quadrature', got {method!r}")
 
 
 def entropy_from_density(psi_squared: float, u: UnitSystem) -> float:
     """Entropy matching a probability density: S = k_B ln |psi|^2."""
-    if not (math.isfinite(psi_squared) and psi_squared > 0.0):
-        raise ValueError(f"psi_squared must be positive and finite, got {psi_squared!r}")
+    require_positive("psi_squared", psi_squared)
     return u.k_boltzmann * math.log(psi_squared)
 
 
@@ -175,7 +165,7 @@ _MAX_EXP_ARGUMENT = math.log(sys.float_info.max)
 def boltzmann_weight_from_entropy(s: float, u: UnitSystem) -> float:
     """exp(S/k_B), the statistical weight attached to an entropy value."""
     if not math.isfinite(s):
-        raise ValueError(f"entropy must be finite, got {s!r}")
+        raise InputError(f"entropy must be finite, got {s!r}")
     exponent = s / u.k_boltzmann
     if exponent > _MAX_EXP_ARGUMENT:
         raise EntropyOverflowError(
@@ -210,10 +200,8 @@ def solve_fiducial_wavenumber(
     bisecting, which makes the branch indexing deterministic. There is no
     real solution once exp(S0/(2 k_B)) exceeds 1/r0.
     """
-    if not (math.isfinite(r0) and r0 > 0.0):
-        raise ValueError(f"r0 must be positive and finite, got {r0!r}")
-    if branch < 1:
-        raise ValueError(f"branch must be >= 1, got {branch!r}")
+    require_positive("r0", r0)
+    require_at_least("branch", branch, 1)
 
     if not fe.has_finite_entropy:
         return branch * math.pi / r0
@@ -252,15 +240,13 @@ def solve_fiducial_wavenumber(
 
 def duality_map(tau: float, u: UnitSystem) -> DualityPoint:
     """Temperature dual to the imaginary time tau: T = hbar/(k_B tau)."""
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ValueError(f"tau must be positive and finite, got {tau!r}")
+    require_positive("tau", tau)
     return DualityPoint(imaginary_time=tau, temperature=u.hbar / (u.k_boltzmann * tau))
 
 
 def duality_map_from_temperature(temperature: float, u: UnitSystem) -> DualityPoint:
     """Imaginary time dual to a temperature: tau = hbar/(k_B T)."""
-    if not (math.isfinite(temperature) and temperature > 0.0):
-        raise ValueError(f"temperature must be positive and finite, got {temperature!r}")
+    require_positive("temperature", temperature)
     return DualityPoint(
         imaginary_time=u.hbar / (u.k_boltzmann * temperature), temperature=temperature
     )
@@ -273,7 +259,7 @@ def real_time_phase(energy: float, t: float, u: UnitSystem) -> complex:
     scope; only this exact single-level phase is exposed.
     """
     if not math.isfinite(energy) or not math.isfinite(t):
-        raise ValueError(f"energy and t must be finite, got {energy!r}, {t!r}")
+        raise InputError(f"energy and t must be finite, got {energy!r}, {t!r}")
     return cmath.exp(complex(0.0, -energy * t / u.hbar))
 
 
@@ -283,8 +269,7 @@ def qm_partition(spectrum: Spectrum, tau: float, u: UnitSystem) -> float:
     Computes sum of multiplicity * exp(-E tau / hbar) with the heat-trace
     kernel, so in natural units it equals heat_trace at t = tau bit for bit.
     """
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ValueError(f"tau must be positive and finite, got {tau!r}")
+    require_positive("tau", tau)
     return _boltzmann_sum(spectrum, tau / u.hbar)
 
 
@@ -305,7 +290,7 @@ def quasistatic_partition(spectrum: Spectrum, tau: float, u: UnitSystem) -> floa
     levels that are degenerate with the minimum under the default tolerance.
     """
     if not (math.isfinite(tau) and tau >= 0.0):
-        raise ValueError(f"tau must be >= 0 and finite, got {tau!r}")
+        raise InputError(f"tau must be >= 0 and finite, got {tau!r}")
     dim = hilbert_dim_min(spectrum)
     if tau == 0.0:
         return float(dim)

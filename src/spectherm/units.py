@@ -1,9 +1,26 @@
-"""Unit system threaded through every computation in the package."""
+"""Unit system threaded through every computation in the package, and the
+one exception type for arguments and inputs the package rejects."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+
+class InputError(ValueError):
+    """An argument or input outside the domain a computation accepts."""
+
+
+def require_positive(name: str, value: float) -> None:
+    """Raise InputError unless value is positive and finite."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise InputError(f"{name} must be positive and finite, got {value!r}")
+
+
+def require_at_least(name: str, value: int, k: int) -> None:
+    """Raise InputError unless value >= k."""
+    if value < k:
+        raise InputError(f"{name} must be >= {k}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -21,9 +38,7 @@ class UnitSystem:
 
     def __post_init__(self) -> None:
         for name in ("hbar", "k_boltzmann", "mass"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            require_positive(name, getattr(self, name))
 
 
 def natural_units() -> UnitSystem:

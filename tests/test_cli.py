@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectherm import Spectrum
-from spectherm.cli import UsageError, load_levels, run
+from spectherm import InputError, Spectrum
+from spectherm.cli import load_levels, run
 
 from oracles import (
     CUBE_VOLUME_ESTIMATE_1E6,
@@ -67,35 +67,35 @@ class TestLoadLevels:
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "levels.txt"
         path.write_text("# nothing here\n")
-        with pytest.raises(UsageError):
+        with pytest.raises(InputError):
             load_levels(path)
 
     def test_parse_error_reports_line_number(self, tmp_path):
         path = tmp_path / "levels.txt"
         path.write_text("0,1\nnot-a-number,2\n")
-        with pytest.raises(UsageError, match=":2:"):
+        with pytest.raises(InputError, match=":2:"):
             load_levels(path)
 
     def test_negative_multiplicity_rejected(self, tmp_path):
         path = tmp_path / "levels.txt"
         path.write_text("0,-1\n")
-        with pytest.raises(UsageError, match="multiplicity"):
+        with pytest.raises(InputError, match="multiplicity"):
             load_levels(path)
 
     def test_fractional_multiplicity_rejected(self, tmp_path):
         path = tmp_path / "levels.txt"
         path.write_text("0,1\n1,2.5\n")
-        with pytest.raises(UsageError, match=":2:"):
+        with pytest.raises(InputError, match=":2:"):
             load_levels(path)
 
     def test_nonfinite_energy_rejected(self, tmp_path):
         path = tmp_path / "levels.txt"
         path.write_text("inf,1\n")
-        with pytest.raises(UsageError):
+        with pytest.raises(InputError):
             load_levels(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(UsageError):
+        with pytest.raises(InputError):
             load_levels(tmp_path / "absent.txt")
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -144,13 +144,13 @@ class TestLoadLevels:
     def test_bad_row_reports_its_line(self, tmp_path, row):
         path = tmp_path / "levels.txt"
         path.write_text(f"# header\n0,1\n\n  # indented\n{row}\n4,1\n")
-        with pytest.raises(UsageError, match=":5:"):
+        with pytest.raises(InputError, match=":5:"):
             load_levels(path)
 
     def test_non_utf8_file_is_a_usage_error(self, tmp_path):
         path = tmp_path / "levels.txt"
         path.write_bytes(b"0,1\n\xff,2\n")
-        with pytest.raises(UsageError, match="cannot read levels file"):
+        with pytest.raises(InputError, match="cannot read levels file"):
             load_levels(path)
 
     def test_comment_only_file_warns_nothing(self, tmp_path, capsys):
@@ -158,7 +158,7 @@ class TestLoadLevels:
         path.write_text("# nothing here\n\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(UsageError, match="no levels found"):
+            with pytest.raises(InputError, match="no levels found"):
                 load_levels(path)
             code = run(["weyl", "--domain", "custom", "--levels", str(path), "--t", "1"])
         assert code == 2
@@ -177,22 +177,22 @@ class TestLoadLevels:
     def test_first_bad_line_of_many_reported(self, tmp_path, rows, lineno):
         path = tmp_path / "levels.txt"
         path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(UsageError, match=rf":{lineno}:.*in line '{rows[lineno - 1]}'$"):
+        with pytest.raises(InputError, match=rf":{lineno}:.*in line '{rows[lineno - 1]}'$"):
             load_levels(path)
 
     def test_missing_file_does_not_read_compressed_sibling(self, tmp_path):
         (tmp_path / "levels.txt.gz").write_bytes(gzip.compress(b"0,1\n"))
-        with pytest.raises(UsageError, match="cannot read levels file"):
+        with pytest.raises(InputError, match="cannot read levels file"):
             load_levels(tmp_path / "levels.txt")
 
     def test_compressed_file_is_a_usage_error(self, tmp_path):
         path = tmp_path / "levels.txt.gz"
         path.write_bytes(gzip.compress(b"0,1\n"))
-        with pytest.raises(UsageError, match="compressed"):
+        with pytest.raises(InputError, match="compressed"):
             load_levels(path)
 
     def test_directory_is_a_usage_error(self, tmp_path):
-        with pytest.raises(UsageError, match="cannot read levels file"):
+        with pytest.raises(InputError, match="cannot read levels file"):
             load_levels(tmp_path)
 
     def test_url_shaped_path_is_a_local_path(self, tmp_path, monkeypatch):
@@ -202,7 +202,7 @@ class TestLoadLevels:
         monkeypatch.setattr(urllib.request, "urlopen", no_urlopen)
         monkeypatch.chdir(tmp_path)
         url = "http://127.0.0.1:9/levels.txt"
-        with pytest.raises(UsageError, match="cannot read levels file"):
+        with pytest.raises(InputError, match="cannot read levels file"):
             load_levels(url)
         assert list(tmp_path.iterdir()) == []
         local = tmp_path / "http:" / "127.0.0.1:9" / "levels.txt"
@@ -469,6 +469,37 @@ class TestExitCodesAndOutput:
 
     def test_negative_parameter(self, capsys):
         assert run(["entropy", "--n", "1", "--r0", "-2"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["weyl", "--domain", "ball", "--t", "0"],
+            ["weyl", "--domain", "ball", "--t", "-1", "--n-max", "5"],
+            ["weyl", "--domain", "ball", "--t", "0.1", "--n-max", "0"],
+            ["weyl", "--domain", "cube", "--t", "0.1", "--d", "0"],
+            ["weyl", "--domain", "ball", "--t", "0.1", "--r0", "inf"],
+            ["weyl", "--domain", "ball", "--t", "1e-30"],
+            ["weyl", "--domain", "custom", "--levels", "neg.txt", "--t", "0.1"],
+            ["spectrum", "--kind", "box", "--d", "0"],
+            ["spectrum", "--kind", "numeric", "--k", "0"],
+            ["partition", "--domain", "ball", "--l-max", "-1"],
+            ["partition", "--domain", "ball", "--tau", "nan"],
+            ["entropy", "--n", "0"],
+            ["entropy", "--hbar", "0"],
+            ["fiducial", "--s0", "nan"],
+            ["fiducial", "--s0", "0", "--v0", "-1"],
+            ["fiducial", "--s0", "0", "--temperature", "0"],
+            ["duality", "--tau", "inf"],
+        ],
+    )
+    def test_rejected_input_exits_2_with_one_error_line(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("neg.txt").write_text("-1,1\n2,1\n")
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "np." not in err, err
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         argv = ["entropy", "--n", "1"]
