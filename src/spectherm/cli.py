@@ -308,21 +308,22 @@ def _cmd_partition(args, u: UnitSystem):
     config["tau"] = args.tau
     config["degeneracy_rel_tolerance"] = DEGENERACY_REL_TOLERANCE
 
-    quasistatic = quasistatic_partition(levels, args.tau, u)
+    dim_min = hilbert_dim_min(levels)
     results: dict = {
-        "quasistatic": quasistatic,
-        "dim_min": hilbert_dim_min(levels),
+        "quasistatic": quasistatic_partition(levels, args.tau, u),
+        "dim_min": dim_min,
         "level_count": len(levels),
+        "qm": None,
+        "qm_over_quasistatic": None,
+        "dual_temperature": None,
     }
     if args.tau > 0.0:
-        qm = qm_partition(levels, args.tau, u)
-        results["qm"] = qm
-        results["qm_over_quasistatic"] = qm / quasistatic
+        # qm / quasistatic with exp(-E_min tau / hbar) cancelled, so the ratio
+        # stays finite (and >= 1) where both sums underflow or overflow
+        shifted = Spectrum(levels.energies - levels.energies[0], levels.multiplicities)
+        results["qm"] = qm_partition(levels, args.tau, u)
+        results["qm_over_quasistatic"] = qm_partition(shifted, args.tau, u) / dim_min
         results["dual_temperature"] = duality_map(args.tau, u).temperature
-    else:
-        results["qm"] = None
-        results["qm_over_quasistatic"] = None
-        results["dual_temperature"] = None
     return config, results, None
 
 

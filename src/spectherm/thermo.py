@@ -294,4 +294,13 @@ def quasistatic_partition(spectrum: Spectrum, tau: float, u: UnitSystem) -> floa
     dim = hilbert_dim_min(spectrum)
     if tau == 0.0:
         return float(dim)
-    return dim * math.exp(-float(spectrum.energies[0]) * tau / u.hbar)
+    e_min = float(spectrum.energies[0])
+    exponent = -e_min * tau / u.hbar
+    if exponent <= _MAX_EXP_ARGUMENT:
+        value = dim * math.exp(exponent)
+        if math.isfinite(value):
+            return value
+    raise OverflowError(
+        f"quasistatic partition at tau={tau!r} with E_min={e_min!r} "
+        "exceeds the double-precision range"
+    )

@@ -290,6 +290,13 @@ class TestPartitionCommand:
         assert dressed["results"]["qm"] > bare["results"]["qm"]
         assert dressed["results"]["quasistatic"] == bare["results"]["quasistatic"]
 
+    def test_ratio_where_both_sums_underflow(self, capsys):
+        results = run_json(
+            capsys, ["partition", "--domain", "ball", "--tau", "800", "--n-max", "3"]
+        )["results"]
+        assert results["qm"] == results["quasistatic"] == 0.0
+        assert results["qm_over_quasistatic"] == 1.0
+
     def test_missing_levels_flag(self, capsys):
         assert run(["partition", "--domain", "custom", "--tau", "1"]) == 2
 

@@ -407,6 +407,12 @@ class TestQuasistaticPartition:
             dim = hilbert_dim_min(Spectrum(expanded))
             assert quasistatic_partition(levels, 0.0, u) == float(dim)
 
+    def test_overflow_names_tau_and_lowest_energy(self, u):
+        # exp(709.0) is finite; 3 * exp(709.0) and exp(1418.0) are not
+        for levels, tau in [(Spectrum([-709.0, 2.0], [3, 1]), 1.0), (Spectrum([-709.0]), 2.0)]:
+            with pytest.raises(OverflowError, match=f"tau={tau!r} with E_min=-709.0 "):
+                quasistatic_partition(levels, tau, u)
+
     def test_validation(self, u):
         with pytest.raises(ValueError):
             quasistatic_partition(Spectrum([], []), 0.0, u)
