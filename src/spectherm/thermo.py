@@ -19,9 +19,9 @@ import sys
 from dataclasses import dataclass
 
 from .heattrace import _boltzmann_sum
-from .spectra import Spectrum, eval_radial_wavefunction, hilbert_dim_min, radial_modes
+from .spectra import RadialMode, Spectrum, eval_radial_wavefunction, hilbert_dim_min
 from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, integrate, sine_integral
-from .units import InputError, UnitSystem, require_at_least, require_positive
+from .units import InputError, UnitSystem, kinetic_prefactor, require_at_least, require_positive
 
 __all__ = [
     "NEGATIVE_INFINITE_ENTROPY",
@@ -116,7 +116,8 @@ def _entropy_closed_form(n: int, u: UnitSystem) -> float:
 
 
 def _entropy_quadrature(n: int, r0: float, u: UnitSystem, spec: QuadratureSpec) -> float:
-    mode = radial_modes(r0, n, u)[-1]
+    c = n * math.pi / r0  # the wavenumber radial_modes gives mode n
+    mode = RadialMode(n=n, r0=r0, wavenumber=c, kinetic_energy=kinetic_prefactor(u) * c * c)
 
     def integrand(r: float) -> float:
         psi = eval_radial_wavefunction(mode, r)
