@@ -318,8 +318,7 @@ def _cmd_partition(args, u: UnitSystem):
         "dual_temperature": None,
     }
     if args.tau > 0.0:
-        # qm / quasistatic with exp(-E_min tau / hbar) cancelled, so the ratio
-        # stays finite (and >= 1) where both sums underflow or overflow
+        # exp(-E_min tau / hbar) cancelled: finite and >= 1 where both sums underflow
         shifted = Spectrum(levels.energies - levels.energies[0], levels.multiplicities)
         results["qm"] = qm_partition(levels, args.tau, u)
         results["qm_over_quasistatic"] = qm_partition(shifted, args.tau, u) / dim_min

@@ -12,10 +12,6 @@ spectrum is summed exactly by math.fsum (Shewchuk's algorithm) and rounded
 once, so the result does not depend on the order of the levels and nothing
 is truncated: terms that underflowed to exactly 0.0 are skipped, which cannot
 change an fsum, and every nonzero term, subnormal ones too, is summed.
-
-Truncation happens only where an infinite family is cut to a finite
-spectrum: trace_axis_modes picks the modes per axis of an interval that a
-trace down to a given t needs.
 """
 
 from __future__ import annotations

@@ -388,8 +388,6 @@ def hilbert_dim_min(
 
 def tensor_ground_space(angular_dim: int, radial_dim: int) -> int:
     """Dimension of the product of the angular and radial ground spaces."""
-    if angular_dim < 1 or radial_dim < 1:
-        raise InputError(
-            f"dimensions must be >= 1, got ({angular_dim!r}, {radial_dim!r})"
-        )
+    require_at_least("angular_dim", angular_dim, 1)
+    require_at_least("radial_dim", radial_dim, 1)
     return angular_dim * radial_dim
