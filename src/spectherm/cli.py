@@ -6,11 +6,13 @@ invocation. Reports are deterministic: identical argument vectors produce
 byte-identical output, floats are serialized with 17 significant digits,
 and every report embeds the resolved configuration it was produced from.
 
-Arguments are checked where they are used: the library raises InputError
-for any value it rejects, and load_levels for an unreadable or malformed
-level file. The front end itself checks only what no library call sees:
-that a custom domain names a level file, that duality gets a value, and
-that csv is asked for a table.
+Each subcommand is declared once, as an argparse subparser naming its
+handler and formats; only spectrum, weyl and duality offer csv, so
+argparse refuses it elsewhere before anything is computed. Arguments are
+checked where they are used: the library raises InputError for any value
+it rejects, and load_levels for an unreadable or malformed level file.
+The front end itself checks only what no library call sees: that a
+custom domain names a level file, and that duality gets a value.
 
 Exit codes: 0 success, 1 computational failure (no real root, quadrature
 breakdown, overflow), 2 rejected input (InputError, an unreadable file, or
@@ -218,16 +220,19 @@ def _cmd_spectrum(args, u: UnitSystem):
             [k + 1, float(e), math.sqrt(max(float(e), 0.0) / pref)]
             for k, e in enumerate(spectrum.energies)
         ]
-    results = {"columns": columns, "rows": rows}
-    return config, results, (columns, rows)
+    return config, {"columns": columns, "rows": rows}
+
+
+def _custom_levels(args) -> Spectrum:
+    if args.levels is None:
+        raise InputError("--levels FILE is required for --domain custom")
+    return load_levels(args.levels)
 
 
 def _cmd_weyl(args, u: UnitSystem):
     d = args.d if args.d is not None else (3 if args.domain == "cube" else 1)
     if args.domain == "custom":
-        if args.levels is None:
-            raise InputError("--levels FILE is required for --domain custom")
-        spectrum = load_levels(args.levels)
+        spectrum = _custom_levels(args)
         config = {"domain": "custom", "levels": str(args.levels), "d": d}
         axes = 1
     else:
@@ -246,8 +251,7 @@ def _cmd_weyl(args, u: UnitSystem):
     config["t"] = list(args.t)
     columns = ["t", "trace", "volume_estimate"]
     rows = weyl_convergence_scan(spectrum, args.t, d, u, axes)
-    results = {"columns": columns, "rows": rows}
-    return config, results, (columns, rows)
+    return config, {"columns": columns, "rows": rows}
 
 
 def _cmd_entropy(args, u: UnitSystem):
@@ -264,7 +268,7 @@ def _cmd_entropy(args, u: UnitSystem):
         "quadrature": quad,
         "difference": closed - quad,
     }
-    return config, results, None
+    return config, results
 
 
 def _cmd_fiducial(args, u: UnitSystem):
@@ -282,7 +286,7 @@ def _cmd_fiducial(args, u: UnitSystem):
     if fe.has_finite_entropy:
         results["constraint_lhs"] = math.sin(c * args.r0) / args.r0
         results["constraint_rhs"] = math.exp(args.s0 / (2.0 * u.k_boltzmann))
-    return config, results, None
+    return config, results
 
 
 def _cmd_partition(args, u: UnitSystem):
@@ -300,9 +304,7 @@ def _cmd_partition(args, u: UnitSystem):
         levels = group_energies([m.kinetic_energy for m in modes])
         config = {"domain": "cube", "L": args.L, "d": d, "n_max_per_axis": args.n_max}
     else:
-        if args.levels is None:
-            raise InputError("--levels FILE is required for --domain custom")
-        levels = load_levels(args.levels)
+        levels = _custom_levels(args)
         config = {"domain": "custom", "levels": str(args.levels)}
 
     config["tau"] = args.tau
@@ -323,7 +325,7 @@ def _cmd_partition(args, u: UnitSystem):
         results["qm"] = qm_partition(levels, args.tau, u)
         results["qm_over_quasistatic"] = qm_partition(shifted, args.tau, u) / dim_min
         results["dual_temperature"] = duality_map(args.tau, u).temperature
-    return config, results, None
+    return config, results
 
 
 def _cmd_duality(args, u: UnitSystem):
@@ -340,18 +342,7 @@ def _cmd_duality(args, u: UnitSystem):
     for temperature in temperatures:
         point = duality_map_from_temperature(temperature, u)
         rows.append([point.imaginary_time, point.temperature])
-    results = {"columns": columns, "rows": rows}
-    return config, results, (columns, rows)
-
-
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "weyl": _cmd_weyl,
-    "entropy": _cmd_entropy,
-    "fiducial": _cmd_fiducial,
-    "partition": _cmd_partition,
-    "duality": _cmd_duality,
-}
+    return config, {"columns": columns, "rows": rows}
 
 
 # -------------------------------- parser -----------------------------------
@@ -361,10 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--hbar", type=float, default=1.0, help="reduced Planck constant")
     common.add_argument("--kb", type=float, default=1.0, help="Boltzmann constant")
     common.add_argument("--mass", type=float, default=0.5, help="particle mass")
-    common.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
     common.add_argument("--out", default=None, help="write the report to this path")
+
+    domain = argparse.ArgumentParser(add_help=False)
+    domain.add_argument("--domain", choices=("ball", "cube", "custom"), required=True)
+    domain.add_argument("--r0", type=float, default=1.0)
+    domain.add_argument("--L", type=float, default=1.0)
+    domain.add_argument("--d", type=int, default=None)
+    domain.add_argument("--levels", default=None)
 
     parser = argparse.ArgumentParser(
         prog="spectherm",
@@ -372,7 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("spectrum", parents=[common], help="eigenmode tables")
+    def add(name, handler, formats, summary, *parents):
+        p = sub.add_parser(name, parents=[common, *parents], help=summary)
+        p.add_argument("--format", choices=formats, default="json", help="output format")
+        p.set_defaults(handler=handler)
+        return p
+
+    p = add("spectrum", _cmd_spectrum, ("json", "csv"), "eigenmode tables")
     p.add_argument("--kind", choices=("angular", "radial", "box", "numeric"), required=True)
     p.add_argument("--l-max", type=int, default=5)
     p.add_argument("--r0", type=float, default=1.0)
@@ -382,37 +383,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", type=int, default=500)
     p.add_argument("--k", type=int, default=5)
 
-    p = sub.add_parser("weyl", parents=[common], help="volume estimate scan")
-    p.add_argument("--domain", choices=("ball", "cube", "custom"), required=True)
+    p = add("weyl", _cmd_weyl, ("json", "csv"), "volume estimate scan", domain)
     p.add_argument("--t", type=float, action="append", required=True)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--r0", type=float, default=1.0)
-    p.add_argument("--L", type=float, default=1.0)
     p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--levels", default=None)
 
-    p = sub.add_parser("entropy", parents=[common], help="entropy expectation, both routes")
+    p = add("entropy", _cmd_entropy, ("json",), "entropy expectation, both routes")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--r0", type=float, default=1.0)
 
-    p = sub.add_parser("fiducial", parents=[common], help="fiducial wavenumber constraint")
+    p = add("fiducial", _cmd_fiducial, ("json",), "fiducial wavenumber constraint")
     p.add_argument("--r0", type=float, default=1.0)
     p.add_argument("--s0", type=float, required=True)
     p.add_argument("--v0", type=float, default=1.0)
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--branch", type=int, default=1)
 
-    p = sub.add_parser("partition", parents=[common], help="partition functions")
-    p.add_argument("--domain", choices=("ball", "cube", "custom"), required=True)
+    p = add("partition", _cmd_partition, ("json",), "partition functions", domain)
     p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--r0", type=float, default=1.0)
-    p.add_argument("--L", type=float, default=1.0)
-    p.add_argument("--d", type=int, default=None)
     p.add_argument("--n-max", type=int, default=25)
     p.add_argument("--l-max", type=int, default=0)
-    p.add_argument("--levels", default=None)
 
-    p = sub.add_parser("duality", parents=[common], help="imaginary time vs temperature")
+    p = add("duality", _cmd_duality, ("json", "csv"), "imaginary time vs temperature")
     p.add_argument("--tau", type=float, action="append")
     p.add_argument("--temperature", type=float, action="append")
 
@@ -446,14 +437,9 @@ def run(argv: Sequence[str]) -> int:
 
     try:
         units = UnitSystem(hbar=args.hbar, k_boltzmann=args.kb, mass=args.mass)
-        config, results, table = _HANDLERS[args.subcommand](args, units)
+        config, results = args.handler(args, units)
         if args.format == "csv":
-            if table is None:
-                raise InputError(
-                    "csv output is only available for table subcommands "
-                    "(spectrum, weyl, duality)"
-                )
-            payload = _render_csv(*table)
+            payload = _render_csv(results["columns"], results["rows"])
         else:
             units_config = {"hbar": args.hbar, "k_boltzmann": args.kb, "mass": args.mass}
             report = {

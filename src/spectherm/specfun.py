@@ -141,7 +141,7 @@ def _si_power_series(x: float) -> float:
             return total
 
 
-def _exp1_imag_axis(x: float, max_iter: int = 300) -> complex:
+def _exp1_imag_axis(x: float) -> complex:
     # Modified Lentz continued fraction for E1(z) at z = i x, x > 0:
     #   E1(z) = exp(-z) / (z + 1 - 1/(z + 3 - 4/(z + 5 - 9/(z + 7 - ...))))
     z = complex(0.0, x)
@@ -150,7 +150,7 @@ def _exp1_imag_axis(x: float, max_iter: int = 300) -> complex:
     c = complex(1.0 / tiny, 0.0)
     d = 1.0 / b
     h = d
-    for i in range(1, max_iter):
+    for i in range(1, 300):
         numerator = -float(i * i)
         b += 2.0
         d = 1.0 / (numerator * d + b)

@@ -54,7 +54,6 @@ __all__ = [
     "box_modes",
     "solve_radial_numeric",
     "hilbert_dim_min",
-    "tensor_ground_space",
 ]
 
 # Neighbouring energies E < E' are degenerate when E' - E is at most this
@@ -342,52 +341,39 @@ def solve_radial_numeric(
     )
 
 
-def _degenerate_with_previous(energies: np.ndarray, rel_tolerance: float) -> np.ndarray:
+def _degenerate_with_previous(energies: np.ndarray) -> np.ndarray:
     # The one degeneracy predicate: for ascending energies, entry i says
     # whether energies[i + 1] is degenerate with energies[i].
-    if not (rel_tolerance > 0.0):
-        raise InputError(f"rel_tolerance must be positive, got {rel_tolerance!r}")
     upper = energies[1:]
-    return upper - energies[:-1] <= rel_tolerance * np.maximum(1.0, np.abs(upper))
+    return upper - energies[:-1] <= DEGENERACY_REL_TOLERANCE * np.maximum(1.0, np.abs(upper))
 
 
-def group_energies(
-    energies: Sequence[float], rel_tolerance: float = DEGENERACY_REL_TOLERANCE
-) -> Spectrum:
+def group_energies(energies: Sequence[float]) -> Spectrum:
     """Cluster an energy list into (energy, multiplicity) levels.
 
-    Adjacent energies E < E' with E' - E <= rel_tolerance * max(1, |E'|)
-    merge into one level carrying the cluster's smallest energy. Input
-    order is irrelevant.
+    Adjacent energies E < E' with
+    E' - E <= DEGENERACY_REL_TOLERANCE * max(1, |E'|) merge into one level
+    carrying the cluster's smallest energy. Input order is irrelevant.
     """
     ordered = np.sort(np.asarray(energies, dtype=np.float64))
     if ordered.size == 0:
         raise InputError("energies must be nonempty")
     starts = np.flatnonzero(
-        np.concatenate(([True], ~_degenerate_with_previous(ordered, rel_tolerance)))
+        np.concatenate(([True], ~_degenerate_with_previous(ordered)))
     )
     counts = np.diff(np.append(starts, ordered.size))
     return Spectrum(ordered[starts], counts)
 
 
-def hilbert_dim_min(
-    spectrum: Spectrum, rel_tolerance: float = DEGENERACY_REL_TOLERANCE
-) -> int:
+def hilbert_dim_min(spectrum: Spectrum) -> int:
     """Dimension of the lowest-energy eigenspace of a spectrum.
 
     Walks up from the lowest level while each next level is degenerate with
     the one below it under the gap rule of group_energies: E' - E <=
-    rel_tolerance * max(1, |E'|). Returns the summed multiplicities of
-    those levels. The count depends only on the levels near the bottom,
-    never on how far the spectrum extends.
+    DEGENERACY_REL_TOLERANCE * max(1, |E'|). Returns the summed
+    multiplicities of those levels. The count depends only on the levels
+    near the bottom, never on how far the spectrum extends.
     """
-    chained = _degenerate_with_previous(spectrum.energies, rel_tolerance)
+    chained = _degenerate_with_previous(spectrum.energies)
     ground_levels = 1 + int(np.logical_and.accumulate(chained).sum())
     return int(spectrum.multiplicities[:ground_levels].sum())
-
-
-def tensor_ground_space(angular_dim: int, radial_dim: int) -> int:
-    """Dimension of the product of the angular and radial ground spaces."""
-    require_at_least("angular_dim", angular_dim, 1)
-    require_at_least("radial_dim", radial_dim, 1)
-    return angular_dim * radial_dim

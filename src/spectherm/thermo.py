@@ -13,14 +13,13 @@ circuits the wavenumber constraint to the pure sine-node solutions.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
 
 from .heattrace import _boltzmann_sum
 from .spectra import RadialMode, Spectrum, eval_radial_wavefunction, hilbert_dim_min
-from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, integrate, sine_integral
+from .specfun import DEFAULT_QUADRATURE, integrate, sine_integral
 from .units import InputError, UnitSystem, kinetic_prefactor, require_at_least, require_positive
 
 __all__ = [
@@ -32,12 +31,10 @@ __all__ = [
     "ideal_gas_entropy",
     "entropy_expectation",
     "entropy_from_density",
-    "density_from_entropy",
     "solve_fiducial_wavenumber",
     "duality_map",
     "duality_map_from_temperature",
     "boltzmann_weight_from_entropy",
-    "real_time_phase",
     "qm_partition",
     "thermal_partition",
     "quasistatic_partition",
@@ -115,7 +112,7 @@ def _entropy_closed_form(n: int, u: UnitSystem) -> float:
     return 3.0 * u.k_boltzmann * (sine_integral(x) / x - 1.0)
 
 
-def _entropy_quadrature(n: int, r0: float, u: UnitSystem, spec: QuadratureSpec) -> float:
+def _entropy_quadrature(n: int, r0: float, u: UnitSystem) -> float:
     c = n * math.pi / r0  # the wavenumber radial_modes gives mode n
     mode = RadialMode(n=n, r0=r0, wavenumber=c, kinetic_energy=kinetic_prefactor(u) * c * c)
 
@@ -123,16 +120,10 @@ def _entropy_quadrature(n: int, r0: float, u: UnitSystem, spec: QuadratureSpec) 
         psi = eval_radial_wavefunction(mode, r)
         return r * r * psi * psi * math.log(r / r0)
 
-    return 3.0 * u.k_boltzmann * integrate(integrand, 0.0, r0, spec)
+    return 3.0 * u.k_boltzmann * integrate(integrand, 0.0, r0, DEFAULT_QUADRATURE)
 
 
-def entropy_expectation(
-    n: int,
-    r0: float,
-    method: str,
-    u: UnitSystem,
-    quad_spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def entropy_expectation(n: int, r0: float, method: str, u: UnitSystem) -> float:
     """Entropy expectation in radial mode n, with the fiducial constant subtracted.
 
     method "closed_form" evaluates 3 k_B (Si(2 pi n)/(2 pi n) - 1); method
@@ -145,7 +136,7 @@ def entropy_expectation(
     if method == "closed_form":
         return _entropy_closed_form(n, u)
     if method == "quadrature":
-        return _entropy_quadrature(n, r0, u, quad_spec)
+        return _entropy_quadrature(n, r0, u)
     raise InputError(f"method must be 'closed_form' or 'quadrature', got {method!r}")
 
 
@@ -153,11 +144,6 @@ def entropy_from_density(psi_squared: float, u: UnitSystem) -> float:
     """Entropy matching a probability density: S = k_B ln |psi|^2."""
     require_positive("psi_squared", psi_squared)
     return u.k_boltzmann * math.log(psi_squared)
-
-
-def density_from_entropy(s: float, u: UnitSystem) -> float:
-    """Inverse of entropy_from_density: |psi|^2 = exp(S/k_B)."""
-    return boltzmann_weight_from_entropy(s, u)
 
 
 _MAX_EXP_ARGUMENT = math.log(sys.float_info.max)
@@ -251,17 +237,6 @@ def duality_map_from_temperature(temperature: float, u: UnitSystem) -> DualityPo
     return DualityPoint(
         imaginary_time=u.hbar / (u.k_boltzmann * temperature), temperature=temperature
     )
-
-
-def real_time_phase(energy: float, t: float, u: UnitSystem) -> complex:
-    """Unimodular evolution factor exp(-i E t / hbar) for a single level.
-
-    The oscillatory real-time sum over a full spectrum is out of numerical
-    scope; only this exact single-level phase is exposed.
-    """
-    if not math.isfinite(energy) or not math.isfinite(t):
-        raise InputError(f"energy and t must be finite, got {energy!r}, {t!r}")
-    return cmath.exp(complex(0.0, -energy * t / u.hbar))
 
 
 def qm_partition(spectrum: Spectrum, tau: float, u: UnitSystem) -> float:

@@ -531,6 +531,7 @@ class TestExitCodesAndOutput:
             ["fiducial", "--s0", "-inf", "--branch", "3"],
             ["partition", "--domain", "ball", "--tau", "0.25"],
             ["duality", "--tau", "3"],
+            ["entropy", "--n", "1", "--format", "json"],
         ],
     )
     def test_byte_identical_reruns(self, capsys, argv):
@@ -539,6 +540,27 @@ class TestExitCodesAndOutput:
         assert run(argv) == 0
         second = capsys.readouterr().out
         assert first.encode() == second.encode()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["partition", "--domain", "cube", "--format", "csv"],
+            ["entropy", "--format", "csv"],
+            ["fiducial", "--s0", "0", "--format", "csv"],
+        ],
+    )
+    def test_csv_refused_before_any_computation(self, capsys, monkeypatch, argv):
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("computed a report whose format is refused")
+
+        for name in ("box_modes", "entropy_expectation", "solve_fiducial_wavenumber"):
+            monkeypatch.setattr(f"spectherm.cli.{name}", refuse)
+        assert run(argv) == 2
+        assert calls == []
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
 
     def test_json_floats_use_17_significant_digits(self, capsys):
         run(["duality", "--tau", "3"])

@@ -17,7 +17,6 @@ from spectherm import (
     natural_units,
     radial_modes,
     solve_radial_numeric,
-    tensor_ground_space,
 )
 
 from oracles import (
@@ -348,10 +347,6 @@ class TestHilbertDimMin:
         with pytest.raises(ValueError):
             hilbert_dim_min(Spectrum([]))
 
-    def test_tolerance_validated(self):
-        with pytest.raises(ValueError):
-            hilbert_dim_min(Spectrum([1.0]), rel_tolerance=0.0)
-
 
 class TestBoxModes:
     def test_ground_state_cube(self, u):
@@ -389,18 +384,6 @@ class TestBoxModes:
             box_modes(1.0, 0, 2, u)
         with pytest.raises(ValueError):
             box_modes(1.0, 3, 0, u)
-
-
-class TestTensorGroundSpace:
-    @pytest.mark.parametrize("a,r,expected", [(1, 1, 1), (1, 3, 3), (2, 2, 4)])
-    def test_products(self, a, r, expected):
-        assert tensor_ground_space(a, r) == expected
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            tensor_ground_space(0, 1)
-        with pytest.raises(ValueError):
-            tensor_ground_space(1, -2)
 
 
 def test_all_mode_families_have_nonnegative_energies(u):

@@ -11,7 +11,6 @@ from spectherm import (
     NoRealSolution,
     Spectrum,
     boltzmann_weight_from_entropy,
-    density_from_entropy,
     duality_map,
     duality_map_from_temperature,
     entropy_expectation,
@@ -22,7 +21,6 @@ from spectherm import (
     qm_partition,
     quasistatic_partition,
     radial_modes,
-    real_time_phase,
     solve_fiducial_wavenumber,
     thermal_partition,
 )
@@ -144,13 +142,13 @@ class TestDensityEntropyRelation:
 
     @pytest.mark.parametrize("x", [1e-8, 0.2, 1.0, 3.7, 1e6])
     def test_round_trip(self, u, x):
-        assert density_from_entropy(entropy_from_density(x, u), u) == pytest.approx(
+        assert boltzmann_weight_from_entropy(entropy_from_density(x, u), u) == pytest.approx(
             x, rel=1e-14
         )
 
     @pytest.mark.parametrize("s", [-5.0, 0.0, 2.5])
     def test_inverse_round_trip(self, u, s):
-        assert entropy_from_density(density_from_entropy(s, u), u) == pytest.approx(
+        assert entropy_from_density(boltzmann_weight_from_entropy(s, u), u) == pytest.approx(
             s, abs=1e-13
         )
 
@@ -295,19 +293,6 @@ class TestDuality:
     def test_point_validation(self):
         with pytest.raises(ValueError):
             DualityPoint(imaginary_time=0.0, temperature=1.0)
-
-
-class TestRealTimePhase:
-    @pytest.mark.parametrize("energy,t", [(0.0, 1.0), (math.pi**2, 0.3), (5.0, 100.0)])
-    def test_unimodular(self, u, energy, t):
-        assert abs(abs(real_time_phase(energy, t, u)) - 1.0) < 1e-15
-
-    def test_zero_energy_is_unity(self, u):
-        assert real_time_phase(0.0, 2.0, u) == 1.0 + 0.0j
-
-    def test_time_reversal_conjugates_phase(self, u):
-        phase = real_time_phase(2.5, 0.8, u)
-        assert real_time_phase(2.5, -0.8, u) == phase.conjugate()
 
 
 class TestQmPartition:
