@@ -17,13 +17,18 @@ A finite-difference solver covers the radial problem with an arbitrary
 radial potential. Substituting u(r) = r*psi(r) removes the first-derivative
 term and the coordinate singularity at r = 0, leaving a plain Dirichlet
 problem -pref * u'' + U(r) u = E u on the interval, discretized by central
-differences into a symmetric tridiagonal matrix whose lowest eigenpairs are
-extracted by bisection with Sturm counts: bit-stable across runs, but only
-resolved to a width of EPS * |T|_1 ~ 4 * 2**-52 * pref / h^2 (9e-7 of the
-lowest level at 1e5 grid points; lower digits move with the index range
-solved). With eigvals_only=True the eigenvectors are skipped and the
-eigenvalues are the same bits. The solver is the only user of scipy, so
-scipy.linalg is imported when it first runs, not when this module is.
+differences into a symmetric tridiagonal matrix. When U is constant on the
+interior nodes (in particular with no potential) that matrix is
+pref/h^2 * tridiag(-1, 2, -1) + U, whose eigenvalues
+4 pref/h^2 sin^2(j pi / (2 (N - 1))) + U and sine eigenvectors are known in
+closed form; the energies are computed to within a few ulp. Any other
+potential goes to LAPACK: the lowest eigenvalues by bisection with Sturm
+counts (stebz), bit-stable across runs but only resolved to a width of
+EPS * |T|_1 ~ 4 * 2**-52 * pref / h^2 (9e-7 of the lowest level at 1e5
+grid points; lower digits move with the index range solved), and the
+eigenvectors by inverse iteration (stein). With eigvals_only=True the
+eigenvectors are skipped and the eigenvalues are the same bits. scipy is
+imported only when LAPACK is called, not when this module is.
 """
 
 from __future__ import annotations
@@ -285,6 +290,11 @@ def solve_radial_numeric(
     deterministic sign (positive slope at the origin) and grid-normalized.
     With eigvals_only the eigenvectors are never computed and modes is None;
     the energies are bit-identical to those of the eigenpair solve.
+
+    When U is the same at every interior node (no potential included) the
+    eigenpairs are the closed form of the free matrix shifted by that
+    constant, and OverflowError is raised if an energy is not finite; any
+    other potential is solved by LAPACK.
     """
     require_positive("r0", r0)
     require_at_least("grid_points", grid_points, 3)
@@ -307,24 +317,26 @@ def solve_radial_numeric(
         u_interior = potential.on_grid(interior)
 
     inv_h2 = pref / (h * h)
-    diagonal = 2.0 * inv_h2 + u_interior
-    off_diagonal = np.full(grid_points - 3, -inv_h2)
+    shift = float(u_interior[0])
+    if np.all(u_interior == shift):
+        energies = _free_energies(inv_h2, grid_points, k_lowest) + shift
+        if not np.all(np.isfinite(energies)):
+            raise OverflowError(
+                f"finite-difference energies overflow: pref/h^2 = {inv_h2!r}, "
+                f"constant potential {shift!r}"
+            )
+        modes = None if eigvals_only else _free_modes(r0, grid_points, k_lowest)
+        return NumericSpectrum(
+            r0=r0, grid_points=grid_points, energies=energies, modes=modes, grid=grid
+        )
 
-    # Deferred: scipy.linalg is most of the package's import time, and
-    # only this solver needs it.
-    from scipy.linalg import eigh_tridiagonal
-
-    # Both paths run LAPACK stebz for the eigenvalues; only the eigenpair
-    # path follows it with stein for the vectors.
-    solved = eigh_tridiagonal(
-        diagonal, off_diagonal, eigvals_only=eigvals_only,
-        select="i", select_range=(0, k_lowest - 1),
+    energies, vectors = _lapack_lowest(
+        2.0 * inv_h2 + u_interior, np.full(grid_points - 3, -inv_h2), k_lowest, eigvals_only
     )
     if eigvals_only:
         return NumericSpectrum(
-            r0=r0, grid_points=grid_points, energies=solved, modes=None, grid=grid
+            r0=r0, grid_points=grid_points, energies=energies, modes=None, grid=grid
         )
-    energies, vectors = solved
 
     modes = np.zeros((k_lowest, grid_points))
     norm = 1.0 / math.sqrt(h)
@@ -339,6 +351,49 @@ def solve_radial_numeric(
     return NumericSpectrum(
         r0=r0, grid_points=grid_points, energies=energies, modes=modes, grid=grid
     )
+
+
+# pi to 40 digits, as the fraction _PI_NUMERATOR / _PI_DENOMINATOR
+_PI_NUMERATOR = 31415926535897932384626433832795028841971
+_PI_DENOMINATOR = 10**40
+
+
+def _free_energies(inv_h2: float, grid_points: int, k_lowest: int) -> np.ndarray:
+    # Eigenvalues 4 inv_h2 sin^2(j pi / (2 (N - 1))), j = 1..k_lowest, of
+    # inv_h2 * tridiag(-1, 2, -1) of order N - 2. The angle is a quotient of
+    # integers, which Python rounds correctly; j * math.pi / (2 (N - 1))
+    # rounds twice and costs up to ~2 more ulp in the energy.
+    den = _PI_DENOMINATOR * 2 * (grid_points - 1)
+    sines = np.array([math.sin(_PI_NUMERATOR * j / den) for j in range(1, k_lowest + 1)])
+    return 4.0 * inv_h2 * sines * sines
+
+
+def _free_modes(r0: float, grid_points: int, k_lowest: int) -> np.ndarray:
+    # Eigenvector j of tridiag(-1, 2, -1) is sin(j pi i / (N - 1)) at node i;
+    # sqrt(2 / r0) makes sum(u^2) * h = 1, and every first interior value
+    # is positive. The endpoints are zero by the boundary condition.
+    j = np.arange(1, k_lowest + 1, dtype=np.float64)[:, None]
+    i = np.arange(grid_points, dtype=np.float64)
+    modes = math.sqrt(2.0 / r0) * np.sin(j * i * (math.pi / (grid_points - 1)))
+    modes[:, 0] = modes[:, -1] = 0.0
+    return modes
+
+
+def _lapack_lowest(
+    diagonal: np.ndarray, off_diagonal: np.ndarray, k_lowest: int, eigvals_only: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    # Lowest k_lowest eigenvalues of a symmetric tridiagonal matrix by LAPACK
+    # stebz (bisection with Sturm counts), plus unit eigenvector columns by
+    # stein unless eigvals_only; the eigenvalues are the same bits either way.
+    # Deferred: scipy.linalg is most of the package's import time, and only
+    # a nonconstant potential needs it.
+    from scipy.linalg import eigh_tridiagonal
+
+    solved = eigh_tridiagonal(
+        diagonal, off_diagonal, eigvals_only=eigvals_only,
+        select="i", select_range=(0, k_lowest - 1),
+    )
+    return (solved, None) if eigvals_only else solved
 
 
 def _degenerate_with_previous(energies: np.ndarray) -> np.ndarray:

@@ -175,6 +175,22 @@ def dirichlet_tridiagonal_eigenvalue(k: int, grid_points: int, r0: float = 1.0) 
     return (2.0 / (h * h)) * (1.0 - math.cos(k * math.pi * h / r0))
 
 
+def dirichlet_tridiagonal_eigenvalue_mpmath(
+    k: int, grid_points: int, r0: float = 1.0, pref: float = 1.0
+):
+    """k-th eigenvalue of pref/h^2 * tridiag(-1, 2, -1), to 40 digits.
+
+    The scale pref/h^2 is rounded to a double exactly as the solver forms
+    it; the eigenvalue 4 (pref/h^2) sin^2(k pi / (2 (grid_points - 1))) of
+    that matrix is then evaluated at 40 digits and returned as an mpmath
+    number.
+    """
+    h = r0 / (grid_points - 1)
+    inv_h2 = pref / (h * h)
+    with mp.workdps(40):
+        return 4 * mp.mpf(inv_h2) * mp.sin(k * mp.pi / (2 * (grid_points - 1))) ** 2
+
+
 def shooting_ground_energy(potential, lo: float, hi: float, r0: float = 1.0) -> float:
     """Lowest eigenvalue of -u'' + U(r)u = E u on [0, r0] by shooting.
 

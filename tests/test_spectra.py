@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import sympy
@@ -18,12 +19,20 @@ from spectherm import (
     radial_modes,
     solve_radial_numeric,
 )
+from spectherm.spectra import _lapack_lowest
 
 from oracles import (
     dirichlet_tridiagonal_eigenvalue,
+    dirichlet_tridiagonal_eigenvalue_mpmath,
     radial_overlap_mpmath,
     shooting_ground_energy,
 )
+
+
+EPS = 2.0**-52
+
+# (grid_points, k_lowest) where the free spectrum is checked digit by digit
+FREE_MATRIX_CASES = [(500, 5), (2000, 5), (20000, 50), (100000, 50)]
 
 
 def harmonic_polynomial_dimension(l: int) -> int:
@@ -292,6 +301,71 @@ class TestNumericSolver:
         assert only.modes is None
         assert only.grid_points == pairs.grid_points
         assert np.array_equal(only.energies, pairs.energies)
+
+    @pytest.mark.parametrize("grid_points, k_lowest", FREE_MATRIX_CASES)
+    def test_free_energies_within_4_ulp_of_exact(self, u, grid_points, k_lowest):
+        spectrum = solve_radial_numeric(1.0, grid_points, k_lowest, u, eigvals_only=True)
+        for j, energy in enumerate(spectrum.energies, start=1):
+            exact = dirichlet_tridiagonal_eigenvalue_mpmath(j, grid_points)
+            ulps = float(abs(mp.mpf(float(energy)) - exact)) / math.ulp(float(exact))
+            assert ulps <= 4.0, (j, ulps)
+
+    def test_free_energies_scale_with_units_and_domain(self):
+        from spectherm import UnitSystem
+
+        u2 = UnitSystem(hbar=2.0, k_boltzmann=1.0, mass=0.7)
+        pref = kinetic_prefactor(u2)
+        spectrum = solve_radial_numeric(3.3, 1234, 6, u2, eigvals_only=True)
+        for j, energy in enumerate(spectrum.energies, start=1):
+            exact = dirichlet_tridiagonal_eigenvalue_mpmath(j, 1234, r0=3.3, pref=pref)
+            ulps = float(abs(mp.mpf(float(energy)) - exact)) / math.ulp(float(exact))
+            assert ulps <= 4.0, (j, ulps)
+
+    @pytest.mark.parametrize("c", [0.0, 5.0, -2.5])
+    def test_constant_potentials_shift_the_closed_form_exactly(self, u, c):
+        free = solve_radial_numeric(1.0, 700, 6, u).energies
+        for potential in (
+            Potential.from_callable(lambda r: c),
+            Potential.from_samples([c] * 700),
+        ):
+            shifted = solve_radial_numeric(1.0, 700, 6, u, potential=potential)
+            assert np.array_equal(shifted.energies, free + c)
+
+    def test_closed_form_modes_satisfy_difference_equation(self, u):
+        spectrum = solve_radial_numeric(
+            1.0, 400, 3, u, potential=Potential.from_callable(lambda r: 2.0)
+        )
+        h = spectrum.spacing
+        for mode, energy in zip(spectrum.modes, spectrum.energies):
+            second_diff = (mode[:-2] - 2.0 * mode[1:-1] + mode[2:]) / (h * h)
+            residual = -second_diff + 2.0 * mode[1:-1] - energy * mode[1:-1]
+            assert np.max(np.abs(residual)) < 1e-9 * energy
+
+    def test_overflowing_free_energies_raise(self):
+        from spectherm import UnitSystem
+
+        tiny_mass = UnitSystem(hbar=1.0, k_boltzmann=1.0, mass=1e-307)
+        with pytest.raises(OverflowError):
+            solve_radial_numeric(1.0, 100000, 2, tiny_mass, eigvals_only=True)
+
+    @pytest.mark.parametrize("grid_points, k_lowest", FREE_MATRIX_CASES[:3])
+    def test_lapack_within_bisection_width_of_closed_form(self, grid_points, k_lowest):
+        # The LAPACK path on the free matrix, which the solver itself no
+        # longer sends there: each value lies within EPS * |T|_1 of the
+        # exact eigenvalue, |T|_1 = 4 pref / h^2 (natural units, r0 = 1).
+        h = 1.0 / (grid_points - 1)
+        inv_h2 = 1.0 / (h * h)
+        energies, vectors = _lapack_lowest(
+            np.full(grid_points - 2, 2.0 * inv_h2),
+            np.full(grid_points - 3, -inv_h2),
+            k_lowest,
+            eigvals_only=True,
+        )
+        assert vectors is None and len(energies) == k_lowest
+        width = EPS * 4.0 * inv_h2
+        for j, energy in enumerate(energies, start=1):
+            exact = dirichlet_tridiagonal_eigenvalue_mpmath(j, grid_points)
+            assert float(abs(mp.mpf(float(energy)) - exact)) <= width, j
 
     def test_nonfinite_potential_rejected(self, u):
         with pytest.raises(ValueError):
