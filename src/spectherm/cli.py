@@ -135,6 +135,8 @@ def _parse_levels(source) -> Spectrum:
 # ----------------------------- serialization -------------------------------
 
 def _format_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise OverflowError(f"a result is not finite: {x!r}")
     return format(x, ".17g")
 
 

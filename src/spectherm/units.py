@@ -51,5 +51,10 @@ def natural_units() -> UnitSystem:
 
 
 def kinetic_prefactor(u: UnitSystem) -> float:
-    """hbar^2/(2m), the factor turning a squared wavenumber into an energy."""
-    return u.hbar * u.hbar / (2.0 * u.mass)
+    """hbar^2/(2m), the factor turning a squared wavenumber into an energy.
+
+    Raises InputError if it underflows to zero or overflows.
+    """
+    pref = u.hbar * u.hbar / (2.0 * u.mass)
+    require_positive("hbar^2/(2 mass)", pref)
+    return pref

@@ -497,6 +497,9 @@ class TestExitCodesAndOutput:
             ["fiducial", "--s0", "0", "--v0", "-1"],
             ["fiducial", "--s0", "0", "--temperature", "0"],
             ["duality", "--tau", "inf"],
+            ["spectrum", "--kind", "numeric", "--hbar", "1e-200", "--grid-points", "100", "--k", "2"],
+            ["weyl", "--domain", "ball", "--t", "1", "--hbar", "1e-200"],
+            ["spectrum", "--kind", "radial", "--hbar", "1e200"],
         ],
     )
     def test_rejected_input_exits_2_with_one_error_line(self, capsys, tmp_path, monkeypatch, argv):
@@ -507,6 +510,22 @@ class TestExitCodesAndOutput:
         assert code == 2, err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert "np." not in err, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--kind", "radial", "--mass", "1e-300", "--n-max", "100000"],
+            ["spectrum", "--kind", "numeric", "--mass", "1e-307", "--grid-points", "100000",
+             "--k", "2"],
+        ],
+    )
+    def test_nonfinite_result_exits_1_with_one_error_line(self, capsys, argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1, captured.err
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert "np." not in captured.err, captured.err
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         argv = ["entropy", "--n", "1"]
@@ -587,6 +606,18 @@ class TestFreshProcess:
         )
         assert probe.returncode == 0, probe.stderr
         assert len(json.loads(probe.stdout)["results"]["rows"]) == 2
+
+    def test_free_numeric_spectrum_loads_no_scipy(self):
+        argv = ["spectrum", "--kind", "numeric", "--grid-points", "100000", "--k", "50"]
+        probe = run_python(
+            "-c",
+            "import sys; from spectherm.cli import run; code = run(%r); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "file=sys.stderr); sys.exit(code)" % argv,
+        )
+        assert probe.returncode == 0, probe.stderr
+        assert len(json.loads(probe.stdout)["results"]["rows"]) == 50
+        assert probe.stderr == "[]\n"
 
     def test_python_m_matches_console_script(self):
         argv = ["duality", "--tau", "1"]
