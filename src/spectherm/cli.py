@@ -3,8 +3,9 @@
 Subcommands wire the ball, cube and custom-level-list domains into the
 library computations and emit a single machine-readable report per
 invocation. Reports are deterministic: identical argument vectors produce
-byte-identical output, floats are serialized with 17 significant digits,
-and every report embeds the resolved configuration it was produced from.
+byte-identical output, floats are serialized with 17 significant digits
+(a non-finite one is an error, never printed), and every report embeds the
+resolved configuration it was produced from.
 
 Each subcommand is declared once, as an argparse subparser naming its
 handler and formats; only spectrum, weyl and duality offer csv, so

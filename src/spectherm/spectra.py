@@ -318,6 +318,7 @@ def solve_radial_numeric(
 
     inv_h2 = pref / (h * h)
     shift = float(u_interior[0])
+    modes = None
     if np.all(u_interior == shift):
         energies = _free_energies(inv_h2, grid_points, k_lowest) + shift
         if not np.all(np.isfinite(energies)):
@@ -325,28 +326,15 @@ def solve_radial_numeric(
                 f"finite-difference energies overflow: pref/h^2 = {inv_h2!r}, "
                 f"constant potential {shift!r}"
             )
-        modes = None if eigvals_only else _free_modes(r0, grid_points, k_lowest)
-        return NumericSpectrum(
-            r0=r0, grid_points=grid_points, energies=energies, modes=modes, grid=grid
+        if not eigvals_only:
+            modes = _free_modes(r0, grid_points, k_lowest)
+    else:
+        energies, vectors = _lapack_lowest(
+            2.0 * inv_h2 + u_interior, np.full(grid_points - 3, -inv_h2), k_lowest, eigvals_only
         )
-
-    energies, vectors = _lapack_lowest(
-        2.0 * inv_h2 + u_interior, np.full(grid_points - 3, -inv_h2), k_lowest, eigvals_only
-    )
-    if eigvals_only:
-        return NumericSpectrum(
-            r0=r0, grid_points=grid_points, energies=energies, modes=None, grid=grid
-        )
-
-    modes = np.zeros((k_lowest, grid_points))
-    norm = 1.0 / math.sqrt(h)
-    for k in range(k_lowest):
-        v = vectors[:, k]
-        # deterministic sign: first appreciable component positive
-        lead = v[np.argmax(np.abs(v) > 1e-12 * np.max(np.abs(v)))]
-        if lead < 0.0:
-            v = -v
-        modes[k, 1:-1] = v * norm
+        if not eigvals_only:
+            modes = np.zeros((k_lowest, grid_points))
+            modes[:, 1:-1] = vectors.T * (1.0 / math.sqrt(h))
 
     return NumericSpectrum(
         r0=r0, grid_points=grid_points, energies=energies, modes=modes, grid=grid
@@ -393,7 +381,15 @@ def _lapack_lowest(
         diagonal, off_diagonal, eigvals_only=eigvals_only,
         select="i", select_range=(0, k_lowest - 1),
     )
-    return (solved, None) if eigvals_only else solved
+    if eigvals_only:
+        return solved, None
+    energies, vectors = solved
+    for k in range(k_lowest):
+        v = vectors[:, k]
+        # deterministic sign: first appreciable component positive
+        if v[np.argmax(np.abs(v) > 1e-12 * np.max(np.abs(v)))] < 0.0:
+            vectors[:, k] = -v
+    return energies, vectors
 
 
 def _degenerate_with_previous(energies: np.ndarray) -> np.ndarray:
