@@ -31,12 +31,13 @@ import os
 import re
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .heattrace import trace_axis_modes, weyl_convergence_scan
+from .heattrace import heat_trace, interval_heat_trace, weyl_convergence_scan
 from .specfun import DEFAULT_QUADRATURE, QuadratureError
 from .spectra import (
     DEGENERACY_REL_TOLERANCE,
@@ -235,25 +236,22 @@ def _custom_levels(args) -> Spectrum:
 def _cmd_weyl(args, u: UnitSystem):
     d = args.d if args.d is not None else (3 if args.domain == "cube" else 1)
     if args.domain == "custom":
-        spectrum = _custom_levels(args)
         config = {"domain": "custom", "levels": str(args.levels), "d": d}
-        axes = 1
+        axis_trace = partial(heat_trace, _custom_levels(args), u=u)
     else:
-        length = args.r0 if args.domain == "ball" else args.L
-        n_max = args.n_max
-        if n_max is None:
-            n_max = trace_axis_modes(length, min(args.t))
-        spectrum = interval_spectrum(length, n_max, u)
-        if args.domain == "ball":
-            config = {"domain": "ball", "r0": args.r0, "d": d, "n_max": n_max}
-            axes = 1  # radial tower is already the full spectrum
+        ball = args.domain == "ball"
+        length = args.r0 if ball else args.L
+        config = {"domain": args.domain, "r0" if ball else "L": length, "d": d}
+        if args.n_max is None:
+            axis_trace = partial(interval_heat_trace, length)
         else:
-            config = {"domain": "cube", "L": args.L, "d": d, "n_max_per_axis": n_max}
-            axes = d  # product of d identical intervals
+            config["n_max" if ball else "n_max_per_axis"] = args.n_max
+            axis_trace = partial(heat_trace, interval_spectrum(length, args.n_max, u), u=u)
 
     config["t"] = list(args.t)
     columns = ["t", "trace", "volume_estimate"]
-    rows = weyl_convergence_scan(spectrum, args.t, d, u, axes)
+    # the ball's radial tower is its whole spectrum; a cube is d identical intervals
+    rows = weyl_convergence_scan(axis_trace, args.t, d, d if args.domain == "cube" else 1)
     return config, {"columns": columns, "rows": rows}
 
 

@@ -12,12 +12,19 @@ spectrum is summed exactly by math.fsum (Shewchuk's algorithm) and rounded
 once, so the result does not depend on the order of the levels and nothing
 is truncated: terms that underflowed to exactly 0.0 are skipped, which cannot
 change an fsum, and every nonzero term, subnormal ones too, is summed.
+
+The Dirichlet interval trace, which the ball and the cube need, has a
+closed form with nothing truncated (interval_heat_trace). The convergence
+scan takes the one-axis trace as a callable: a closed form or a level list.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from fractions import Fraction
+from functools import partial
+from itertools import count, takewhile
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,14 +34,12 @@ from .units import InputError, UnitSystem, kinetic_prefactor, require_at_least, 
 __all__ = [
     "WeylScanRow",
     "heat_trace",
-    "trace_axis_modes",
+    "interval_heat_trace",
     "weyl_volume_estimate",
     "weyl_convergence_scan",
 ]
 
-
-_TAIL_LOG = -math.log(1e-18)
-_MAX_AUTO_MODES = 2_000_000
+_PI = Fraction("3.14159265358979323846264338327950288419716939937510")
 
 
 class WeylScanRow(NamedTuple):
@@ -65,42 +70,55 @@ def heat_trace(spectrum: Spectrum, t: float, u: UnitSystem) -> float:
     return _boltzmann_sum(spectrum, t / kinetic_prefactor(u))
 
 
-def trace_axis_modes(length: float, t_min: float) -> int:
-    """Dirichlet modes per axis of an interval for heat traces at t >= t_min.
+def _require_normal(name: str, value: float) -> None:
+    """Raise InputError unless value is positive, finite and not subnormal."""
+    if not (math.isfinite(value) and value >= 2.0**-1022):
+        raise InputError(f"{name} must be positive, finite and normal, got {value!r}")
 
-    Past this count every term exp(-(pi n / length)^2 t) is below 1e-18,
-    negligible against the leading ones. Counts above two million are
-    rejected: such a t needs n_max chosen explicitly.
+
+def _gaussians(scale: float) -> list[float]:
+    """exp(-scale k^2) for k = 1, 2, ..., up to the first that underflows to 0.0."""
+    return list(takewhile(bool, (math.exp(-k * k * scale) for k in count(1))))
+
+
+def interval_heat_trace(length: float, t: float) -> float:
+    """sum_{n>=1} exp(-t (n pi/length)^2), the Dirichlet interval trace, untruncated.
+
+    With a = t (pi/length)^2 >= 0.1 every nonzero term is summed (at most
+    86). Below that it is (c (1 + 2 S) - 1)/2 with c = length/sqrt(pi t),
+    where S sums every nonzero exp(-k^2 length^2/t) (at most 2): Jacobi's
+    theta inversion, DLMF 20.7.32. a and c^2 are exact rationals rounded
+    once, c carries a Newton correction, and each side goes through fsum.
     """
     require_positive("length", length)
-    require_positive("t", t_min)
-    bound = length / math.pi * math.sqrt(_TAIL_LOG / t_min)
-    if bound > _MAX_AUTO_MODES - 2:
-        raise InputError(
-            f"t={t_min!r} with length={length!r} needs more than {_MAX_AUTO_MODES} "
-            "modes per axis; choose n_max explicitly"
-        )
-    return math.ceil(bound) + 2
+    _require_normal("t", t)
+    a = Fraction(t) * _PI**2 / Fraction(length) ** 2
+    if a >= Fraction(1, 10):
+        return math.fsum(_gaussians(float(min(a, 746))))  # float(a) may overflow; exp(-746) == 0
+    e = (a.denominator.bit_length() - a.numerator.bit_length()) // 2
+    s = _PI / a / Fraction(4) ** e  # c^2 / 4^e, near 1
+    root = math.sqrt(s)
+    c = math.ldexp(root, e)  # OverflowError if the trace does not fit a double
+    c_low = math.ldexp(float((s - Fraction(root) ** 2) / (2 * Fraction(root))), e)
+    dual = _gaussians(length / t * length)  # exp(-k^2 length^2/t)
+    return 0.5 * math.fsum([c, c_low, -1.0] + [2.0 * c * q for q in dual])
 
 
 def weyl_volume_estimate(spectrum: Spectrum, t: float, d: int, u: UnitSystem) -> float:
     """Volume recovered from the trace: heat_trace * (4 pi t)^(d/2)."""
-    return weyl_convergence_scan(spectrum, [t], d, u)[0].volume_estimate
+    return weyl_convergence_scan(partial(heat_trace, spectrum, u=u), [t], d)[0].volume_estimate
 
 
 def weyl_convergence_scan(
-    spectrum: Spectrum,
-    t_values: Sequence[float],
-    d: int,
-    u: UnitSystem,
-    axes: int = 1,
+    axis_trace: Callable[[float], float], t_values: Sequence[float], d: int, axes: int = 1
 ) -> list[WeylScanRow]:
     """One (t, trace, volume estimate) row per requested t, in input order.
 
-    With axes > 1 the spectrum is one axis of a product domain made of
-    `axes` identical factors, such as the d-cube with axes = d: the trace
-    factorizes into the axes-th power of the one-axis trace, and so does
-    the volume estimate.
+    axis_trace(t) is the heat trace of one axis. With axes > 1 the domain
+    is a product of `axes` identical factors, such as the d-cube with
+    axes = d: the trace is the axes-th power of the one-axis trace, and so
+    is the volume estimate. OverflowError names the first t whose trace or
+    estimate leaves the double-precision range.
     """
     if len(t_values) == 0:
         raise InputError("t_values must be nonempty")
@@ -108,7 +126,14 @@ def weyl_convergence_scan(
     require_at_least("axes", axes, 1)
     rows = []
     for t in t_values:
-        axis = heat_trace(spectrum, t, u)
-        estimate = axis * (4.0 * math.pi * t) ** (0.5 * d / axes)
-        rows.append(WeylScanRow(t=t, trace=axis**axes, volume_estimate=estimate**axes))
+        _require_normal("t", t)  # 4 pi t keeps every digit of a normal t only
+        try:
+            axis = axis_trace(t)
+            estimate = axis * (4.0 * math.pi * t) ** (0.5 * d / axes)
+            row = WeylScanRow(t=t, trace=axis**axes, volume_estimate=estimate**axes)
+        except OverflowError:
+            row = None
+        if row is None or math.isinf(row.volume_estimate):
+            raise OverflowError(f"the Weyl scan at t={t!r} exceeds the double-precision range")
+        rows.append(row)
     return rows

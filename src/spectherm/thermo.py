@@ -182,10 +182,11 @@ def solve_fiducial_wavenumber(
     """Wavenumber c solving sin(c r0)/r0 = exp(S0/(2 k_B)), branch-th root.
 
     In the formal S0 = -inf limit the constraint degenerates to sin(c r0) = 0
-    and the roots are exactly branch * pi / r0. For finite S0 the roots are
-    located by scanning the monotone half-periods of the sine in order and
-    bisecting, which makes the branch indexing deterministic. There is no
-    real solution once exp(S0/(2 k_B)) exceeds 1/r0.
+    and the roots are exactly branch * pi / r0. For finite S0 the roots
+    alternate between the rising and the falling quarter of each positive
+    lobe of the sine, so divmod(branch - 1, 2) names the quarter and one
+    bisection finds the root, whatever the branch. There is no real
+    solution once exp(S0/(2 k_B)) exceeds 1/r0.
     """
     require_positive("r0", r0)
     require_at_least("branch", branch, 1)
@@ -206,37 +207,31 @@ def solve_fiducial_wavenumber(
         x = 0.5 * math.pi + 2.0 * math.pi * (branch - 1)
         return x / r0
 
-    found = 0
-    period = 0
-    while True:
-        base = 2.0 * math.pi * period
-        # rising half-period [base, base + pi/2]: sin goes 0 -> 1
-        found += 1
-        if found == branch:
-            x = _bisect_increasing(target, base, base + 0.5 * math.pi)
-            return x / r0
-        # falling half-period [base + pi/2, base + pi]: sin goes 1 -> 0,
-        # so solve the reflected problem on the rising side
-        found += 1
-        if found == branch:
-            x_reflected = _bisect_increasing(target, base, base + 0.5 * math.pi)
-            x = base + math.pi - (x_reflected - base)
-            return x / r0
-        period += 1
+    period, falling = divmod(branch - 1, 2)
+    base = 2.0 * math.pi * period
+    x = _bisect_increasing(target, base, base + 0.5 * math.pi)  # rising: sin goes 0 -> 1
+    if falling:  # sin goes 1 -> 0: reflect the rising root about the maximum
+        x = base + math.pi - (x - base)
+    return x / r0
+
+
+def _dual(name: str, value: float, u: UnitSystem) -> float:
+    # hbar/(k_B value): tau from T or T from tau; out of range is a computational failure
+    require_positive(name, value)
+    dual = u.hbar / (u.k_boltzmann * value)
+    if not (math.isfinite(dual) and dual > 0.0):
+        raise OverflowError(f"hbar/(k_B {name}) at {name}={value!r} leaves the double range")
+    return dual
 
 
 def duality_map(tau: float, u: UnitSystem) -> DualityPoint:
     """Temperature dual to the imaginary time tau: T = hbar/(k_B tau)."""
-    require_positive("tau", tau)
-    return DualityPoint(imaginary_time=tau, temperature=u.hbar / (u.k_boltzmann * tau))
+    return DualityPoint(imaginary_time=tau, temperature=_dual("tau", tau, u))
 
 
 def duality_map_from_temperature(temperature: float, u: UnitSystem) -> DualityPoint:
     """Imaginary time dual to a temperature: tau = hbar/(k_B T)."""
-    require_positive("temperature", temperature)
-    return DualityPoint(
-        imaginary_time=u.hbar / (u.k_boltzmann * temperature), temperature=temperature
-    )
+    return DualityPoint(_dual("temperature", temperature, u), temperature)
 
 
 def qm_partition(spectrum: Spectrum, tau: float, u: UnitSystem) -> float:

@@ -150,6 +150,29 @@ def interval_trace_theta(t: float, length: float = 1.0):
         return (L / mp.sqrt(mp.pi * tt) * theta - 1) / 2
 
 
+def interval_heat_trace_mpmath(length: float, t: float):
+    """sum_{n>=1} exp(-a n^2), a = t (pi / length)^2, to 50 digits for any a > 0.
+
+    The direct sum when a >= 1, where it converges in a few terms, and the
+    theta form of interval_trace_theta below that, where its dual sum does;
+    each stops once a term falls below 1e-60 of the first. The 40-digit
+    interval_trace_theta has no digits left at large a, where the trace is
+    tiny against the two terms it subtracts. Returned as an mpmath number.
+    """
+    with mp.workdps(50):
+        L, tt = mp.mpf(length), mp.mpf(t)
+        a = tt * (mp.pi / L) ** 2
+        scale = a if a >= 1 else L * L / tt
+        terms = [mp.exp(-scale)]
+        k = 2
+        while terms[-1] >= terms[0] * mp.mpf(10) ** -60:
+            terms.append(mp.exp(-scale * k * k))
+            k += 1
+        if a >= 1:
+            return mp.fsum(terms)
+        return (L / mp.sqrt(mp.pi * tt) * (1 + 2 * mp.fsum(terms)) - 1) / 2
+
+
 def boltzmann_sum_mpmath(energies, multiplicities, s: float) -> float:
     """sum m * exp(-x) with x = s * E formed in double precision, summed at 50 digits.
 

@@ -8,6 +8,7 @@ import urllib.request
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,12 +28,12 @@ EPS = 2.0**-52
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(*args):
+def run_python(*args, timeout=120):
     """Run a fresh interpreter that imports spectherm from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -374,6 +375,8 @@ class TestWeylCommand:
             (["weyl", "--domain", "ball"], 1e-8, 1),
             (["weyl", "--domain", "ball"], 1e-10, 1),
             (["weyl", "--domain", "cube", "--d", "3"], 1e-8, 3),
+            (["weyl", "--domain", "ball"], 1e-14, 1),
+            (["weyl", "--domain", "ball"], 1e-30, 1),
         ],
     )
     def test_small_t_trace_matches_jacobi_theta(self, capsys, argv, t, d):
@@ -485,7 +488,6 @@ class TestExitCodesAndOutput:
             ["weyl", "--domain", "ball", "--t", "0.1", "--n-max", "0"],
             ["weyl", "--domain", "cube", "--t", "0.1", "--d", "0"],
             ["weyl", "--domain", "ball", "--t", "0.1", "--r0", "inf"],
-            ["weyl", "--domain", "ball", "--t", "1e-30"],
             ["weyl", "--domain", "custom", "--levels", "neg.txt", "--t", "0.1"],
             ["spectrum", "--kind", "box", "--d", "0"],
             ["spectrum", "--kind", "numeric", "--k", "0"],
@@ -498,8 +500,9 @@ class TestExitCodesAndOutput:
             ["fiducial", "--s0", "0", "--temperature", "0"],
             ["duality", "--tau", "inf"],
             ["spectrum", "--kind", "numeric", "--hbar", "1e-200", "--grid-points", "100", "--k", "2"],
-            ["weyl", "--domain", "ball", "--t", "1", "--hbar", "1e-200"],
+            ["weyl", "--domain", "ball", "--t", "1", "--hbar", "1e-200", "--n-max", "5"],
             ["spectrum", "--kind", "radial", "--hbar", "1e200"],
+            ["weyl", "--domain", "ball", "--r0", "10", "--t", "5e-324", "--n-max", "5"],
         ],
     )
     def test_rejected_input_exits_2_with_one_error_line(self, capsys, tmp_path, monkeypatch, argv):
@@ -517,6 +520,10 @@ class TestExitCodesAndOutput:
             ["spectrum", "--kind", "radial", "--mass", "1e-300", "--n-max", "100000"],
             ["spectrum", "--kind", "numeric", "--mass", "1e-307", "--grid-points", "100000",
              "--k", "2"],
+            ["duality", "--tau", "1e-320"],
+            ["partition", "--domain", "ball", "--tau", "1e-320"],
+            ["duality", "--temperature", "1e-320"],
+            ["weyl", "--domain", "cube", "--L", "1e150", "--t", "1"],
         ],
     )
     def test_nonfinite_result_exits_1_with_one_error_line(self, capsys, argv):
@@ -526,6 +533,7 @@ class TestExitCodesAndOutput:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
         assert "np." not in captured.err, captured.err
+        assert "out of range" not in captured.err, captured.err  # Python's errno 34 text
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         argv = ["entropy", "--n", "1"]
@@ -600,12 +608,18 @@ class TestFreshProcess:
         assert probe.stdout == "[]\n"
 
     def test_numeric_spectrum_resolves_deferred_scipy_import(self):
-        argv = ["spectrum", "--kind", "numeric", "--grid-points", "50", "--k", "2"]
         probe = run_python(
-            "-c", f"import sys; from spectherm.cli import run; sys.exit(run({argv!r}))"
+            "-c",
+            "import sys\n"
+            "from spectherm import Potential, natural_units, solve_radial_numeric\n"
+            "before = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "levels = solve_radial_numeric(\n"
+            "    1.0, 50, 2, natural_units(), Potential.from_callable(lambda r: r * r)\n"
+            ")\n"
+            "print(before, 'scipy.linalg' in sys.modules, len(levels.energies))",
         )
         assert probe.returncode == 0, probe.stderr
-        assert len(json.loads(probe.stdout)["results"]["rows"]) == 2
+        assert probe.stdout == "[] True 2\n"
 
     def test_free_numeric_spectrum_loads_no_scipy(self):
         argv = ["spectrum", "--kind", "numeric", "--grid-points", "100000", "--k", "50"]
@@ -618,6 +632,18 @@ class TestFreshProcess:
         assert probe.returncode == 0, probe.stderr
         assert len(json.loads(probe.stdout)["results"]["rows"]) == 50
         assert probe.stderr == "[]\n"
+
+    @pytest.mark.parametrize("branch", [10**12, 10**12 + 1])
+    def test_fiducial_branch_is_one_bisection(self, branch):
+        argv = ["fiducial", "--r0", "1", "--s0", "-1.3862943611198906", "--branch", str(branch)]
+        probe = run_python("-m", "spectherm", *argv, timeout=10)
+        assert probe.returncode == 0, probe.stderr
+        c = json.loads(probe.stdout)["results"]["wavenumber"]
+        period, falling = divmod(branch - 1, 2)
+        with mp.workdps(40):
+            phase = mp.mpf(c) - 2 * mp.pi * period  # r0 = 1
+            quarter = (mp.pi / 2, mp.pi) if falling else (0, mp.pi / 2)
+            assert quarter[0] < phase < quarter[1]
 
     def test_python_m_matches_console_script(self):
         argv = ["duality", "--tau", "1"]

@@ -1,15 +1,19 @@
 import math
+from functools import partial
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectherm import (
+    InputError,
     Spectrum,
     UnitSystem,
     box_modes,
     group_energies,
     heat_trace,
+    interval_heat_trace,
     natural_units,
     qm_partition,
     radial_modes,
@@ -22,6 +26,7 @@ from oracles import (
     EXP_MINUS_PI2_OVER_10,
     INTERVAL_VOLUME_ESTIMATE,
     boltzmann_sum_mpmath,
+    interval_heat_trace_mpmath,
     interval_trace_direct,
 )
 
@@ -112,6 +117,44 @@ class TestHeatTrace:
             heat_trace(Spectrum([-1.0], [1]), 0.1, u)
 
 
+def ulps_over_max_1_a(length, t):
+    """Error of interval_heat_trace in ulps of the 50-digit value, over max(1, a)."""
+    reference = interval_heat_trace_mpmath(length, t)
+    error = abs(mp.mpf(interval_heat_trace(length, t)) - reference)
+    a = t * (math.pi / length) ** 2
+    return float(error / math.ulp(float(reference))) / max(1.0, a)
+
+
+class TestIntervalHeatTrace:
+    @pytest.mark.parametrize("length", [0.3, 1.0, 10.0, 1e3])
+    def test_grid_within_2_max_1_a_ulp(self, length):
+        # t every 0.1 decade from 1e-16 to 1e3: a from 1e-21 to 1e5, both sides
+        worst = max(ulps_over_max_1_a(length, 10.0 ** (k / 10)) for k in range(-160, 31))
+        assert worst <= 2.0
+
+    @PROPERTY
+    @given(log_length=st.floats(-4.0, 4.0), log_a=st.floats(-14.0, 3.0))
+    def test_within_2_max_1_a_ulp(self, log_length, log_a):
+        length = 10.0**log_length
+        t = 10.0**log_a * (length / math.pi) ** 2
+        assert ulps_over_max_1_a(length, t) <= 2.0
+
+    def test_lengths_far_out_of_scale(self):
+        # (pi/L)^2 overflows or underflows; no term raises
+        assert interval_heat_trace(1e-200, 1.0) == 0.0
+        assert ulps_over_max_1_a(1e200, 1.0) <= 2.0
+
+    def test_subnormal_t_rejected(self):
+        with pytest.raises(InputError):
+            interval_heat_trace(1.0, 5e-324)
+        with pytest.raises(InputError):
+            weyl_convergence_scan(partial(interval_heat_trace, 1.0), [1e-2, 1e-310], 1)
+
+    def test_cube_trace_overflow_names_t(self):
+        with pytest.raises(OverflowError, match="t=1.0"):
+            weyl_convergence_scan(partial(interval_heat_trace, 1e150), [1.0], 3, 3)
+
+
 class TestWeylVolumeEstimate:
     @pytest.mark.parametrize("t", [1e-2, 1e-4, 1e-6])
     def test_unit_interval_frozen_values(self, u, t):
@@ -158,7 +201,7 @@ class TestWeylConvergenceScan:
     def test_rows_in_input_order(self, u):
         levels = interval_levels(2500)
         ts = [1e-2, 1e-4, 1e-6]
-        rows = weyl_convergence_scan(levels, ts, 1, u)
+        rows = weyl_convergence_scan(partial(heat_trace, levels, u=u), ts, 1)
         assert [row.t for row in rows] == ts
         for row in rows:
             assert row.volume_estimate == pytest.approx(
@@ -166,19 +209,21 @@ class TestWeylConvergenceScan:
             )
 
     def test_estimates_approach_the_volume(self, u):
-        rows = weyl_convergence_scan(interval_levels(2500), [1e-2, 1e-4, 1e-6], 1, u)
+        rows = weyl_convergence_scan(
+            partial(heat_trace, interval_levels(2500), u=u), [1e-2, 1e-4, 1e-6], 1
+        )
         gaps = [abs(1.0 - row.volume_estimate) for row in rows]
         assert gaps == sorted(gaps, reverse=True)
 
     def test_single_t_consistent_with_estimate(self, u):
         levels = interval_levels(100)
-        row = weyl_convergence_scan(levels, [1e-3], 1, u)[0]
+        row = weyl_convergence_scan(partial(heat_trace, levels, u=u), [1e-3], 1)[0]
         assert row.volume_estimate == weyl_volume_estimate(levels, 1e-3, 1, u)
         assert row.trace == heat_trace(levels, 1e-3, u)
 
     def test_empty_t_list_rejected(self, u):
         with pytest.raises(ValueError):
-            weyl_convergence_scan(interval_levels(5), [], 1, u)
+            weyl_convergence_scan(partial(heat_trace, interval_levels(5), u=u), [], 1)
 
 
 class TestLevelHelpers:
