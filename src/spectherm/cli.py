@@ -45,7 +45,7 @@ from .spectra import (
     angular_modes,
     ball_spectrum,
     box_modes,
-    group_energies,
+    box_spectrum,
     hilbert_dim_min,
     interval_spectrum,
     radial_modes,
@@ -301,8 +301,7 @@ def _cmd_partition(args, u: UnitSystem):
         }
     elif args.domain == "cube":
         d = args.d if args.d is not None else 3
-        modes = box_modes(args.L, d, args.n_max, u)
-        levels = group_energies([m.kinetic_energy for m in modes])
+        levels = box_spectrum(args.L, d, args.n_max, u)
         config = {"domain": "cube", "L": args.L, "d": d, "n_max_per_axis": args.n_max}
     else:
         levels = _custom_levels(args)

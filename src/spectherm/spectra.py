@@ -9,9 +9,9 @@ Analytic mode families:
 * Cartesian box modes in d dimensions with vanishing boundary values.
 
 Level lists are carried as a `Spectrum`: sorted energies with their
-multiplicities, as arrays. One gap rule decides which neighbouring energies
-are degenerate, both when raw energies are grouped into levels and when the
-lowest eigenspace is counted.
+multiplicities, as arrays. Box levels are counted exactly on the integer
+key n_1^2 + ... + n_d^2. One relative gap rule, in hilbert_dim_min, decides
+which neighbouring energies make up the lowest eigenspace.
 
 A finite-difference solver covers the radial problem with an arbitrary
 radial potential. Substituting u(r) = r*psi(r) removes the first-derivative
@@ -54,7 +54,7 @@ __all__ = [
     "radial_modes",
     "interval_spectrum",
     "ball_spectrum",
-    "group_energies",
+    "box_spectrum",
     "eval_radial_wavefunction",
     "box_modes",
     "solve_radial_numeric",
@@ -62,8 +62,8 @@ __all__ = [
 ]
 
 # Neighbouring energies E < E' are degenerate when E' - E is at most this
-# fraction of max(1, |E'|). Far below physical level spacings at desk scale,
-# far above accumulated rounding.
+# fraction of |E'|. Far below physical level spacings, far above accumulated
+# rounding, and unchanged when every energy is scaled by a change of units.
 DEGENERACY_REL_TOLERANCE = 1e-9
 
 
@@ -227,7 +227,10 @@ def interval_spectrum(length: float, n_max: int, u: UnitSystem) -> Spectrum:
     require_positive("length", length)
     require_at_least("n_max", n_max, 1)
     n = np.arange(1, n_max + 1, dtype=np.float64)
-    return Spectrum(kinetic_prefactor(u) * (n * math.pi / length) ** 2)
+    with np.errstate(over="ignore"):
+        energies = kinetic_prefactor(u) * (n * math.pi / length) ** 2
+    _require_finite_levels(energies[-1], length=length, n_max=n_max)
+    return Spectrum(energies)
 
 
 def ball_spectrum(r0: float, n_max: int, l_max: int, u: UnitSystem) -> Spectrum:
@@ -239,7 +242,9 @@ def ball_spectrum(r0: float, n_max: int, l_max: int, u: UnitSystem) -> Spectrum:
     require_at_least("l_max", l_max, 0)
     radial = interval_spectrum(r0, n_max, u).energies
     l = np.arange(l_max + 1, dtype=np.float64)[:, None]
-    energies = kinetic_prefactor(u) * l * (l + 1.0) + radial
+    with np.errstate(over="ignore"):
+        energies = kinetic_prefactor(u) * l * (l + 1.0) + radial
+    _require_finite_levels(energies[-1, -1], r0=r0, n_max=n_max, l_max=l_max)
     multiplicities = np.broadcast_to(2.0 * l + 1.0, energies.shape)
     return Spectrum(energies.ravel(), multiplicities.ravel())
 
@@ -261,10 +266,7 @@ def box_modes(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> list[B
     Sorted ascending by energy; ties broken by ascending lexicographic
     order of the quantum-number tuples so the output is reproducible.
     """
-    require_positive("side", side)
-    require_at_least("d", d, 1)
-    require_at_least("n_max_per_axis", n_max_per_axis, 1)
-    scale = kinetic_prefactor(u) * (math.pi / side) ** 2
+    scale = _box_key_energy(side, d, n_max_per_axis, u)
     modes = [
         BoxMode(quantum_numbers=numbers, side=side,
                 kinetic_energy=scale * sum(n * n for n in numbers))
@@ -272,6 +274,48 @@ def box_modes(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> list[B
     ]
     modes.sort(key=lambda m: (m.kinetic_energy, m.quantum_numbers))
     return modes
+
+
+def box_spectrum(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> Spectrum:
+    """Box levels pref (pi/side)^2 K, one per integer key K = n_1^2 + ... + n_d^2.
+
+    A key's multiplicity is its number of tuples 1 <= n_i <= n_max_per_axis,
+    counted in int64 one axis at a time. Raises InputError for more than
+    2**53 modes, beyond which a float64 multiplicity is not exact.
+    """
+    scale = _box_key_energy(side, d, n_max_per_axis, u)
+    if n_max_per_axis > 1 and (d > 53 or n_max_per_axis**d > 2**53):
+        raise InputError(f"{n_max_per_axis}**{d} box modes: more than 2**53, "
+                         "so the multiplicities would not be exact")
+    keys, counts = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    squares = np.arange(1, n_max_per_axis + 1, dtype=np.int64) ** 2
+    for _ in range(d):
+        keys, slots = np.unique(np.add.outer(keys, squares), return_inverse=True)
+        summed = np.zeros(keys.size, dtype=np.int64)
+        np.add.at(summed, slots.ravel(), np.repeat(counts, n_max_per_axis))
+        counts = summed
+    return Spectrum(scale * keys, counts)
+
+
+def _box_key_energy(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> float:
+    # Checks the box and returns pref (pi/side)^2, the energy of key 1;
+    # OverflowError if the top key d n_max^2 has no finite energy.
+    require_positive("side", side)
+    require_at_least("d", d, 1)
+    require_at_least("n_max_per_axis", n_max_per_axis, 1)
+    try:
+        scale = kinetic_prefactor(u) * (math.pi / side) ** 2
+    except OverflowError:
+        scale = math.inf
+    _require_finite_levels(scale * (d * n_max_per_axis**2), side=side, n_max=n_max_per_axis)
+    return scale
+
+
+def _require_finite_levels(top: float, **given) -> None:
+    # top is the highest level energy, so every level is finite if it is
+    if not math.isfinite(top):
+        named = ", ".join(f"{name}={value!r}" for name, value in given.items())
+        raise OverflowError(f"level energies overflow at {named}")
 
 
 def solve_radial_numeric(
@@ -392,39 +436,16 @@ def _lapack_lowest(
     return energies, vectors
 
 
-def _degenerate_with_previous(energies: np.ndarray) -> np.ndarray:
-    # The one degeneracy predicate: for ascending energies, entry i says
-    # whether energies[i + 1] is degenerate with energies[i].
-    upper = energies[1:]
-    return upper - energies[:-1] <= DEGENERACY_REL_TOLERANCE * np.maximum(1.0, np.abs(upper))
-
-
-def group_energies(energies: Sequence[float]) -> Spectrum:
-    """Cluster an energy list into (energy, multiplicity) levels.
-
-    Adjacent energies E < E' with
-    E' - E <= DEGENERACY_REL_TOLERANCE * max(1, |E'|) merge into one level
-    carrying the cluster's smallest energy. Input order is irrelevant.
-    """
-    ordered = np.sort(np.asarray(energies, dtype=np.float64))
-    if ordered.size == 0:
-        raise InputError("energies must be nonempty")
-    starts = np.flatnonzero(
-        np.concatenate(([True], ~_degenerate_with_previous(ordered)))
-    )
-    counts = np.diff(np.append(starts, ordered.size))
-    return Spectrum(ordered[starts], counts)
-
-
 def hilbert_dim_min(spectrum: Spectrum) -> int:
     """Dimension of the lowest-energy eigenspace of a spectrum.
 
-    Walks up from the lowest level while each next level is degenerate with
-    the one below it under the gap rule of group_energies: E' - E <=
-    DEGENERACY_REL_TOLERANCE * max(1, |E'|). Returns the summed
-    multiplicities of those levels. The count depends only on the levels
-    near the bottom, never on how far the spectrum extends.
+    Walks up from the lowest level while each next level E' is degenerate
+    with the one below, E' - E <= DEGENERACY_REL_TOLERANCE * |E'|, and sums
+    their multiplicities. The rule is relative only, so a change of units
+    cannot change the count, and the count never depends on how far the
+    spectrum extends.
     """
-    chained = _degenerate_with_previous(spectrum.energies)
+    energies = spectrum.energies
+    chained = np.diff(energies) <= DEGENERACY_REL_TOLERANCE * np.abs(energies[1:])
     ground_levels = 1 + int(np.logical_and.accumulate(chained).sum())
     return int(spectrum.multiplicities[:ground_levels].sum())

@@ -10,6 +10,7 @@ precision. Frozen constants below were produced by these same routines at
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import mpmath as mp
 
@@ -186,6 +187,23 @@ def boltzmann_sum_mpmath(energies, multiplicities, s: float) -> float:
                 for e, m in zip(energies, multiplicities)
             )
         )
+
+
+def cube_levels(d: int, n_max: int) -> list[tuple[int, int]]:
+    """(key, multiplicity) of the Dirichlet box, ascending in the integer key.
+
+    The key of the tuple (n_1, ..., n_d), 1 <= n_i <= n_max, is
+    n_1^2 + ... + n_d^2; the counts come from convolving one axis at a time
+    in Python integers, which never wrap.
+    """
+    counts = Counter({0: 1})
+    for _ in range(d):
+        step: Counter = Counter()
+        for key, count in counts.items():
+            for n in range(1, n_max + 1):
+                step[key + n * n] += count
+        counts = step
+    return sorted(counts.items())
 
 
 def dirichlet_tridiagonal_eigenvalue(k: int, grid_points: int, r0: float = 1.0) -> float:

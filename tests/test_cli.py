@@ -1,4 +1,6 @@
+import contextlib
 import gzip
+import io
 import json
 import math
 import os
@@ -19,6 +21,7 @@ from oracles import (
     CUBE_VOLUME_ESTIMATE_1E6,
     ENTROPY_EXPECTATION,
     INTERVAL_VOLUME_ESTIMATE,
+    cube_levels,
     interval_trace_theta,
 )
 
@@ -308,6 +311,85 @@ class TestPartitionCommand:
         assert report["results"]["dim_min"] == 1
         assert report["results"]["quasistatic"] == 1.0
 
+    def test_cube_with_5_to_the_22_modes(self, capsys):
+        results = run_json(
+            capsys, ["partition", "--domain", "cube", "--d", "22", "--n-max", "5", "--tau", "0"]
+        )["results"]
+        assert results["level_count"] == len(cube_levels(22, 5))
+        assert results["dim_min"] == 1
+        assert results["quasistatic"] == 1.0
+
+
+def partition_results(argv):
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert run(["partition", *argv]) == 0
+    return json.loads(buffer.getvalue())["results"]
+
+
+class TestUnitInvariance:
+    # A change of units scales every energy; with tau scaled to keep
+    # E tau / hbar fixed, the level count, the ground dimension and the
+    # quasistatic sum must not move.
+    UNIT_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+    def assert_invariant(self, base, scaled):
+        reference, results = partition_results(base), partition_results(scaled)
+        assert results["level_count"] == reference["level_count"]
+        assert results["dim_min"] == reference["dim_min"]
+        assert results["quasistatic"] == pytest.approx(reference["quasistatic"], rel=1e-12)
+
+    @UNIT_PROPERTY
+    @given(
+        cube=st.booleans(),
+        d=st.integers(min_value=1, max_value=4),
+        n_max=st.integers(min_value=1, max_value=6),
+        exponent=st.floats(min_value=-8.0, max_value=8.0),
+    )
+    def test_length_scale(self, cube, d, n_max, exponent):
+        # the ball at l_max = 0: its angular energies do not scale with r0
+        length = 10.0**exponent
+        domain = ["--domain", "cube", "--d", str(d)] if cube else ["--domain", "ball"]
+        flag = "--L" if cube else "--r0"
+        config = [*domain, "--n-max", str(n_max)]
+        self.assert_invariant(
+            [*config, flag, "1", "--tau", "0.05"],
+            [*config, flag, repr(length), "--tau", repr(0.05 * length * length)],
+        )
+
+    @UNIT_PROPERTY
+    @given(
+        cube=st.booleans(),
+        extent=st.integers(min_value=1, max_value=4),
+        n_max=st.integers(min_value=1, max_value=6),
+        exponent=st.floats(min_value=-12.0, max_value=4.0),
+    )
+    def test_hbar_scale(self, cube, extent, n_max, exponent):
+        # energies scale as hbar^2, so tau goes as 1/hbar; extent is the
+        # cube's d or the ball's l_max + 1
+        hbar = 10.0**exponent
+        if cube:
+            config = ["--domain", "cube", "--d", str(extent)]
+        else:
+            config = ["--domain", "ball", "--l-max", str(extent - 1)]
+        config += ["--n-max", str(n_max)]
+        self.assert_invariant(
+            [*config, "--tau", "0.05"],
+            [*config, "--hbar", repr(hbar), "--tau", repr(0.05 / hbar)],
+        )
+
+    @pytest.mark.parametrize(
+        "argv, level_count, dim_min",
+        [
+            (["--domain", "cube", "--n-max", "4", "--L", "1e6"], 20, 1),
+            (["--domain", "cube", "--n-max", "4", "--hbar", "1e-10"], 20, 1),
+            (["--domain", "ball", "--n-max", "5", "--l-max", "2", "--hbar", "1e-10"], 15, 1),
+        ],
+    )
+    def test_levels_in_small_units_match_unit_scale(self, argv, level_count, dim_min):
+        results = partition_results(argv)
+        assert (results["level_count"], results["dim_min"]) == (level_count, dim_min)
+
 
 class TestWeylCommand:
     def test_cube_example(self, capsys):
@@ -503,6 +585,7 @@ class TestExitCodesAndOutput:
             ["weyl", "--domain", "ball", "--t", "1", "--hbar", "1e-200", "--n-max", "5"],
             ["spectrum", "--kind", "radial", "--hbar", "1e200"],
             ["weyl", "--domain", "ball", "--r0", "10", "--t", "5e-324", "--n-max", "5"],
+            ["partition", "--domain", "cube", "--d", "40", "--n-max", "5"],
         ],
     )
     def test_rejected_input_exits_2_with_one_error_line(self, capsys, tmp_path, monkeypatch, argv):
@@ -524,10 +607,16 @@ class TestExitCodesAndOutput:
             ["partition", "--domain", "ball", "--tau", "1e-320"],
             ["duality", "--temperature", "1e-320"],
             ["weyl", "--domain", "cube", "--L", "1e150", "--t", "1"],
+            ["weyl", "--domain", "ball", "--r0", "1e-200", "--t", "1", "--n-max", "5"],
+            ["partition", "--domain", "ball", "--r0", "1e-200"],
+            ["partition", "--domain", "cube", "--L", "1e-200"],
+            ["spectrum", "--kind", "box", "--L", "1e-200"],
         ],
     )
     def test_nonfinite_result_exits_1_with_one_error_line(self, capsys, argv):
-        code = run(argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would print two more lines
+            code = run(argv)
         captured = capsys.readouterr()
         assert code == 1, captured.err
         assert captured.out == ""
@@ -583,7 +672,7 @@ class TestExitCodesAndOutput:
             calls.append(args)
             raise AssertionError("computed a report whose format is refused")
 
-        for name in ("box_modes", "entropy_expectation", "solve_fiducial_wavenumber"):
+        for name in ("box_spectrum", "entropy_expectation", "solve_fiducial_wavenumber"):
             monkeypatch.setattr(f"spectherm.cli.{name}", refuse)
         assert run(argv) == 2
         assert calls == []

@@ -11,8 +11,10 @@ from spectherm import (
     Spectrum,
     UnitSystem,
     box_modes,
-    group_energies,
+    box_spectrum,
     heat_trace,
+    hilbert_dim_min,
+    kinetic_prefactor,
     interval_heat_trace,
     natural_units,
     qm_partition,
@@ -26,6 +28,7 @@ from oracles import (
     EXP_MINUS_PI2_OVER_10,
     INTERVAL_VOLUME_ESTIMATE,
     boltzmann_sum_mpmath,
+    cube_levels,
     interval_heat_trace_mpmath,
     interval_trace_direct,
 )
@@ -227,28 +230,58 @@ class TestWeylConvergenceScan:
 
 
 class TestLevelHelpers:
-    def test_group_energies_clusters_ties(self, u):
-        energies = [m.kinetic_energy for m in box_modes(1.0, 3, 2, u)]
-        levels = group_energies(energies)
-        assert levels.multiplicities[0] == 1
-        assert levels.multiplicities[1] == 3
-        assert sum(levels.multiplicities) == len(energies)
+    # box_spectrum against the pure-Python Counter convolution; 15**8 and
+    # 2**33 modes exceed 2**31
+    BOX_GRID = [(1, 1), (1, 500), (3, 1), (2, 7), (3, 4), (3, 40), (4, 12), (5, 6),
+                (8, 15), (33, 2)]
+    BOX_UNITS = [
+        (1.0, natural_units()),
+        (1.0, UnitSystem(hbar=1.3, k_boltzmann=1.0, mass=0.7)),
+        (2.7e-6, UnitSystem(hbar=1e-10, k_boltzmann=1.0, mass=3.0)),
+    ]
 
-    def test_group_energies_respects_gaps(self):
-        levels = group_energies([0.0, 0.0, 1.0, 1.0 + 5e-10, 2.0])
-        assert levels.multiplicities.tolist() == [2, 2, 1]
+    @pytest.mark.parametrize("d, n_max", BOX_GRID)
+    @pytest.mark.parametrize("units", range(len(BOX_UNITS)))
+    def test_box_spectrum_matches_counter_oracle(self, d, n_max, units):
+        side, u = self.BOX_UNITS[units]
+        scale = kinetic_prefactor(u) * (math.pi / side) ** 2
+        keys, counts = zip(*cube_levels(d, n_max))
+        levels = box_spectrum(side, d, n_max, u)
+        assert levels.energies.tolist() == [scale * key for key in keys]
+        assert levels.multiplicities.tolist() == list(counts)
 
-    def test_group_round_trip(self, u):
-        levels = Spectrum([0.0, 3.0], [2, 1])
-        regrouped = group_energies(np.repeat(levels.energies, levels.multiplicities.astype(int)))
-        assert list(zip(regrouped.energies.tolist(), regrouped.multiplicities.tolist())) == [
-            (0.0, 2),
-            (3.0, 1),
-        ]
+    def test_box_spectrum_clusters_ties(self, u):
+        levels = box_spectrum(1.0, 3, 2, u)
+        assert levels.multiplicities.tolist() == [1, 3, 3, 1]
+        assert levels.energies.tolist() == [math.pi**2 * k for k in (3, 6, 9, 12)]
 
-    def test_group_empty_rejected(self):
-        with pytest.raises(ValueError):
-            group_energies([])
+    def test_box_spectrum_expands_to_box_modes(self, u):
+        # one level per key: expanding the levels gives back every mode energy
+        for side, d, n_max in [(1.0, 3, 5), (0.3, 2, 9), (2.0, 4, 3)]:
+            levels = box_spectrum(side, d, n_max, u)
+            expanded = np.repeat(levels.energies, levels.multiplicities.astype(int))
+            modes = box_modes(side, d, n_max, u)
+            assert expanded.tolist() == [m.kinetic_energy for m in modes]
+
+    def test_box_spectrum_counts_exactly_up_to_2_to_the_53(self, u):
+        levels = box_spectrum(1.0, 53, 2, u)
+        assert levels.multiplicities.tolist() == [math.comb(53, k) for k in range(54)]
+        assert math.fsum(levels.multiplicities) == 2.0**53
+        for d, n_max in [(54, 2), (40, 5), (10**9, 2), (2, 94906267)]:
+            with pytest.raises(InputError, match=rf"{n_max}\*\*{d} box modes"):
+                box_spectrum(1.0, d, n_max, u)
+
+    def test_box_spectrum_rejects_an_empty_box(self, u):
+        for side, d, n_max in [(0.0, 3, 2), (1.0, 0, 2), (1.0, 3, 0)]:
+            with pytest.raises(InputError):
+                box_spectrum(side, d, n_max, u)
+
+    def test_dim_min_respects_relative_gaps(self):
+        assert hilbert_dim_min(Spectrum([1.0, 1.0 + 5e-10, 2.0], [2, 1, 1])) == 3
+        assert hilbert_dim_min(Spectrum([1.0, 1.0 + 2e-9, 2.0], [2, 1, 1])) == 2
+        # no absolute floor: tiny energies are compared relative to themselves
+        assert hilbert_dim_min(Spectrum([1e-12, 1.5e-12])) == 1
+        assert hilbert_dim_min(Spectrum([0.0, 0.0, 1e-300])) == 2
 
 
 class TestSpectralSumKernel:

@@ -1,19 +1,24 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from spectherm import (
     Potential,
     QuadratureSpec,
     Spectrum,
+    UnitSystem,
     angular_modes,
+    ball_spectrum,
     box_modes,
     eval_radial_wavefunction,
     hilbert_dim_min,
     integrate,
+    interval_spectrum,
     kinetic_prefactor,
     natural_units,
     radial_modes,
@@ -424,6 +429,28 @@ class TestHilbertDimMin:
         with pytest.raises(ValueError):
             hilbert_dim_min(Spectrum([]))
 
+    # energies 0 or of magnitude 1e-100 .. 1e100, so scaling by 2**k with
+    # |k| <= 200 is exact and keeps every product and gap a normal double
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        levels=st.lists(
+            st.tuples(
+                st.floats(min_value=-1e100, max_value=1e100).filter(
+                    lambda e: e == 0.0 or abs(e) >= 1e-100
+                ),
+                st.integers(min_value=1, max_value=5),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        k=st.integers(min_value=-200, max_value=200),
+    )
+    def test_unchanged_when_energies_scale_by_a_power_of_two(self, levels, k):
+        energies, multiplicities = zip(*levels)
+        spectrum = Spectrum(energies, multiplicities)
+        scaled = Spectrum(spectrum.energies * 2.0**k, spectrum.multiplicities)
+        assert hilbert_dim_min(scaled) == hilbert_dim_min(spectrum)
+
 
 class TestBoxModes:
     def test_ground_state_cube(self, u):
@@ -461,6 +488,32 @@ class TestBoxModes:
             box_modes(1.0, 0, 2, u)
         with pytest.raises(ValueError):
             box_modes(1.0, 3, 0, u)
+
+
+class TestLevelOverflow:
+    # an energy beyond the double range is a computational failure naming
+    # the inputs, raised before numpy can warn
+    @pytest.mark.parametrize(
+        "build, named",
+        [
+            (lambda u: interval_spectrum(1e-200, 5, u), "length=1e-200, n_max=5"),
+            (lambda u: ball_spectrum(1e-200, 5, 0, u), "length=1e-200, n_max=5"),
+            (lambda u: ball_spectrum(1e10, 5, 10, UnitSystem(1e154, 1.0, 0.5)),
+             "r0=10000000000.0, n_max=5, l_max=10"),
+            (lambda u: box_modes(1e-200, 3, 4, u), "side=1e-200, n_max=4"),
+            (lambda u: box_modes(1e-153, 3, 4, u), "side=1e-153, n_max=4"),
+        ],
+    )
+    def test_overflow_names_the_inputs(self, u, build, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=named):
+                build(u)
+
+    def test_largest_finite_levels_accepted(self, u):
+        side = math.pi * math.sqrt(48.0 / 1.7e308)
+        assert box_modes(side, 3, 4, u)[-1].kinetic_energy < math.inf
+        assert interval_spectrum(1e-150, 4, u).energies[-1] < math.inf
 
 
 def test_all_mode_families_have_nonnegative_energies(u):
