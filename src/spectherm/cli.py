@@ -42,14 +42,13 @@ from .specfun import DEFAULT_QUADRATURE, QuadratureError
 from .spectra import (
     DEGENERACY_REL_TOLERANCE,
     Spectrum,
-    angular_modes,
     ball_spectrum,
     box_modes,
     box_spectrum,
     hilbert_dim_min,
     interval_spectrum,
-    radial_modes,
     solve_radial_numeric,
+    sphere_spectrum,
 )
 from .thermo import (
     FundamentalEquation,
@@ -195,24 +194,21 @@ def _cmd_spectrum(args, u: UnitSystem):
     config: dict = {"kind": args.kind}
     if args.kind == "angular":
         config["l_max"] = args.l_max
+        levels = sphere_spectrum(args.l_max, u)
         columns = ["l", "kinetic_energy", "degeneracy"]
-        rows = [
-            [m.l, m.kinetic_energy, m.degeneracy] for m in angular_modes(args.l_max, u)
-        ]
+        rows = list(zip(range(args.l_max + 1), levels.energies.tolist(),
+                        levels.multiplicities.astype(np.int64).tolist()))
     elif args.kind == "radial":
         config.update({"r0": args.r0, "n_max": args.n_max})
+        levels = interval_spectrum(args.r0, args.n_max, u)
+        n = np.arange(1, args.n_max + 1)
         columns = ["n", "wavenumber", "kinetic_energy"]
-        rows = [
-            [m.n, m.wavenumber, m.kinetic_energy]
-            for m in radial_modes(args.r0, args.n_max, u)
-        ]
+        rows = list(zip(n.tolist(), (n * math.pi / args.r0).tolist(), levels.energies.tolist()))
     elif args.kind == "box":
         config.update({"L": args.L, "d": args.d, "n_max_per_axis": args.n_max})
+        numbers, energies = box_modes(args.L, args.d, args.n_max, u)
         columns = ["quantum_numbers", "kinetic_energy"]
-        rows = [
-            ["x".join(str(n) for n in m.quantum_numbers), m.kinetic_energy]
-            for m in box_modes(args.L, args.d, args.n_max, u)
-        ]
+        rows = [["x".join(map(str, q)), e] for q, e in zip(numbers.tolist(), energies.tolist())]
     else:  # numeric
         config.update({"r0": args.r0, "grid_points": args.grid_points, "k": args.k})
         spectrum = solve_radial_numeric(

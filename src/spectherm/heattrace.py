@@ -104,6 +104,33 @@ def interval_heat_trace(length: float, t: float) -> float:
     return 0.5 * math.fsum([c, c_low, -1.0] + [2.0 * c * q for q in dual])
 
 
+def _times_weyl_power(a: float, t: float, p: Fraction) -> float:
+    """a * (4 pi t)**p, also where (4 pi t)**p, or 4 pi t itself, overflows.
+
+    There it writes a = a_m 2^a_e and 4 pi t = x_m 2^x_e with frexp, x_m
+    from 4 pi times the mantissa of t, and splits x_e p = k + f exactly, k
+    an integer and 0 <= f < 1: the product is ldexp(a_m x_m**p 2**f, a_e + k),
+    a few roundings and no log or exp. A zero a gives 0.0; OverflowError if
+    the product is out of range, or if x_m**p has lost digits to underflow
+    (p above about 1000).
+    """
+    x = 4.0 * math.pi * t
+    if math.isfinite(x):
+        try:
+            return a * x ** float(p)
+        except OverflowError:
+            pass
+    if a == 0.0:
+        return 0.0
+    (a_m, a_e), (t_m, t_e) = math.frexp(a), math.frexp(t)
+    x_m, x_e = math.frexp(4.0 * math.pi * t_m)
+    k, f = divmod((x_e + t_e) * p, 1)
+    scaled = a_m * x_m ** float(p) * 2.0 ** float(f)
+    if scaled < 2.0**-1022:
+        raise OverflowError(f"(4 pi t)**p at t={t!r}, p={p} has no accurate double scaling")
+    return math.ldexp(scaled, a_e + k)
+
+
 def weyl_volume_estimate(spectrum: Spectrum, t: float, d: int, u: UnitSystem) -> float:
     """Volume recovered from the trace: heat_trace * (4 pi t)^(d/2)."""
     return weyl_convergence_scan(partial(heat_trace, spectrum, u=u), [t], d)[0].volume_estimate
@@ -129,7 +156,7 @@ def weyl_convergence_scan(
         _require_normal("t", t)  # 4 pi t keeps every digit of a normal t only
         try:
             axis = axis_trace(t)
-            estimate = axis * (4.0 * math.pi * t) ** (0.5 * d / axes)
+            estimate = _times_weyl_power(axis, t, Fraction(d, 2 * axes))
             row = WeylScanRow(t=t, trace=axis**axes, volume_estimate=estimate**axes)
         except OverflowError:
             row = None

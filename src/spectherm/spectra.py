@@ -1,17 +1,20 @@
 """Eigenmodes of the kinetic operator on spheres, radial intervals and boxes.
 
-Analytic mode families:
+Analytic mode families, each a `Spectrum`: sorted energies with their
+multiplicities, as arrays:
 
-* angular modes on the unit sphere, energies proportional to l(l+1) with
-  the usual 2l+1 degeneracy;
+* sphere sectors l = 0..l_max, energies proportional to l(l+1) with the
+  usual 2l+1 degeneracy (sphere_spectrum);
 * radial modes on [0, r0] that are regular at the origin and vanish at r0,
-  which are sine modes of wavenumber n*pi/r0 divided by r;
-* Cartesian box modes in d dimensions with vanishing boundary values.
+  which are sine modes of wavenumber n*pi/r0 divided by r
+  (interval_spectrum; radial_wavefunction evaluates them);
+* the ball, sphere sectors tensored with the radial tower (ball_spectrum);
+* Cartesian box modes in d dimensions with vanishing boundary values,
+  counted exactly on the integer key n_1^2 + ... + n_d^2 (box_spectrum);
+  box_modes lists each mode's quantum numbers instead.
 
-Level lists are carried as a `Spectrum`: sorted energies with their
-multiplicities, as arrays. Box levels are counted exactly on the integer
-key n_1^2 + ... + n_d^2. One relative gap rule, in hilbert_dim_min, decides
-which neighbouring energies make up the lowest eigenspace.
+One relative gap rule, in hilbert_dim_min, decides which neighbouring
+energies make up the lowest eigenspace.
 
 A finite-difference solver covers the radial problem with an arbitrary
 radial potential. Substituting u(r) = r*psi(r) removes the first-derivative
@@ -33,7 +36,6 @@ imported only when LAPACK is called, not when this module is.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -44,18 +46,14 @@ from .units import InputError, UnitSystem, kinetic_prefactor, require_at_least, 
 
 __all__ = [
     "Spectrum",
-    "AngularMode",
-    "RadialMode",
-    "BoxMode",
     "Potential",
     "NumericSpectrum",
     "DEGENERACY_REL_TOLERANCE",
-    "angular_modes",
-    "radial_modes",
+    "sphere_spectrum",
     "interval_spectrum",
     "ball_spectrum",
     "box_spectrum",
-    "eval_radial_wavefunction",
+    "radial_wavefunction",
     "box_modes",
     "solve_radial_numeric",
     "hilbert_dim_min",
@@ -110,34 +108,6 @@ class Spectrum:
 
     def __len__(self) -> int:
         return self.energies.size
-
-
-@dataclass(frozen=True)
-class AngularMode:
-    """One angular momentum sector on the unit sphere."""
-
-    l: int
-    kinetic_energy: float
-    degeneracy: int
-
-
-@dataclass(frozen=True)
-class RadialMode:
-    """Analytic radial mode on [0, r0] vanishing at r0."""
-
-    n: int
-    r0: float
-    wavenumber: float
-    kinetic_energy: float
-
-
-@dataclass(frozen=True)
-class BoxMode:
-    """Dirichlet mode of a d-dimensional box with side `side`."""
-
-    quantum_numbers: tuple[int, ...]
-    side: float
-    kinetic_energy: float
 
 
 @dataclass(frozen=True)
@@ -200,26 +170,14 @@ class NumericSpectrum:
         return self.r0 / (self.grid_points - 1)
 
 
-def angular_modes(l_max: int, u: UnitSystem) -> list[AngularMode]:
-    """Angular sectors l = 0..l_max with energies pref*l(l+1) and degeneracy 2l+1."""
+def sphere_spectrum(l_max: int, u: UnitSystem) -> Spectrum:
+    """Angular sectors l = 0..l_max with energies pref*l(l+1) and multiplicity 2l+1."""
     require_at_least("l_max", l_max, 0)
-    pref = kinetic_prefactor(u)
-    return [
-        AngularMode(l=l, kinetic_energy=pref * l * (l + 1), degeneracy=2 * l + 1)
-        for l in range(l_max + 1)
-    ]
-
-
-def radial_modes(r0: float, n_max: int, u: UnitSystem) -> list[RadialMode]:
-    """Radial modes n = 1..n_max on [0, r0], ascending in energy."""
-    require_positive("r0", r0)
-    require_at_least("n_max", n_max, 1)
-    pref = kinetic_prefactor(u)
-    modes = []
-    for n in range(1, n_max + 1):
-        c = n * math.pi / r0
-        modes.append(RadialMode(n=n, r0=r0, wavenumber=c, kinetic_energy=pref * c * c))
-    return modes
+    l = np.arange(l_max + 1, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        energies = kinetic_prefactor(u) * l * (l + 1.0)
+    _require_level_range(energies[-1], l_max=l_max)
+    return Spectrum(energies, 2.0 * l + 1.0)
 
 
 def interval_spectrum(length: float, n_max: int, u: UnitSystem) -> Spectrum:
@@ -229,7 +187,7 @@ def interval_spectrum(length: float, n_max: int, u: UnitSystem) -> Spectrum:
     n = np.arange(1, n_max + 1, dtype=np.float64)
     with np.errstate(over="ignore"):
         energies = kinetic_prefactor(u) * (n * math.pi / length) ** 2
-    _require_finite_levels(energies[-1], length=length, n_max=n_max)
+    _require_level_range(energies[-1], length=length, n_max=n_max)
     return Spectrum(energies)
 
 
@@ -239,54 +197,56 @@ def ball_spectrum(r0: float, n_max: int, l_max: int, u: UnitSystem) -> Spectrum:
     Level (l, n) has energy pref*l(l+1) + pref*(n*pi/r0)^2 and multiplicity
     2l+1; coinciding energies from different sectors stay separate levels.
     """
-    require_at_least("l_max", l_max, 0)
+    sphere = sphere_spectrum(l_max, u)
     radial = interval_spectrum(r0, n_max, u).energies
-    l = np.arange(l_max + 1, dtype=np.float64)[:, None]
     with np.errstate(over="ignore"):
-        energies = kinetic_prefactor(u) * l * (l + 1.0) + radial
-    _require_finite_levels(energies[-1, -1], r0=r0, n_max=n_max, l_max=l_max)
-    multiplicities = np.broadcast_to(2.0 * l + 1.0, energies.shape)
+        energies = sphere.energies[:, None] + radial
+    _require_level_range(energies[-1, -1], radial[0], r0=r0, n_max=n_max, l_max=l_max)
+    multiplicities = np.broadcast_to(sphere.multiplicities[:, None], energies.shape)
     return Spectrum(energies.ravel(), multiplicities.ravel())
 
 
-def eval_radial_wavefunction(mode: RadialMode, r: float) -> float:
-    """psi_n(r) = sqrt(2/r0) * sin(c_n r) / r for r in (0, r0].
+def radial_wavefunction(n: int, r0: float, r: float) -> float:
+    """psi_n(r) = sqrt(2/r0) * sin(c_n r) / r, c_n = n*pi/r0, for r in (0, r0].
 
-    Normalized against the r^2 weight on [0, r0]. The value at r = r0 is
-    zero up to the rounding of the sine argument.
+    Mode n of interval_spectrum(r0, ...), normalized against the r^2 weight
+    on [0, r0]. The value at r = r0 is zero up to the rounding of the sine
+    argument.
     """
-    if not (0.0 < r <= mode.r0):
-        raise InputError(f"r must lie in (0, {mode.r0!r}], got {r!r}")
-    return math.sqrt(2.0 / mode.r0) * math.sin(mode.wavenumber * r) / r
+    if not (0.0 < r <= r0):
+        raise InputError(f"r must lie in (0, {r0!r}], got {r!r}")
+    return math.sqrt(2.0 / r0) * math.sin(n * math.pi / r0 * r) / r
 
 
-def box_modes(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> list[BoxMode]:
-    """All Dirichlet modes of the d-dimensional box with quantum numbers <= n_max_per_axis.
+def box_modes(
+    side: float, d: int, n_max_per_axis: int, u: UnitSystem
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every Dirichlet mode of the d-dimensional box with quantum numbers <= n_max_per_axis.
 
-    Sorted ascending by energy; ties broken by ascending lexicographic
-    order of the quantum-number tuples so the output is reproducible.
+    Returns the quantum numbers, an int64 array of one row per mode, and
+    the mode energies pref (pi/side)^2 (n_1^2 + ... + n_d^2). Rows are
+    sorted ascending by energy, ties in ascending lexicographic order of
+    the quantum numbers, so the output is reproducible.
     """
     scale = _box_key_energy(side, d, n_max_per_axis, u)
-    modes = [
-        BoxMode(quantum_numbers=numbers, side=side,
-                kinetic_energy=scale * sum(n * n for n in numbers))
-        for numbers in itertools.product(range(1, n_max_per_axis + 1), repeat=d)
-    ]
-    modes.sort(key=lambda m: (m.kinetic_energy, m.quantum_numbers))
-    return modes
+    # row i holds the base-n_max digits of i plus one, so rows start in lexicographic order
+    powers = n_max_per_axis ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    index = np.arange(n_max_per_axis**d, dtype=np.int64)[:, None]
+    numbers = index // powers % n_max_per_axis + 1
+    energies = scale * (numbers * numbers).sum(axis=1)
+    order = np.argsort(energies, kind="stable")
+    return numbers[order], energies[order]
 
 
 def box_spectrum(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> Spectrum:
     """Box levels pref (pi/side)^2 K, one per integer key K = n_1^2 + ... + n_d^2.
 
     A key's multiplicity is its number of tuples 1 <= n_i <= n_max_per_axis,
-    counted in int64 one axis at a time. Raises InputError for more than
-    2**53 modes, beyond which a float64 multiplicity is not exact.
+    counted in int64 one axis at a time; more than 2**53 modes raise InputError.
     """
     scale = _box_key_energy(side, d, n_max_per_axis, u)
-    if n_max_per_axis > 1 and (d > 53 or n_max_per_axis**d > 2**53):
-        raise InputError(f"{n_max_per_axis}**{d} box modes: more than 2**53, "
-                         "so the multiplicities would not be exact")
+    if n_max_per_axis == 1:  # the one mode 1x...x1, key d
+        return Spectrum([scale * d])
     keys, counts = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
     squares = np.arange(1, n_max_per_axis + 1, dtype=np.int64) ** 2
     for _ in range(d):
@@ -298,8 +258,10 @@ def box_spectrum(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> Spe
 
 
 def _box_key_energy(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> float:
-    # Checks the box and returns pref (pi/side)^2, the energy of key 1;
-    # OverflowError if the top key d n_max^2 has no finite energy.
+    # Checks the box and returns pref (pi/side)^2, the energy of key 1.
+    # OverflowError if that is not normal or the top key d n_max^2 has no
+    # finite energy; InputError for more than 2**53 modes, beyond which
+    # neither a float64 multiplicity nor an int64 mode index is exact.
     require_positive("side", side)
     require_at_least("d", d, 1)
     require_at_least("n_max_per_axis", n_max_per_axis, 1)
@@ -307,15 +269,22 @@ def _box_key_energy(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> 
         scale = kinetic_prefactor(u) * (math.pi / side) ** 2
     except OverflowError:
         scale = math.inf
-    _require_finite_levels(scale * (d * n_max_per_axis**2), side=side, n_max=n_max_per_axis)
+    _require_level_range(scale * (d * n_max_per_axis**2), scale, side=side, n_max=n_max_per_axis)
+    if n_max_per_axis > 1 and (d > 53 or n_max_per_axis**d > 2**53):
+        raise InputError(f"{n_max_per_axis}**{d} box modes: more than 2**53, "
+                         "so the multiplicities would not be exact")
     return scale
 
 
-def _require_finite_levels(top: float, **given) -> None:
-    # top is the highest level energy, so every level is finite if it is
+def _require_level_range(top: float, key_one: float | None = None, **given) -> None:
+    # top is the highest level energy, so every level is finite if it is.
+    # key_one is the energy of the lowest key: a subnormal one has lost
+    # digits, and distinct keys could get equal energies.
+    named = ", ".join(f"{name}={value!r}" for name, value in given.items())
     if not math.isfinite(top):
-        named = ", ".join(f"{name}={value!r}" for name, value in given.items())
         raise OverflowError(f"level energies overflow at {named}")
+    if key_one is not None and not key_one >= 2.0**-1022:
+        raise OverflowError(f"level energies underflow at {named}")
 
 
 def solve_radial_numeric(

@@ -18,9 +18,9 @@ import sys
 from dataclasses import dataclass
 
 from .heattrace import _boltzmann_sum
-from .spectra import RadialMode, Spectrum, eval_radial_wavefunction, hilbert_dim_min
+from .spectra import Spectrum, hilbert_dim_min, radial_wavefunction
 from .specfun import DEFAULT_QUADRATURE, integrate, sine_integral
-from .units import InputError, UnitSystem, kinetic_prefactor, require_at_least, require_positive
+from .units import InputError, UnitSystem, require_at_least, require_positive
 
 __all__ = [
     "NEGATIVE_INFINITE_ENTROPY",
@@ -113,11 +113,8 @@ def _entropy_closed_form(n: int, u: UnitSystem) -> float:
 
 
 def _entropy_quadrature(n: int, r0: float, u: UnitSystem) -> float:
-    c = n * math.pi / r0  # the wavenumber radial_modes gives mode n
-    mode = RadialMode(n=n, r0=r0, wavenumber=c, kinetic_energy=kinetic_prefactor(u) * c * c)
-
     def integrand(r: float) -> float:
-        psi = eval_radial_wavefunction(mode, r)
+        psi = radial_wavefunction(n, r0, r)
         return r * r * psi * psi * math.log(r / r0)
 
     return 3.0 * u.k_boltzmann * integrate(integrand, 0.0, r0, DEFAULT_QUADRATURE)

@@ -13,21 +13,21 @@ from spectherm import (
     NoRealSolution,
     QuadratureSpec,
     Spectrum,
-    angular_modes,
     box_modes,
     duality_map,
     duality_map_from_temperature,
     entropy_expectation,
-    eval_radial_wavefunction,
     hilbert_dim_min,
     integrate,
+    interval_spectrum,
     natural_units,
     qm_partition,
     quasistatic_partition,
-    radial_modes,
+    radial_wavefunction,
     sine_integral,
     solve_fiducial_wavenumber,
     solve_radial_numeric,
+    sphere_spectrum,
     thermal_partition,
     weyl_volume_estimate,
 )
@@ -121,11 +121,10 @@ def test_criterion_03_radial_spectrum_convergence():
 
 
 def test_criterion_04_ground_space_dimensions():
-    ball = [m.kinetic_energy for m in radial_modes(1.0, 8, U)]
-    sphere = [
-        m.kinetic_energy for m in angular_modes(4, U) for _ in range(m.degeneracy)
-    ]
-    cube_excited = [m.kinetic_energy for m in box_modes(1.0, 3, 3, U)][1:]
+    ball = interval_spectrum(1.0, 8, U).energies
+    sectors = sphere_spectrum(4, U)
+    sphere = np.repeat(sectors.energies, sectors.multiplicities.astype(int))
+    cube_excited = box_modes(1.0, 3, 3, U)[1][1:]
     dims = (
         hilbert_dim_min(Spectrum(ball)),
         hilbert_dim_min(Spectrum(sphere)),
@@ -205,7 +204,7 @@ def test_criterion_07_duality_substitution():
         == tau
         for tau in taus
     )
-    levels = Spectrum([m.kinetic_energy for m in radial_modes(1.0, 10, U)])
+    levels = interval_spectrum(1.0, 10, U)
     bitwise = all(
         thermal_partition(levels, duality_map(tau, U).temperature, U)
         == qm_partition(levels, tau, U)
@@ -241,16 +240,15 @@ def test_criterion_08_sine_integral():
 
 
 def test_criterion_09_mode_orthonormality():
-    modes = radial_modes(1.0, 5, U)
     spec = QuadratureSpec(abs_tolerance=1e-10, max_subdivisions=60)
     gram = np.empty((5, 5))
-    for i, mi in enumerate(modes):
-        for j, mj in enumerate(modes):
+    for i in range(5):
+        for j in range(5):
             def integrand(r):
                 return (
                     r * r
-                    * eval_radial_wavefunction(mi, r)
-                    * eval_radial_wavefunction(mj, r)
+                    * radial_wavefunction(i + 1, 1.0, r)
+                    * radial_wavefunction(j + 1, 1.0, r)
                 )
 
             gram[i, j] = integrate(integrand, 0.0, 1.0, spec)

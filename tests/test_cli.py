@@ -14,7 +14,14 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectherm import InputError, Spectrum
+from spectherm import (
+    InputError,
+    Spectrum,
+    UnitSystem,
+    box_spectrum,
+    interval_spectrum,
+    sphere_spectrum,
+)
 from spectherm.cli import load_levels, run
 
 from oracles import (
@@ -242,6 +249,12 @@ class TestEntropyCommand:
 
     def test_csv_rejected_for_scalar_report(self, capsys):
         assert run(["entropy", "--n", "1", "--format", "csv"]) == 2
+
+    def test_result_does_not_depend_on_hbar(self, capsys):
+        # hbar^2/(2 mass) underflows here, but the entropy never uses it
+        tiny = run_json(capsys, ["entropy", "--n", "2", "--hbar", "1e-200"])
+        unit = run_json(capsys, ["entropy", "--n", "2", "--hbar", "1"])
+        assert tiny["results"] == unit["results"]
 
 
 class TestPartitionCommand:
@@ -526,6 +539,41 @@ class TestSpectrumCommand:
         wavenumber = float(lines[1].split(",")[1])
         assert wavenumber == math.pi
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        log_hbar=st.floats(min_value=-3.0, max_value=3.0),
+        log_mass=st.floats(min_value=-3.0, max_value=3.0),
+        log_length=st.floats(min_value=-2.0, max_value=2.0),
+    )
+    def test_tables_print_the_level_list_bits(self, log_hbar, log_mass, log_length):
+        hbar, mass, length = 10.0**log_hbar, 10.0**log_mass, 10.0**log_length
+        u = UnitSystem(hbar, 1.0, mass)
+        units = ["--hbar", repr(hbar), "--mass", repr(mass)]
+
+        def rows(*argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert run(["spectrum", *argv, *units]) == 0
+            return json.loads(out.getvalue())["results"]["rows"]
+
+        radial = rows("--kind", "radial", "--r0", repr(length), "--n-max", "50")
+        assert [row[1] for row in radial] == [n * math.pi / length for n in range(1, 51)]
+        assert [row[2] for row in radial] == interval_spectrum(length, 50, u).energies.tolist()
+
+        sphere = sphere_spectrum(10, u)
+        angular = rows("--kind", "angular", "--l-max", "10")
+        assert [row[1] for row in angular] == sphere.energies.tolist()
+        assert [row[2] for row in angular] == sphere.multiplicities.tolist()
+
+        # box rows grouped by their key n_1^2 + ... + n_d^2, in table order
+        groups: dict[int, list[float]] = {}
+        for numbers, energy in rows("--kind", "box", "--L", repr(length), "--n-max", "4"):
+            groups.setdefault(sum(int(n) ** 2 for n in numbers.split("x")), []).append(energy)
+        levels = box_spectrum(length, 3, 4, u)
+        assert list(groups) == sorted(groups)
+        assert [set(group) for group in groups.values()] == [{e} for e in levels.energies]
+        assert [len(group) for group in groups.values()] == levels.multiplicities.tolist()
+
     def test_unit_overrides_reach_the_spectra(self, capsys):
         default = run_json(capsys, ["spectrum", "--kind", "radial", "--n-max", "1"])
         heavy = run_json(
@@ -611,6 +659,10 @@ class TestExitCodesAndOutput:
             ["partition", "--domain", "ball", "--r0", "1e-200"],
             ["partition", "--domain", "cube", "--L", "1e-200"],
             ["spectrum", "--kind", "box", "--L", "1e-200"],
+            # a key-1 energy below the normal range would merge levels
+            ["partition", "--domain", "cube", "--n-max", "4", "--L", "1e200"],
+            ["partition", "--domain", "ball", "--n-max", "4", "--r0", "1e200"],
+            ["spectrum", "--kind", "box", "--L", "1e200"],
         ],
     )
     def test_nonfinite_result_exits_1_with_one_error_line(self, capsys, argv):

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 from functools import partial
 
 import mpmath as mp
@@ -16,9 +18,9 @@ from spectherm import (
     hilbert_dim_min,
     kinetic_prefactor,
     interval_heat_trace,
+    interval_spectrum,
     natural_units,
     qm_partition,
-    radial_modes,
     weyl_convergence_scan,
     weyl_volume_estimate,
 )
@@ -173,10 +175,8 @@ class TestWeylVolumeEstimate:
         # full tuple enumeration agrees with the power of the one-axis trace
         t = 0.05
         for d in (2, 3):
-            modes = box_modes(1.0, d, 12, u)
-            full = heat_trace(
-                Spectrum([m.kinetic_energy for m in modes]), t, u
-            )
+            _, energies = box_modes(1.0, d, 12, u)
+            full = heat_trace(Spectrum(energies), t, u)
             axis = heat_trace(interval_levels(12), t, u)
             assert full == pytest.approx(axis**d, rel=1e-10)
 
@@ -228,6 +228,51 @@ class TestWeylConvergenceScan:
         with pytest.raises(ValueError):
             weyl_convergence_scan(partial(heat_trace, interval_levels(5), u=u), [], 1)
 
+    def test_zero_trace_where_the_power_overflows(self):
+        # (4 pi t)^(d/2), and from 1.43e307 on 4 pi t itself, is beyond the
+        # double range; the trace is exactly 0, and so is the estimate
+        ts = [1e300, 1.5e307, sys.float_info.max]
+        for d, axes in [(3, 1), (3, 3), (1, 1)]:
+            rows = weyl_convergence_scan(partial(interval_heat_trace, 1.0), ts, d, axes)
+            assert rows == [(t, 0.0, 0.0) for t in ts]
+
+    @PROPERTY
+    @given(
+        d=st.sampled_from([1, 3, 4, 5, 7, 12]),
+        log_a=st.floats(min_value=-1.0, max_value=math.log10(740.0)),
+        share=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_estimate_where_the_power_alone_overflows(self, d, log_a, share):
+        # t from just past the first t at which (4 pi t)^(d/2), or 4 pi t,
+        # overflows to 1.78e308; the length sets a = t (pi/L)^2 and so how
+        # small the trace is. The reference power is of 4 pi t rounded to
+        # 53 bits, as the scan forms it, with an unbounded exponent.
+        top = math.log10(sys.float_info.max)
+        low = top * min(2 / d, 1) - math.log10(4 * math.pi) + 0.01
+        t = 10.0 ** (low + share * (308.25 - low))
+        a = 10.0**log_a
+        with mp.workdps(50):
+            length = float(mp.pi * mp.sqrt(mp.mpf(t) / mp.mpf(a)))
+            trace = interval_heat_trace(length, t)
+            x = mp.fmul(4.0 * math.pi, t, prec=53)
+            exact = mp.mpf(trace) * x ** (mp.mpf(d) / 2)
+            if exact > mp.mpf(sys.float_info.max):
+                with pytest.raises(OverflowError, match=re.escape(f"t={t!r}")):
+                    weyl_convergence_scan(partial(interval_heat_trace, length), [t], d)
+                return
+            row = weyl_convergence_scan(partial(interval_heat_trace, length), [t], d)[0]
+            assert row.trace == trace
+            assert abs(mp.mpf(row.volume_estimate) - exact) <= 3 * math.ulp(float(exact))
+
+    def test_estimate_past_the_power_overflow_matches_mpmath(self):
+        # trace 8.7e-4 at a = 7.04, (4 pi t)^(3/2) = 1.0e310
+        r0, t = 7.2e102, 3.7e205
+        row = weyl_convergence_scan(partial(interval_heat_trace, r0), [t], 3)[0]
+        with mp.workdps(50):
+            exact = interval_heat_trace_mpmath(r0, t) * (4 * mp.pi * mp.mpf(t)) ** 1.5
+        assert float(exact) == pytest.approx(8.7463407029189e306, rel=1e-13)
+        assert abs(mp.mpf(row.volume_estimate) - exact) <= 4 * math.ulp(float(exact))
+
 
 class TestLevelHelpers:
     # box_spectrum against the pure-Python Counter convolution; 15**8 and
@@ -260,8 +305,8 @@ class TestLevelHelpers:
         for side, d, n_max in [(1.0, 3, 5), (0.3, 2, 9), (2.0, 4, 3)]:
             levels = box_spectrum(side, d, n_max, u)
             expanded = np.repeat(levels.energies, levels.multiplicities.astype(int))
-            modes = box_modes(side, d, n_max, u)
-            assert expanded.tolist() == [m.kinetic_energy for m in modes]
+            _, energies = box_modes(side, d, n_max, u)
+            assert expanded.tolist() == energies.tolist()
 
     def test_box_spectrum_counts_exactly_up_to_2_to_the_53(self, u):
         levels = box_spectrum(1.0, 53, 2, u)
@@ -347,8 +392,8 @@ class TestSpectralSumKernel:
 
 
 def test_radial_levels_feed_heat_trace(u):
-    levels = Spectrum([m.kinetic_energy for m in radial_modes(1.0, 50, u)])
+    levels = interval_spectrum(1.0, 50, u)
     result = heat_trace(levels, 0.1, u)
     assert result == pytest.approx(math.fsum(
-        math.exp(-0.1 * m.kinetic_energy) for m in radial_modes(1.0, 50, u)
+        math.exp(-0.1 * energy) for energy in levels.energies.tolist()
     ), rel=1e-14)

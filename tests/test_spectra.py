@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -8,21 +10,22 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from spectherm import (
+    InputError,
     Potential,
     QuadratureSpec,
     Spectrum,
     UnitSystem,
-    angular_modes,
     ball_spectrum,
     box_modes,
-    eval_radial_wavefunction,
+    box_spectrum,
     hilbert_dim_min,
     integrate,
     interval_spectrum,
     kinetic_prefactor,
     natural_units,
-    radial_modes,
+    radial_wavefunction,
     solve_radial_numeric,
+    sphere_spectrum,
 )
 from spectherm.spectra import _lapack_lowest
 
@@ -66,117 +69,97 @@ def harmonic_polynomial_dimension(l: int) -> int:
 
 class TestAngularModes:
     def test_l_zero_sector(self, u):
-        modes = angular_modes(0, u)
-        assert len(modes) == 1
-        assert modes[0].l == 0
-        assert modes[0].kinetic_energy == 0.0
-        assert modes[0].degeneracy == 1
+        levels = sphere_spectrum(0, u)
+        assert len(levels) == 1
+        assert levels.energies[0] == 0.0
+        assert levels.multiplicities[0] == 1
 
     def test_l_one_energy(self, u):
-        assert angular_modes(1, u)[1].kinetic_energy == 2.0
+        assert sphere_spectrum(1, u).energies[1] == 2.0
 
     @pytest.mark.parametrize("l", [1, 2])
     def test_degeneracy_matches_harmonic_polynomial_count(self, u, l):
-        assert angular_modes(l, u)[l].degeneracy == harmonic_polynomial_dimension(l)
+        assert sphere_spectrum(l, u).multiplicities[l] == harmonic_polynomial_dimension(l)
 
     def test_degeneracies_are_odd_integers(self, u):
-        for mode in angular_modes(6, u):
-            assert mode.degeneracy == 2 * mode.l + 1
+        levels = sphere_spectrum(6, u)
+        assert levels.multiplicities.tolist() == [2 * l + 1 for l in range(7)]
 
     def test_energies_nonnegative_and_increasing(self, u):
-        modes = angular_modes(8, u)
-        energies = [m.kinetic_energy for m in modes]
-        assert all(e >= 0.0 for e in energies)
-        assert energies == sorted(energies)
+        energies = sphere_spectrum(8, u).energies
+        assert np.all(energies >= 0.0)
+        assert np.all(np.diff(energies) > 0.0)
 
     def test_negative_l_max_rejected(self, u):
         with pytest.raises(ValueError):
-            angular_modes(-1, u)
+            sphere_spectrum(-1, u)
 
 
 class TestRadialModes:
     def test_ground_mode_unit_ball(self, u):
-        mode = radial_modes(1.0, 1, u)[0]
-        assert mode.wavenumber == math.pi
-        assert mode.kinetic_energy == pytest.approx(math.pi**2, rel=1e-15)
+        assert interval_spectrum(1.0, 1, u).energies[0] == math.pi**2
+        # the mode function has wavenumber pi exactly
+        assert radial_wavefunction(1, 1.0, 0.3) == math.sqrt(2.0) * math.sin(math.pi * 0.3) / 0.3
 
     def test_wavenumber_substitution(self, u):
-        mode = radial_modes(2.0, 3, u)[2]
-        assert mode.wavenumber == pytest.approx(3.0 * math.pi / 2.0, rel=1e-15)
+        energy = interval_spectrum(2.0, 3, u).energies[2]
+        assert math.sqrt(energy) == pytest.approx(3.0 * math.pi / 2.0, rel=1e-15)
 
     def test_energy_ratios_are_squares(self, u):
-        modes = radial_modes(0.7, 6, u)
-        e1 = modes[0].kinetic_energy
-        for mode in modes:
-            assert mode.kinetic_energy / e1 == pytest.approx(mode.n**2, rel=1e-12)
+        energies = interval_spectrum(0.7, 6, u).energies
+        for n, energy in enumerate(energies, start=1):
+            assert energy / energies[0] == pytest.approx(n**2, rel=1e-12)
 
     def test_validation(self, u):
         with pytest.raises(ValueError):
-            radial_modes(0.0, 3, u)
+            interval_spectrum(0.0, 3, u)
         with pytest.raises(ValueError):
-            radial_modes(1.0, 0, u)
+            interval_spectrum(1.0, 0, u)
 
 
 class TestRadialWavefunction:
-    def test_midpoint_value(self, u):
-        mode = radial_modes(1.0, 1, u)[0]
-        assert eval_radial_wavefunction(mode, 0.5) == pytest.approx(
-            2.0 * math.sqrt(2.0), rel=1e-15
-        )
+    def test_midpoint_value(self):
+        assert radial_wavefunction(1, 1.0, 0.5) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
 
-    def test_vanishes_at_boundary(self, u):
-        mode = radial_modes(1.0, 1, u)[0]
-        assert abs(eval_radial_wavefunction(mode, 1.0)) < 1e-14
+    def test_vanishes_at_boundary(self):
+        assert abs(radial_wavefunction(1, 1.0, 1.0)) < 1e-14
 
     @pytest.mark.parametrize("r", [0.0, -0.5, 1.0 + 1e-12])
-    def test_domain_enforced(self, u, r):
-        mode = radial_modes(1.0, 1, u)[0]
+    def test_domain_enforced(self, r):
         with pytest.raises(ValueError):
-            eval_radial_wavefunction(mode, r)
+            radial_wavefunction(1, 1.0, r)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("r0", [0.5, 1.0, 2.0])
-    def test_normalization(self, u, n, r0):
-        mode = radial_modes(r0, n, u)[n - 1]
-
+    def test_normalization(self, n, r0):
         def integrand(r):
-            psi = eval_radial_wavefunction(mode, r)
+            psi = radial_wavefunction(n, r0, r)
             return r * r * psi * psi
 
         value = integrate(integrand, 0.0, r0, QuadratureSpec(1e-11, 60))
         assert value == pytest.approx(1.0, abs=1e-10)
 
-    def test_orthonormality_gram(self, u):
+    def test_orthonormality_gram(self):
         # r^2-weighted overlaps of the first five modes form the identity
         for r0 in (0.5, 1.0, 2.0):
-            modes = radial_modes(r0, 5, u)
-            for i, mi in enumerate(modes):
-                for j, mj in enumerate(modes):
-                    if j < i:
-                        continue
+            for i in range(1, 6):
+                for j in range(i, 6):
 
                     def integrand(r):
                         return (
                             r
                             * r
-                            * eval_radial_wavefunction(mi, r)
-                            * eval_radial_wavefunction(mj, r)
+                            * radial_wavefunction(i, r0, r)
+                            * radial_wavefunction(j, r0, r)
                         )
 
                     value = integrate(integrand, 0.0, r0, QuadratureSpec(1e-10, 60))
                     expected = 1.0 if i == j else 0.0
                     assert abs(value - expected) < 1e-8
 
-    def test_overlap_matches_mpmath(self, u):
-        modes = radial_modes(2.0, 3, u)
-
+    def test_overlap_matches_mpmath(self):
         def integrand(r):
-            return (
-                r
-                * r
-                * eval_radial_wavefunction(modes[0], r)
-                * eval_radial_wavefunction(modes[2], r)
-            )
+            return r * r * radial_wavefunction(1, 2.0, r) * radial_wavefunction(3, 2.0, r)
 
         ours = integrate(integrand, 0.0, 2.0, QuadratureSpec(1e-11, 60))
         assert ours == pytest.approx(radial_overlap_mpmath(1, 3, 2.0), abs=1e-10)
@@ -195,9 +178,8 @@ class TestNumericSolver:
 
     def test_five_lowest_match_analytic(self, u):
         spectrum = solve_radial_numeric(1.0, 2000, 5, u)
-        for mode in radial_modes(1.0, 5, u):
-            numeric = spectrum.energies[mode.n - 1]
-            assert abs(numeric - mode.kinetic_energy) / mode.kinetic_energy < 1e-4
+        for numeric, exact in zip(spectrum.energies, interval_spectrum(1.0, 5, u).energies):
+            assert abs(numeric - exact) / exact < 1e-4
 
     def test_energy_ratios(self, u):
         spectrum = solve_radial_numeric(1.0, 2000, 5, u)
@@ -409,17 +391,15 @@ class TestNumericSolver:
 
 class TestHilbertDimMin:
     def test_free_ball_ground_space(self, u):
-        energies = [m.kinetic_energy for m in radial_modes(1.0, 8, u)]
-        assert hilbert_dim_min(Spectrum(energies)) == 1
+        assert hilbert_dim_min(interval_spectrum(1.0, 8, u)) == 1
 
     def test_sphere_kernel(self, u):
-        expanded = [
-            m.kinetic_energy for m in angular_modes(4, u) for _ in range(m.degeneracy)
-        ]
+        sphere = sphere_spectrum(4, u)
+        expanded = np.repeat(sphere.energies, sphere.multiplicities.astype(int))
         assert hilbert_dim_min(Spectrum(expanded)) == 1
 
     def test_cube_first_excited_level(self, u):
-        energies = [m.kinetic_energy for m in box_modes(1.0, 3, 3, u)]
+        _, energies = box_modes(1.0, 3, 3, u)
         assert hilbert_dim_min(Spectrum(energies[1:])) == 3
 
     def test_all_equal(self):
@@ -452,34 +432,68 @@ class TestHilbertDimMin:
         assert hilbert_dim_min(scaled) == hilbert_dim_min(spectrum)
 
 
+def box_modes_by_tuples(side, d, n_max_per_axis, u):
+    """Reference enumeration: one Python tuple per mode, sorted by (energy, tuple)."""
+    scale = kinetic_prefactor(u) * (math.pi / side) ** 2
+    modes = sorted(
+        (scale * sum(n * n for n in numbers), numbers)
+        for numbers in itertools.product(range(1, n_max_per_axis + 1), repeat=d)
+    )
+    return [list(numbers) for _, numbers in modes], [energy for energy, _ in modes]
+
+
 class TestBoxModes:
     def test_ground_state_cube(self, u):
-        modes = box_modes(1.0, 3, 2, u)
-        assert modes[0].quantum_numbers == (1, 1, 1)
-        assert modes[0].kinetic_energy == pytest.approx(3.0 * math.pi**2, rel=1e-14)
+        numbers, energies = box_modes(1.0, 3, 2, u)
+        assert numbers[0].tolist() == [1, 1, 1]
+        assert energies[0] == pytest.approx(3.0 * math.pi**2, rel=1e-14)
 
     def test_ground_state_unique(self, u):
-        energies = [m.kinetic_energy for m in box_modes(1.0, 3, 2, u)]
+        _, energies = box_modes(1.0, 3, 2, u)
         assert hilbert_dim_min(Spectrum(energies)) == 1
 
     def test_one_dimensional_box_equals_radial_spectrum(self, u):
-        box = box_modes(1.0, 1, 5, u)
-        radial = radial_modes(1.0, 5, u)
-        for bm, rm in zip(box, radial):
-            assert bm.kinetic_energy == pytest.approx(rm.kinetic_energy, rel=1e-14)
+        _, box = box_modes(1.0, 1, 5, u)
+        radial = interval_spectrum(1.0, 5, u).energies
+        assert box == pytest.approx(radial, rel=1e-14)
 
     def test_degenerate_levels_in_lexicographic_order(self, u):
-        modes = box_modes(1.0, 3, 2, u)
-        first_excited = [m.quantum_numbers for m in modes[1:4]]
-        assert first_excited == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
+        numbers, _ = box_modes(1.0, 3, 2, u)
+        assert numbers[1:4].tolist() == [[1, 1, 2], [1, 2, 1], [2, 1, 1]]
 
     def test_energies_sorted(self, u):
-        modes = box_modes(2.0, 2, 4, u)
-        energies = [m.kinetic_energy for m in modes]
-        assert energies == sorted(energies)
+        _, energies = box_modes(2.0, 2, 4, u)
+        assert np.all(np.diff(energies) >= 0.0)
 
     def test_mode_count(self, u):
-        assert len(box_modes(1.0, 3, 3, u)) == 27
+        numbers, energies = box_modes(1.0, 3, 3, u)
+        assert numbers.shape == (27, 3) and energies.shape == (27,)
+
+    @pytest.mark.parametrize(
+        "side, d, n_max, units",
+        [
+            (1.0, 3, 4, UnitSystem(1.0, 1.0, 0.5)),
+            (0.3, 2, 9, UnitSystem(1.3, 1.0, 0.7)),
+            (2.0, 4, 3, UnitSystem(1e-3, 1.0, 1.9)),
+            (5.5, 1, 7, UnitSystem(17.0, 1.0, 0.5)),
+            (0.37, 5, 2, UnitSystem(2.9, 1.0, 0.5)),
+        ],
+    )
+    def test_matches_tuple_enumeration_bit_for_bit(self, side, d, n_max, units):
+        numbers, energies = box_modes(side, d, n_max, units)
+        reference_numbers, reference_energies = box_modes_by_tuples(side, d, n_max, units)
+        assert numbers.dtype == np.int64
+        assert numbers.tolist() == reference_numbers
+        assert energies.tolist() == reference_energies
+
+    def test_one_mode_in_any_dimension(self, u):
+        # beyond the 64 axes of np.indices, and as cheap as the mode count
+        numbers, energies = box_modes(1.0, 100_000, 1, u)
+        assert numbers.shape == (1, 100_000) and np.all(numbers == 1)
+        assert energies.tolist() == [math.pi**2 * 100_000]
+        levels = box_spectrum(1.0, 10**6, 1, u)
+        assert levels.energies.tolist() == [math.pi**2 * 10**6]
+        assert levels.multiplicities.tolist() == [1.0]
 
     def test_validation(self, u):
         with pytest.raises(ValueError):
@@ -488,6 +502,8 @@ class TestBoxModes:
             box_modes(1.0, 0, 2, u)
         with pytest.raises(ValueError):
             box_modes(1.0, 3, 0, u)
+        with pytest.raises(InputError, match=r"2\*\*54 box modes"):
+            box_modes(1.0, 54, 2, u)
 
 
 class TestLevelOverflow:
@@ -498,8 +514,12 @@ class TestLevelOverflow:
         [
             (lambda u: interval_spectrum(1e-200, 5, u), "length=1e-200, n_max=5"),
             (lambda u: ball_spectrum(1e-200, 5, 0, u), "length=1e-200, n_max=5"),
-            (lambda u: ball_spectrum(1e10, 5, 10, UnitSystem(1e154, 1.0, 0.5)),
-             "r0=10000000000.0, n_max=5, l_max=10"),
+            # the sectors overflow first, and sphere_spectrum names l_max
+            (lambda u: ball_spectrum(1e10, 5, 10, UnitSystem(1e154, 1.0, 0.5)), "at l_max=10"),
+            # neither the top sector nor the top radial level overflows, their sum does
+            (lambda u: ball_spectrum(11.0, 5, 1, UnitSystem(1e154, 1.0, 1.0)),
+             "r0=11.0, n_max=5, l_max=1"),
+            (lambda u: sphere_spectrum(3, UnitSystem(1.0, 1.0, 1e-308)), "at l_max=3"),
             (lambda u: box_modes(1e-200, 3, 4, u), "side=1e-200, n_max=4"),
             (lambda u: box_modes(1e-153, 3, 4, u), "side=1e-153, n_max=4"),
         ],
@@ -512,13 +532,37 @@ class TestLevelOverflow:
 
     def test_largest_finite_levels_accepted(self, u):
         side = math.pi * math.sqrt(48.0 / 1.7e308)
-        assert box_modes(side, 3, 4, u)[-1].kinetic_energy < math.inf
+        assert box_modes(side, 3, 4, u)[1][-1] < math.inf
         assert interval_spectrum(1e-150, 4, u).energies[-1] < math.inf
+
+    # a key-1 energy below the normal range would merge or blur levels
+    @pytest.mark.parametrize(
+        "build, named",
+        [
+            (lambda u: box_spectrum(1e200, 3, 4, u), "side=1e+200, n_max=4"),
+            (lambda u: box_spectrum(1e155, 3, 1, u), "side=1e+155, n_max=1"),
+            (lambda u: box_modes(1e200, 2, 3, u), "side=1e+200, n_max=3"),
+            (lambda u: ball_spectrum(1e200, 4, 0, u), "r0=1e+200, n_max=4, l_max=0"),
+            (lambda u: ball_spectrum(1.0, 4, 2, UnitSystem(1e-155, 1.0, 1.0)),
+             "r0=1.0, n_max=4, l_max=2"),
+        ],
+    )
+    def test_underflow_names_the_inputs(self, u, build, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=re.escape(f"underflow at {named}") + "$"):
+                build(u)
+
+    def test_smallest_normal_key_energy_accepted(self, u):
+        side = math.pi / math.sqrt(2.0**-1022) / 2.0  # key-1 energy 2**-1020
+        assert box_spectrum(side, 3, 2, u).energies[0] == 3 * 2.0**-1020
+        assert ball_spectrum(side, 2, 0, u).energies[0] == 2.0**-1020
+        assert interval_spectrum(1e200, 3, u).energies.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_all_mode_families_have_nonnegative_energies(u):
-    assert all(m.kinetic_energy >= 0.0 for m in angular_modes(6, u))
-    assert all(m.kinetic_energy >= 0.0 for m in radial_modes(0.3, 6, u))
-    assert all(m.kinetic_energy >= 0.0 for m in box_modes(1.5, 2, 4, u))
+    assert np.all(sphere_spectrum(6, u).energies >= 0.0)
+    assert np.all(interval_spectrum(0.3, 6, u).energies >= 0.0)
+    assert np.all(box_modes(1.5, 2, 4, u)[1] >= 0.0)
     spectrum = solve_radial_numeric(1.0, 200, 5, natural_units())
     assert np.all(spectrum.energies >= 0.0)

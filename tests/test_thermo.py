@@ -17,10 +17,10 @@ from spectherm import (
     entropy_from_density,
     hilbert_dim_min,
     ideal_gas_entropy,
+    interval_spectrum,
     natural_units,
     qm_partition,
     quasistatic_partition,
-    radial_modes,
     solve_fiducial_wavenumber,
     thermal_partition,
 )
@@ -29,8 +29,7 @@ from oracles import ENTROPY_EXPECTATION, entropy_expectation_mpmath
 
 
 def radial_levels(n_max, r0=1.0, u=None):
-    u = u or natural_units()
-    return Spectrum([m.kinetic_energy for m in radial_modes(r0, n_max, u)])
+    return interval_spectrum(r0, n_max, u or natural_units())
 
 
 class TestFundamentalEquation:
