@@ -29,7 +29,15 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .spectra import Spectrum
-from .units import InputError, UnitSystem, kinetic_prefactor, require_at_least, require_positive
+from .units import (
+    PI_RATIONAL,
+    InputError,
+    UnitSystem,
+    kinetic_prefactor,
+    require_at_least,
+    require_normal,
+    require_positive,
+)
 
 __all__ = [
     "WeylScanRow",
@@ -38,8 +46,6 @@ __all__ = [
     "weyl_volume_estimate",
     "weyl_convergence_scan",
 ]
-
-_PI = Fraction("3.14159265358979323846264338327950288419716939937510")
 
 
 class WeylScanRow(NamedTuple):
@@ -70,12 +76,6 @@ def heat_trace(spectrum: Spectrum, t: float, u: UnitSystem) -> float:
     return _boltzmann_sum(spectrum, t / kinetic_prefactor(u))
 
 
-def _require_normal(name: str, value: float) -> None:
-    """Raise InputError unless value is positive, finite and not subnormal."""
-    if not (math.isfinite(value) and value >= 2.0**-1022):
-        raise InputError(f"{name} must be positive, finite and normal, got {value!r}")
-
-
 def _gaussians(scale: float) -> list[float]:
     """exp(-scale k^2) for k = 1, 2, ..., up to the first that underflows to 0.0."""
     return list(takewhile(bool, (math.exp(-k * k * scale) for k in count(1))))
@@ -91,12 +91,12 @@ def interval_heat_trace(length: float, t: float) -> float:
     once, c carries a Newton correction, and each side goes through fsum.
     """
     require_positive("length", length)
-    _require_normal("t", t)
-    a = Fraction(t) * _PI**2 / Fraction(length) ** 2
+    require_normal("t", t)
+    a = Fraction(t) * PI_RATIONAL**2 / Fraction(length) ** 2
     if a >= Fraction(1, 10):
         return math.fsum(_gaussians(float(min(a, 746))))  # float(a) may overflow; exp(-746) == 0
     e = (a.denominator.bit_length() - a.numerator.bit_length()) // 2
-    s = _PI / a / Fraction(4) ** e  # c^2 / 4^e, near 1
+    s = PI_RATIONAL / a / Fraction(4) ** e  # c^2 / 4^e, near 1
     root = math.sqrt(s)
     c = math.ldexp(root, e)  # OverflowError if the trace does not fit a double
     c_low = math.ldexp(float((s - Fraction(root) ** 2) / (2 * Fraction(root))), e)
@@ -153,7 +153,7 @@ def weyl_convergence_scan(
     require_at_least("axes", axes, 1)
     rows = []
     for t in t_values:
-        _require_normal("t", t)  # 4 pi t keeps every digit of a normal t only
+        require_normal("t", t)  # 4 pi t keeps every digit of a normal t only
         try:
             axis = axis_trace(t)
             estimate = _times_weyl_power(axis, t, Fraction(d, 2 * axes))

@@ -42,7 +42,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .units import InputError, UnitSystem, kinetic_prefactor, require_at_least, require_positive
+from .units import (
+    PI_RATIONAL,
+    InputError,
+    UnitSystem,
+    kinetic_prefactor,
+    require_at_least,
+    require_positive,
+)
 
 __all__ = [
     "Spectrum",
@@ -354,18 +361,13 @@ def solve_radial_numeric(
     )
 
 
-# pi to 40 digits, as the fraction _PI_NUMERATOR / _PI_DENOMINATOR
-_PI_NUMERATOR = 31415926535897932384626433832795028841971
-_PI_DENOMINATOR = 10**40
-
-
 def _free_energies(inv_h2: float, grid_points: int, k_lowest: int) -> np.ndarray:
     # Eigenvalues 4 inv_h2 sin^2(j pi / (2 (N - 1))), j = 1..k_lowest, of
     # inv_h2 * tridiag(-1, 2, -1) of order N - 2. The angle is a quotient of
     # integers, which Python rounds correctly; j * math.pi / (2 (N - 1))
     # rounds twice and costs up to ~2 more ulp in the energy.
-    den = _PI_DENOMINATOR * 2 * (grid_points - 1)
-    sines = np.array([math.sin(_PI_NUMERATOR * j / den) for j in range(1, k_lowest + 1)])
+    den = PI_RATIONAL.denominator * 2 * (grid_points - 1)
+    sines = np.array([math.sin(PI_RATIONAL.numerator * j / den) for j in range(1, k_lowest + 1)])
     return 4.0 * inv_h2 * sines * sines
 
 

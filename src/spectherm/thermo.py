@@ -4,7 +4,7 @@ Covers the ideal-gas fundamental equation S(V) = S0 + k_B ln(V/V0), the
 entropy expectation in a radial mode with its volume-independent closed
 form, the relation |psi|^2 = exp(S/k_B), the constraint fixing the fiducial
 wavenumber, the imaginary-time/temperature substitution tau = hbar/(k_B T),
-and the partition functions built from a discrete level list.
+and the partition sums over a level list, all through heattrace's kernel.
 
 The fiducial entropy S0 may be the formal value -infinity; that limit is
 carried as an explicit IEEE -inf (never a large negative float) and short
@@ -14,13 +14,12 @@ circuits the wavenumber constraint to the pure sine-node solutions.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .heattrace import _boltzmann_sum
 from .spectra import Spectrum, hilbert_dim_min, radial_wavefunction
 from .specfun import DEFAULT_QUADRATURE, integrate, sine_integral
-from .units import InputError, UnitSystem, require_at_least, require_positive
+from .units import PI_RATIONAL, InputError, UnitSystem, require_at_least, require_positive
 
 __all__ = [
     "NEGATIVE_INFINITE_ENTROPY",
@@ -143,34 +142,17 @@ def entropy_from_density(psi_squared: float, u: UnitSystem) -> float:
     return u.k_boltzmann * math.log(psi_squared)
 
 
-_MAX_EXP_ARGUMENT = math.log(sys.float_info.max)
-
-
 def boltzmann_weight_from_entropy(s: float, u: UnitSystem) -> float:
     """exp(S/k_B), the statistical weight attached to an entropy value."""
     if not math.isfinite(s):
         raise InputError(f"entropy must be finite, got {s!r}")
     exponent = s / u.k_boltzmann
-    if exponent > _MAX_EXP_ARGUMENT:
+    try:
+        return math.exp(exponent)
+    except OverflowError:
         raise EntropyOverflowError(
             f"exp({exponent:.6g}) exceeds the double-precision range"
-        )
-    return math.exp(exponent)
-
-
-def _bisect_increasing(target: float, lo: float, hi: float) -> float:
-    # sin is increasing on [lo, hi]; solve sin(x) = target.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if math.sin(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    return 0.5 * (lo + hi)
+        ) from None
 
 
 def solve_fiducial_wavenumber(
@@ -181,9 +163,10 @@ def solve_fiducial_wavenumber(
     In the formal S0 = -inf limit the constraint degenerates to sin(c r0) = 0
     and the roots are exactly branch * pi / r0. For finite S0 the roots
     alternate between the rising and the falling quarter of each positive
-    lobe of the sine, so divmod(branch - 1, 2) names the quarter and one
-    bisection finds the root, whatever the branch. There is no real
-    solution once exp(S0/(2 k_B)) exceeds 1/r0.
+    lobe of the sine, and (k, falling) = divmod(branch - 1, 2) names them.
+    With y = r0 exp(S0/(2 k_B)) the root is closed form, whatever the branch:
+    c r0 = 2 pi k + asin(y), or 2 pi k + pi - asin(y) when falling. There is
+    no real solution once exp(S0/(2 k_B)) exceeds 1/r0.
     """
     require_positive("r0", r0)
     require_at_least("branch", branch, 1)
@@ -201,15 +184,13 @@ def solve_fiducial_wavenumber(
     target = math.exp(log_rhs) * r0  # solve sin(x) = target with x = c * r0
     if target >= 1.0:
         # tangency (exact or by rounding): one root per period, at the maxima
-        x = 0.5 * math.pi + 2.0 * math.pi * (branch - 1)
-        return x / r0
+        return (0.5 * math.pi + 2.0 * math.pi * (branch - 1)) / r0
 
     period, falling = divmod(branch - 1, 2)
-    base = 2.0 * math.pi * period
-    x = _bisect_increasing(target, base, base + 0.5 * math.pi)  # rising: sin goes 0 -> 1
+    x = math.asin(target)  # the root on the rising quarter, where sin goes 0 -> 1
     if falling:  # sin goes 1 -> 0: reflect the rising root about the maximum
-        x = base + math.pi - (x - base)
-    return x / r0
+        x = math.pi - x
+    return (float(2 * period * PI_RATIONAL) + x) / r0  # 2 pi k rounded once
 
 
 def _dual(name: str, value: float, u: UnitSystem) -> float:
@@ -254,21 +235,19 @@ def thermal_partition(spectrum: Spectrum, temperature: float, u: UnitSystem) -> 
 def quasistatic_partition(spectrum: Spectrum, tau: float, u: UnitSystem) -> float:
     """Ground-level contribution: dim(lowest eigenspace) * exp(-E_min tau / hbar).
 
-    At tau = 0 this returns the lowest-level multiplicity exactly, counting
-    levels that are degenerate with the minimum under the default tolerance.
+    The eigenspace counts the levels degenerate with the minimum under the
+    default tolerance. The term goes through qm_partition's kernel as a
+    one-level spectrum: at tau = 0 it is that dimension exactly, and on a
+    one-level spectrum it equals qm_partition bit for bit.
     """
     if not (math.isfinite(tau) and tau >= 0.0):
         raise InputError(f"tau must be >= 0 and finite, got {tau!r}")
-    dim = hilbert_dim_min(spectrum)
-    if tau == 0.0:
-        return float(dim)
     e_min = float(spectrum.energies[0])
-    exponent = -e_min * tau / u.hbar
-    if exponent <= _MAX_EXP_ARGUMENT:
-        value = dim * math.exp(exponent)
-        if math.isfinite(value):
-            return value
-    raise OverflowError(
-        f"quasistatic partition at tau={tau!r} with E_min={e_min!r} "
-        "exceeds the double-precision range"
-    )
+    ground = Spectrum([e_min], [hilbert_dim_min(spectrum)])
+    try:
+        return _boltzmann_sum(ground, tau / u.hbar)
+    except OverflowError:
+        raise OverflowError(
+            f"quasistatic partition at tau={tau!r} with E_min={e_min!r} "
+            "exceeds the double-precision range"
+        ) from None

@@ -1,10 +1,17 @@
-"""Unit system threaded through every computation in the package, and the
-one exception type for arguments and inputs the package rejects."""
+"""Unit system threaded through every computation in the package, the one
+exception type for arguments and inputs the package rejects, and the checks
+and the rational pi that the modules share."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+
+# pi to 50 digits as an exact rational: its products and quotients with
+# integers, rounded once, are the doubles nearest the same values with pi,
+# unless one lies within 1e-50 (relative) of a midpoint between doubles
+PI_RATIONAL = Fraction("3.14159265358979323846264338327950288419716939937510")
 
 
 class InputError(ValueError):
@@ -15,6 +22,12 @@ def require_positive(name: str, value: float) -> None:
     """Raise InputError unless value is positive and finite."""
     if not (math.isfinite(value) and value > 0.0):
         raise InputError(f"{name} must be positive and finite, got {value!r}")
+
+
+def require_normal(name: str, value: float) -> None:
+    """Raise InputError unless value is positive, finite and not subnormal."""
+    if not (math.isfinite(value) and value >= 2.0**-1022):
+        raise InputError(f"{name} must be positive, finite and normal, got {value!r}")
 
 
 def require_at_least(name: str, value: int, k: int) -> None:
@@ -53,8 +66,9 @@ def natural_units() -> UnitSystem:
 def kinetic_prefactor(u: UnitSystem) -> float:
     """hbar^2/(2m), the factor turning a squared wavenumber into an energy.
 
-    Raises InputError if it underflows to zero or overflows.
+    Raises InputError if it overflows or underflows to zero or to a
+    subnormal, where every energy built from it would lose digits.
     """
     pref = u.hbar * u.hbar / (2.0 * u.mass)
-    require_positive("hbar^2/(2 mass)", pref)
+    require_normal("hbar^2/(2 mass)", pref)
     return pref

@@ -632,6 +632,7 @@ class TestExitCodesAndOutput:
             ["spectrum", "--kind", "numeric", "--hbar", "1e-200", "--grid-points", "100", "--k", "2"],
             ["weyl", "--domain", "ball", "--t", "1", "--hbar", "1e-200", "--n-max", "5"],
             ["spectrum", "--kind", "radial", "--hbar", "1e200"],
+            ["spectrum", "--kind", "radial", "--hbar", "1e-155", "--mass", "1", "--n-max", "2"],
             ["weyl", "--domain", "ball", "--r0", "10", "--t", "5e-324", "--n-max", "5"],
             ["partition", "--domain", "cube", "--d", "40", "--n-max", "5"],
         ],

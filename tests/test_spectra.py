@@ -543,8 +543,6 @@ class TestLevelOverflow:
             (lambda u: box_spectrum(1e155, 3, 1, u), "side=1e+155, n_max=1"),
             (lambda u: box_modes(1e200, 2, 3, u), "side=1e+200, n_max=3"),
             (lambda u: ball_spectrum(1e200, 4, 0, u), "r0=1e+200, n_max=4, l_max=0"),
-            (lambda u: ball_spectrum(1.0, 4, 2, UnitSystem(1e-155, 1.0, 1.0)),
-             "r0=1.0, n_max=4, l_max=2"),
         ],
     )
     def test_underflow_names_the_inputs(self, u, build, named):
@@ -552,6 +550,20 @@ class TestLevelOverflow:
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match=re.escape(f"underflow at {named}") + "$"):
                 build(u)
+
+    # a subnormal hbar^2/(2m) is rejected input before any level is built
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: ball_spectrum(1.0, 4, 2, v),
+            lambda v: interval_spectrum(1.0, 2, v),
+            lambda v: box_spectrum(1e-150, 3, 2, v),
+        ],
+        ids=["ball", "interval", "box"],
+    )
+    def test_subnormal_prefactor_rejected(self, build):
+        with pytest.raises(InputError, match=re.escape("hbar^2/(2 mass) must be")):
+            build(UnitSystem(1e-155, 1.0, 1.0))
 
     def test_smallest_normal_key_energy_accepted(self, u):
         side = math.pi / math.sqrt(2.0**-1022) / 2.0  # key-1 energy 2**-1020

@@ -1,7 +1,9 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from spectherm import (
     NEGATIVE_INFINITE_ENTROPY,
@@ -10,6 +12,7 @@ from spectherm import (
     FundamentalEquation,
     NoRealSolution,
     Spectrum,
+    UnitSystem,
     boltzmann_weight_from_entropy,
     duality_map,
     duality_map_from_temperature,
@@ -26,6 +29,9 @@ from spectherm import (
 )
 
 from oracles import ENTROPY_EXPECTATION, entropy_expectation_mpmath
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+log_uniform = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
 
 
 def radial_levels(n_max, r0=1.0, u=None):
@@ -238,6 +244,27 @@ class TestFiducialWavenumber:
             2.5 * math.pi, abs=1e-12
         )
 
+    @PROPERTY
+    @given(
+        r0=log_uniform,
+        y=st.one_of(
+            st.floats(min_value=-12.0, max_value=0.0).map(lambda e: 10.0**e),
+            st.floats(min_value=0.9, max_value=1.0),
+        ),
+        branch=st.one_of(st.integers(1, 4), st.integers(1, 10**6)),
+    )
+    def test_root_within_3_ulp_of_mpmath(self, r0, y, branch):
+        u = natural_units()
+        fe = FundamentalEquation(s0=2.0 * math.log(y / r0), v0=1.0)
+        target = math.exp(fe.s0 / 2.0) * r0  # the sine value the solver forms
+        assume(target < 1.0)
+        c = solve_fiducial_wavenumber(fe, r0, branch, u)
+        period, falling = divmod(branch - 1, 2)
+        with mp.workdps(50):
+            rising = mp.asin(mp.mpf(target))
+            x = 2 * mp.pi * period + (mp.pi - rising if falling else rising)
+            assert abs(mp.mpf(c) - x / r0) <= 3 * math.ulp(c)
+
     def test_deep_entropy_limit_approaches_sine_nodes(self, u):
         # as s0 drops, the k-th positive root slides toward (k-1) pi; the
         # sentinel indexing counts the quantized modes n pi instead
@@ -390,6 +417,27 @@ class TestQuasistaticPartition:
             expanded = np.repeat(levels.energies, levels.multiplicities.astype(int))
             dim = hilbert_dim_min(Spectrum(expanded))
             assert quasistatic_partition(levels, 0.0, u) == float(dim)
+
+    # spectra whose ground eigenspace is their first level: a cluster of
+    # distinct near-degenerate levels is counted at E_min, above its own sum
+    @PROPERTY
+    @given(
+        levels=st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=100.0), st.integers(1, 10**6)),
+            min_size=1,
+            max_size=20,
+        ),
+        hbar=log_uniform,
+        tau=log_uniform,
+    )
+    def test_never_exceeds_qm_partition(self, levels, hbar, tau):
+        u = UnitSystem(hbar, 1.0, 0.5)
+        spectrum = Spectrum(*zip(*levels))
+        assume(hilbert_dim_min(spectrum) == spectrum.multiplicities[0])
+        ground = Spectrum(spectrum.energies[:1], spectrum.multiplicities[:1])
+        quasistatic = quasistatic_partition(spectrum, tau, u)
+        assert qm_partition(spectrum, tau, u) >= quasistatic
+        assert qm_partition(ground, tau, u) == quasistatic
 
     def test_overflow_names_tau_and_lowest_energy(self, u):
         # exp(709.0) is finite; 3 * exp(709.0) and exp(1418.0) are not

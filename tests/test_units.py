@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from spectherm import UnitSystem, kinetic_prefactor, natural_units
+from spectherm import InputError, UnitSystem, kinetic_prefactor, natural_units
 
 
 def test_natural_units_defaults():
@@ -43,6 +43,17 @@ def test_prefactor_inverse_in_mass(mass):
 
 def test_prefactor_positive():
     assert kinetic_prefactor(UnitSystem(0.01, 7.0, 30.0)) > 0.0
+
+
+# subnormal (the first two), zero, and overflowing prefactors
+@pytest.mark.parametrize("hbar", [1e-155, 2.0**-511, 1e-170, 1e200])
+def test_prefactor_outside_the_normal_range_rejected(hbar):
+    with pytest.raises(InputError, match=r"^hbar\^2/\(2 mass\) must be .* normal"):
+        kinetic_prefactor(UnitSystem(hbar, 1.0, 1.0))
+
+
+def test_smallest_normal_prefactor_accepted():
+    assert kinetic_prefactor(UnitSystem(2.0**-511, 1.0, 0.5)) == 2.0**-1022
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
