@@ -238,11 +238,7 @@ def _cmd_weyl(args, u: UnitSystem):
         ball = args.domain == "ball"
         length = args.r0 if ball else args.L
         config = {"domain": args.domain, "r0" if ball else "L": length, "d": d}
-        if args.n_max is None:
-            axis_trace = partial(interval_heat_trace, length)
-        else:
-            config["n_max" if ball else "n_max_per_axis"] = args.n_max
-            axis_trace = partial(heat_trace, interval_spectrum(length, args.n_max, u), u=u)
+        axis_trace = partial(interval_heat_trace, length)
 
     config["t"] = list(args.t)
     columns = ["t", "trace", "volume_estimate"]
@@ -269,13 +265,12 @@ def _cmd_entropy(args, u: UnitSystem):
 
 
 def _cmd_fiducial(args, u: UnitSystem):
-    fe = FundamentalEquation(s0=args.s0, v0=args.v0, temperature_fixed=args.temperature)
+    fe = FundamentalEquation(s0=args.s0, v0=args.v0)
     config = {
         "r0": args.r0,
         "s0": None if not fe.has_finite_entropy else args.s0,
         "s0_is_negative_infinity": not fe.has_finite_entropy,
         "v0": args.v0,
-        "temperature_fixed": args.temperature,
         "branch": args.branch,
     }
     c = solve_fiducial_wavenumber(fe, args.r0, args.branch, u)
@@ -381,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("weyl", _cmd_weyl, ("json", "csv"), "volume estimate scan", domain)
     p.add_argument("--t", type=float, action="append", required=True)
-    p.add_argument("--n-max", type=int, default=None)
 
     p = add("entropy", _cmd_entropy, ("json",), "entropy expectation, both routes")
     p.add_argument("--n", type=int, default=1)
@@ -391,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r0", type=float, default=1.0)
     p.add_argument("--s0", type=float, required=True)
     p.add_argument("--v0", type=float, default=1.0)
-    p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--branch", type=int, default=1)
 
     p = add("partition", _cmd_partition, ("json",), "partition functions", domain)

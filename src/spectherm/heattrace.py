@@ -56,8 +56,11 @@ class WeylScanRow(NamedTuple):
 
 def _boltzmann_sum(spectrum: Spectrum, s: float) -> float:
     """Sum of multiplicity * exp(-s * energy) over every level, rounded once."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         terms = spectrum.multiplicities * np.exp(-s * spectrum.energies)
+    if math.isinf(s):  # s overflowed: inf * 0 gave nan, but a zero level weighs exp(0) = 1
+        zero = spectrum.energies == 0.0
+        terms[zero] = spectrum.multiplicities[zero]
     total = math.fsum(terms[terms != 0.0].tolist())
     if not math.isfinite(total):
         raise OverflowError(f"spectral sum at s={s!r} exceeds the double-precision range")

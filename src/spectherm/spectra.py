@@ -13,8 +13,10 @@ multiplicities, as arrays:
   counted exactly on the integer key n_1^2 + ... + n_d^2 (box_spectrum);
   box_modes lists each mode's quantum numbers instead.
 
-One relative gap rule, in hilbert_dim_min, decides which neighbouring
-energies make up the lowest eigenspace.
+The interval, ball and box builders raise OverflowError, naming their
+inputs, when a level overflows or pref (pi/length)^2 (key 1) is not a
+normal double. One relative gap rule, in hilbert_dim_min, decides which
+neighbouring energies make up the lowest eigenspace.
 
 A finite-difference solver covers the radial problem with an arbitrary
 radial potential. Substituting u(r) = r*psi(r) removes the first-derivative
@@ -194,7 +196,7 @@ def interval_spectrum(length: float, n_max: int, u: UnitSystem) -> Spectrum:
     n = np.arange(1, n_max + 1, dtype=np.float64)
     with np.errstate(over="ignore"):
         energies = kinetic_prefactor(u) * (n * math.pi / length) ** 2
-    _require_level_range(energies[-1], length=length, n_max=n_max)
+    _require_level_range(energies[-1], energies[0], length=length, n_max=n_max)
     return Spectrum(energies)
 
 
@@ -208,7 +210,7 @@ def ball_spectrum(r0: float, n_max: int, l_max: int, u: UnitSystem) -> Spectrum:
     radial = interval_spectrum(r0, n_max, u).energies
     with np.errstate(over="ignore"):
         energies = sphere.energies[:, None] + radial
-    _require_level_range(energies[-1, -1], radial[0], r0=r0, n_max=n_max, l_max=l_max)
+    _require_level_range(energies[-1, -1], r0=r0, n_max=n_max, l_max=l_max)
     multiplicities = np.broadcast_to(sphere.multiplicities[:, None], energies.shape)
     return Spectrum(energies.ravel(), multiplicities.ravel())
 

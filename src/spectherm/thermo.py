@@ -4,7 +4,8 @@ Covers the ideal-gas fundamental equation S(V) = S0 + k_B ln(V/V0), the
 entropy expectation in a radial mode with its volume-independent closed
 form, the relation |psi|^2 = exp(S/k_B), the constraint fixing the fiducial
 wavenumber, the imaginary-time/temperature substitution tau = hbar/(k_B T),
-and the partition sums over a level list, all through heattrace's kernel.
+whose dual must be a normal double (OverflowError otherwise), and the
+partition sums over a level list, all through heattrace's kernel.
 
 The fiducial entropy S0 may be the formal value -infinity; that limit is
 carried as an explicit IEEE -inf (never a large negative float) and short
@@ -57,21 +58,18 @@ class EntropyOverflowError(OverflowError):
 
 @dataclass(frozen=True)
 class FundamentalEquation:
-    """Thermostatic reference state (S0, V0) at a fixed temperature.
+    """Thermostatic reference state (S0, V0) of S(V) = S0 + k_B ln(V/V0).
 
-    s0 is either finite or NEGATIVE_INFINITE_ENTROPY. temperature_fixed is
-    recorded for bookkeeping only; S(V) does not depend on it.
+    s0 is either finite or NEGATIVE_INFINITE_ENTROPY.
     """
 
     s0: float
     v0: float
-    temperature_fixed: float = 1.0
 
     def __post_init__(self) -> None:
         if math.isnan(self.s0) or self.s0 == math.inf:
             raise InputError(f"s0 must be finite or -inf, got {self.s0!r}")
         require_positive("v0", self.v0)
-        require_positive("temperature_fixed", self.temperature_fixed)
 
     @property
     def has_finite_entropy(self) -> bool:
@@ -194,11 +192,12 @@ def solve_fiducial_wavenumber(
 
 
 def _dual(name: str, value: float, u: UnitSystem) -> float:
-    # hbar/(k_B value): tau from T or T from tau; out of range is a computational failure
+    # hbar/(k_B value): tau from T or T from tau. A dual that overflows or is
+    # subnormal (it has lost digits) is a computational failure.
     require_positive(name, value)
     dual = u.hbar / (u.k_boltzmann * value)
-    if not (math.isfinite(dual) and dual > 0.0):
-        raise OverflowError(f"hbar/(k_B {name}) at {name}={value!r} leaves the double range")
+    if not (math.isfinite(dual) and dual >= 2.0**-1022):
+        raise OverflowError(f"hbar/(k_B {name}) at {name}={value!r} is not a normal double")
     return dual
 
 

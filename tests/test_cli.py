@@ -294,6 +294,21 @@ class TestPartitionCommand:
         assert report["results"]["quasistatic"] == 3.0
         assert report["results"]["qm"] == pytest.approx(3.0 + math.exp(-1.0), rel=1e-14)
 
+    def test_zero_level_where_tau_over_hbar_overflows(self, capsys, tmp_path):
+        # tau/hbar overflows to inf: the zero level keeps its weight, the other drops
+        path = tmp_path / "levels.txt"
+        path.write_text("0,1\n1,1\n")
+        argv = ["partition", "--domain", "custom", "--levels", str(path), "--tau", "1e300",
+                "--hbar", "1e-10", "--kb", "1e-300"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        results = json.loads(captured.out)["results"]
+        assert results["qm"] == results["quasistatic"] == results["qm_over_quasistatic"] == 1.0
+        assert results["dual_temperature"] == 1e-10
+
     def test_angular_sectors_enlarge_level_list(self, capsys):
         bare = run_json(
             capsys, ["partition", "--domain", "ball", "--tau", "1", "--n-max", "5"]
@@ -614,8 +629,7 @@ class TestExitCodesAndOutput:
         "argv",
         [
             ["weyl", "--domain", "ball", "--t", "0"],
-            ["weyl", "--domain", "ball", "--t", "-1", "--n-max", "5"],
-            ["weyl", "--domain", "ball", "--t", "0.1", "--n-max", "0"],
+            ["weyl", "--domain", "ball", "--t", "-1"],
             ["weyl", "--domain", "cube", "--t", "0.1", "--d", "0"],
             ["weyl", "--domain", "ball", "--t", "0.1", "--r0", "inf"],
             ["weyl", "--domain", "custom", "--levels", "neg.txt", "--t", "0.1"],
@@ -627,13 +641,11 @@ class TestExitCodesAndOutput:
             ["entropy", "--hbar", "0"],
             ["fiducial", "--s0", "nan"],
             ["fiducial", "--s0", "0", "--v0", "-1"],
-            ["fiducial", "--s0", "0", "--temperature", "0"],
             ["duality", "--tau", "inf"],
             ["spectrum", "--kind", "numeric", "--hbar", "1e-200", "--grid-points", "100", "--k", "2"],
-            ["weyl", "--domain", "ball", "--t", "1", "--hbar", "1e-200", "--n-max", "5"],
             ["spectrum", "--kind", "radial", "--hbar", "1e200"],
             ["spectrum", "--kind", "radial", "--hbar", "1e-155", "--mass", "1", "--n-max", "2"],
-            ["weyl", "--domain", "ball", "--r0", "10", "--t", "5e-324", "--n-max", "5"],
+            ["weyl", "--domain", "ball", "--r0", "10", "--t", "5e-324"],
             ["partition", "--domain", "cube", "--d", "40", "--n-max", "5"],
         ],
     )
@@ -656,7 +668,6 @@ class TestExitCodesAndOutput:
             ["partition", "--domain", "ball", "--tau", "1e-320"],
             ["duality", "--temperature", "1e-320"],
             ["weyl", "--domain", "cube", "--L", "1e150", "--t", "1"],
-            ["weyl", "--domain", "ball", "--r0", "1e-200", "--t", "1", "--n-max", "5"],
             ["partition", "--domain", "ball", "--r0", "1e-200"],
             ["partition", "--domain", "cube", "--L", "1e-200"],
             ["spectrum", "--kind", "box", "--L", "1e-200"],
@@ -664,6 +675,10 @@ class TestExitCodesAndOutput:
             ["partition", "--domain", "cube", "--n-max", "4", "--L", "1e200"],
             ["partition", "--domain", "ball", "--n-max", "4", "--r0", "1e200"],
             ["spectrum", "--kind", "box", "--L", "1e200"],
+            ["spectrum", "--kind", "radial", "--r0", "1e160", "--n-max", "2"],
+            # a subnormal dual has lost digits
+            ["duality", "--tau", "1e300", "--hbar", "1e-10"],
+            ["duality", "--temperature", "1e300", "--hbar", "1e-10"],
         ],
     )
     def test_nonfinite_result_exits_1_with_one_error_line(self, capsys, argv):

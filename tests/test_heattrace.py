@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import warnings
 from functools import partial
 
 import mpmath as mp
@@ -380,6 +381,15 @@ class TestSpectralSumKernel:
         base, padded = Spectrum(*zip(*levels)), Spectrum(*zip(*(levels + pad)))
         assert heat_trace(padded, s, U) == heat_trace(base, s, U)
         assert qm_partition(padded, s, U) == qm_partition(base, s, U)
+
+    def test_zero_level_kept_where_s_overflows(self):
+        # t/pref = 1e10/1e-300 overflows to s = inf, where only E = 0 keeps a weight
+        u = UnitSystem(1e-150, 1.0, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # inf * 0 must not reach numpy as nan
+            assert heat_trace(Spectrum([0.0, 1.0]), 1e10, u) == 1.0
+            assert heat_trace(Spectrum([0.0, 1.0], [4, 1]), 1e10, u) == 4.0
+            assert heat_trace(Spectrum([1.0]), 1e10, u) == 0.0
 
     def test_subnormal_terms_are_all_summed(self, u):
         energies = np.linspace(740.0, 744.0, 9)

@@ -542,7 +542,9 @@ class TestLevelOverflow:
             (lambda u: box_spectrum(1e200, 3, 4, u), "side=1e+200, n_max=4"),
             (lambda u: box_spectrum(1e155, 3, 1, u), "side=1e+155, n_max=1"),
             (lambda u: box_modes(1e200, 2, 3, u), "side=1e+200, n_max=3"),
-            (lambda u: ball_spectrum(1e200, 4, 0, u), "r0=1e+200, n_max=4, l_max=0"),
+            # the radial tower's n = 1 level underflows first
+            (lambda u: ball_spectrum(1e200, 4, 0, u), "length=1e+200, n_max=4"),
+            (lambda u: interval_spectrum(1e200, 3, u), "length=1e+200, n_max=3"),
         ],
     )
     def test_underflow_names_the_inputs(self, u, build, named):
@@ -569,7 +571,7 @@ class TestLevelOverflow:
         side = math.pi / math.sqrt(2.0**-1022) / 2.0  # key-1 energy 2**-1020
         assert box_spectrum(side, 3, 2, u).energies[0] == 3 * 2.0**-1020
         assert ball_spectrum(side, 2, 0, u).energies[0] == 2.0**-1020
-        assert interval_spectrum(1e200, 3, u).energies.tolist() == [0.0, 0.0, 0.0]
+        assert interval_spectrum(side, 2, u).energies[0] == 2.0**-1020
 
 
 def test_all_mode_families_have_nonnegative_energies(u):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -320,6 +321,19 @@ class TestDuality:
         with pytest.raises(ValueError):
             DualityPoint(imaginary_time=0.0, temperature=1.0)
 
+    def test_subnormal_dual_rejected(self):
+        # hbar/(k_B x) = 1e-310 is subnormal and has lost digits
+        u2 = UnitSystem(hbar=1e-10, k_boltzmann=1.0, mass=0.5)
+        with pytest.raises(OverflowError, match="tau=1e[+]300 is not a normal double"):
+            duality_map(1e300, u2)
+        with pytest.raises(OverflowError, match="temperature=1e[+]300 is not a normal double"):
+            duality_map_from_temperature(1e300, u2)
+
+    def test_smallest_normal_dual_accepted(self):
+        u2 = UnitSystem(hbar=2.0**-1022, k_boltzmann=1.0, mass=0.5)
+        assert duality_map(1.0, u2).temperature == 2.0**-1022
+        assert duality_map_from_temperature(1.0, u2).imaginary_time == 2.0**-1022
+
 
 class TestQmPartition:
     @pytest.mark.parametrize("tau", [0.1, 1.0, 10.0])
@@ -364,6 +378,18 @@ class TestQmPartition:
         assert qm_partition(levels, 2.0, u2) == qm_partition(
             levels, 1.0, natural_units()
         )
+
+    def test_zero_level_kept_where_tau_over_hbar_overflows(self):
+        # tau/hbar = inf: exp(-inf E) is 1 at E = 0, 0 above and overflows below
+        u2 = UnitSystem(hbar=1e-10, k_boltzmann=1.0, mass=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # inf * 0 must not reach numpy as nan
+            assert qm_partition(Spectrum([0.0, 1.0]), 1e300, u2) == 1.0
+            assert quasistatic_partition(Spectrum([0.0, 1.0]), 1e300, u2) == 1.0
+            assert qm_partition(Spectrum([0.0, 0.0, 2.0], [2, 3, 1]), 1e300, u2) == 5.0
+            assert qm_partition(Spectrum([1.0, 2.0]), 1e300, u2) == 0.0
+            with pytest.raises(OverflowError):
+                qm_partition(Spectrum([-1.0, 0.0]), 1e300, u2)
 
     def test_validation(self, u):
         with pytest.raises(ValueError):
