@@ -1,95 +1,68 @@
 """Laplacian spectra on balls and boxes, heat-trace volume asymptotics,
-and the thermostatic dual picture built on them."""
+and the thermostatic dual picture built on them.
 
-from .heattrace import (
-    WeylScanRow,
-    heat_trace,
-    interval_heat_trace,
-    weyl_convergence_scan,
-    weyl_volume_estimate,
-)
-from .specfun import (
-    DEFAULT_QUADRATURE,
-    QuadratureError,
-    QuadratureSpec,
-    integrate,
-    sine_integral,
-)
-from .spectra import (
-    DEGENERACY_REL_TOLERANCE,
-    NumericSpectrum,
-    Potential,
-    Spectrum,
-    ball_spectrum,
-    box_modes,
-    box_spectrum,
-    hilbert_dim_min,
-    interval_spectrum,
-    radial_wavefunction,
-    solve_radial_numeric,
-    sphere_spectrum,
-)
-from .thermo import (
-    NEGATIVE_INFINITE_ENTROPY,
-    DualityPoint,
-    EntropyOverflowError,
-    FundamentalEquation,
-    NoRealSolution,
-    boltzmann_weight_from_entropy,
-    duality_map,
-    duality_map_from_temperature,
-    entropy_expectation,
-    entropy_from_density,
-    ideal_gas_entropy,
-    qm_partition,
-    quasistatic_partition,
-    solve_fiducial_wavenumber,
-    thermal_partition,
-)
-from .units import InputError, UnitSystem, kinetic_prefactor, natural_units
+The public names load lazily (PEP 562): `import spectherm` imports no
+submodule, and a name imports only the module that defines it. So the
+scalar computations (units, specfun, heattrace, thermo) never load numpy;
+only the names of `spectra`, the level lists and the sums over them, do.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_QUADRATURE",
-    "DEGENERACY_REL_TOLERANCE",
-    "DualityPoint",
-    "EntropyOverflowError",
-    "FundamentalEquation",
-    "InputError",
-    "NEGATIVE_INFINITE_ENTROPY",
-    "NoRealSolution",
-    "NumericSpectrum",
-    "Potential",
-    "QuadratureError",
-    "QuadratureSpec",
-    "Spectrum",
-    "UnitSystem",
-    "WeylScanRow",
-    "ball_spectrum",
-    "boltzmann_weight_from_entropy",
-    "box_modes",
-    "box_spectrum",
-    "duality_map",
-    "duality_map_from_temperature",
-    "entropy_expectation",
-    "entropy_from_density",
-    "heat_trace",
-    "hilbert_dim_min",
-    "ideal_gas_entropy",
-    "integrate",
-    "interval_heat_trace",
-    "interval_spectrum",
-    "kinetic_prefactor",
-    "natural_units",
-    "qm_partition",
-    "quasistatic_partition",
-    "radial_wavefunction",
-    "sine_integral",
-    "solve_fiducial_wavenumber",
-    "solve_radial_numeric",
-    "sphere_spectrum",
-    "thermal_partition",
-    "weyl_convergence_scan",
-    "weyl_volume_estimate",
-]
+_OWNERS = {
+    "heattrace": ("WeylScanRow", "interval_heat_trace", "weyl_convergence_scan"),
+    "specfun": (
+        "DEFAULT_QUADRATURE",
+        "QuadratureError",
+        "QuadratureSpec",
+        "integrate",
+        "sine_integral",
+    ),
+    "spectra": (
+        "DEGENERACY_REL_TOLERANCE",
+        "NumericSpectrum",
+        "Potential",
+        "Spectrum",
+        "ball_spectrum",
+        "box_modes",
+        "box_spectrum",
+        "heat_trace",
+        "hilbert_dim_min",
+        "interval_spectrum",
+        "qm_partition",
+        "quasistatic_partition",
+        "solve_radial_numeric",
+        "sphere_spectrum",
+        "thermal_partition",
+        "weyl_volume_estimate",
+    ),
+    "thermo": (
+        "NEGATIVE_INFINITE_ENTROPY",
+        "DualityPoint",
+        "EntropyOverflowError",
+        "FundamentalEquation",
+        "NoRealSolution",
+        "boltzmann_weight_from_entropy",
+        "duality_map",
+        "duality_map_from_temperature",
+        "entropy_expectation",
+        "entropy_from_density",
+        "ideal_gas_entropy",
+        "radial_wavefunction",
+        "solve_fiducial_wavenumber",
+    ),
+    "units": ("InputError", "UnitSystem", "kinetic_prefactor", "natural_units"),
+}
+_OWNER = {name: module for module, names in _OWNERS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value  # resolved once; later lookups skip this hook
+    return value

@@ -15,6 +15,11 @@ it rejects, and load_levels for an unreadable or malformed level file.
 The front end itself checks only what no library call sees: that a
 custom domain names a level file, and that duality gets a value.
 
+Only the handlers that build a level list import spectra, and with it
+numpy: spectrum, partition, and a custom domain's level file
+(load_levels). The scalar subcommands (entropy, fiducial, duality, and
+weyl on the ball or the cube) run without numpy.
+
 Exit codes: 0 success, 1 computational failure (no real root, quadrature
 breakdown, overflow), 2 rejected input (InputError, an unreadable file, or
 an argument argparse refuses).
@@ -33,34 +38,22 @@ import sys
 import warnings
 from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .heattrace import heat_trace, interval_heat_trace, weyl_convergence_scan
+from .heattrace import interval_heat_trace, weyl_convergence_scan
 from .specfun import DEFAULT_QUADRATURE, QuadratureError
-from .spectra import (
-    DEGENERACY_REL_TOLERANCE,
-    Spectrum,
-    ball_spectrum,
-    box_modes,
-    box_spectrum,
-    hilbert_dim_min,
-    interval_spectrum,
-    solve_radial_numeric,
-    sphere_spectrum,
-)
 from .thermo import (
     FundamentalEquation,
     NoRealSolution,
     duality_map,
     duality_map_from_temperature,
     entropy_expectation,
-    qm_partition,
-    quasistatic_partition,
     solve_fiducial_wavenumber,
 )
 from .units import InputError, UnitSystem, kinetic_prefactor
+
+if TYPE_CHECKING:
+    from .spectra import Spectrum
 
 __all__ = ["load_levels", "run", "main"]
 
@@ -121,6 +114,10 @@ def load_levels(path: str | Path) -> Spectrum:
 
 
 def _parse_levels(source) -> Spectrum:
+    import numpy as np
+
+    from .spectra import Spectrum
+
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         table = np.loadtxt(
@@ -191,34 +188,36 @@ def _render_csv(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
 # ------------------------------ subcommands --------------------------------
 
 def _cmd_spectrum(args, u: UnitSystem):
+    from . import spectra
+
     config: dict = {"kind": args.kind}
     if args.kind == "angular":
         config["l_max"] = args.l_max
-        levels = sphere_spectrum(args.l_max, u)
+        levels = spectra.sphere_spectrum(args.l_max, u)
         columns = ["l", "kinetic_energy", "degeneracy"]
         rows = list(zip(range(args.l_max + 1), levels.energies.tolist(),
-                        levels.multiplicities.astype(np.int64).tolist()))
+                        map(int, levels.multiplicities.tolist())))
     elif args.kind == "radial":
         config.update({"r0": args.r0, "n_max": args.n_max})
-        levels = interval_spectrum(args.r0, args.n_max, u)
-        n = np.arange(1, args.n_max + 1)
+        levels = spectra.interval_spectrum(args.r0, args.n_max, u)
+        n = range(1, args.n_max + 1)
         columns = ["n", "wavenumber", "kinetic_energy"]
-        rows = list(zip(n.tolist(), (n * math.pi / args.r0).tolist(), levels.energies.tolist()))
+        rows = list(zip(n, [k * math.pi / args.r0 for k in n], levels.energies.tolist()))
     elif args.kind == "box":
         config.update({"L": args.L, "d": args.d, "n_max_per_axis": args.n_max})
-        numbers, energies = box_modes(args.L, args.d, args.n_max, u)
+        numbers, energies = spectra.box_modes(args.L, args.d, args.n_max, u)
         columns = ["quantum_numbers", "kinetic_energy"]
         rows = [["x".join(map(str, q)), e] for q, e in zip(numbers.tolist(), energies.tolist())]
     else:  # numeric
         config.update({"r0": args.r0, "grid_points": args.grid_points, "k": args.k})
-        spectrum = solve_radial_numeric(
+        spectrum = spectra.solve_radial_numeric(
             args.r0, args.grid_points, args.k, u, eigvals_only=True
         )
         pref = kinetic_prefactor(u)
         columns = ["index", "energy", "wavenumber_estimate"]
         rows = [
-            [k + 1, float(e), math.sqrt(max(float(e), 0.0) / pref)]
-            for k, e in enumerate(spectrum.energies)
+            [k, e, math.sqrt(max(e, 0.0) / pref)]
+            for k, e in enumerate(spectrum.energies.tolist(), start=1)
         ]
     return config, {"columns": columns, "rows": rows}
 
@@ -232,8 +231,10 @@ def _custom_levels(args) -> Spectrum:
 def _cmd_weyl(args, u: UnitSystem):
     d = args.d if args.d is not None else (3 if args.domain == "cube" else 1)
     if args.domain == "custom":
+        from . import spectra
+
         config = {"domain": "custom", "levels": str(args.levels), "d": d}
-        axis_trace = partial(heat_trace, _custom_levels(args), u=u)
+        axis_trace = partial(spectra.heat_trace, _custom_levels(args), u=u)
     else:
         ball = args.domain == "ball"
         length = args.r0 if ball else args.L
@@ -282,8 +283,10 @@ def _cmd_fiducial(args, u: UnitSystem):
 
 
 def _cmd_partition(args, u: UnitSystem):
+    from . import spectra
+
     if args.domain == "ball":
-        levels = ball_spectrum(args.r0, args.n_max, args.l_max, u)
+        levels = spectra.ball_spectrum(args.r0, args.n_max, args.l_max, u)
         config = {
             "domain": "ball",
             "r0": args.r0,
@@ -292,18 +295,18 @@ def _cmd_partition(args, u: UnitSystem):
         }
     elif args.domain == "cube":
         d = args.d if args.d is not None else 3
-        levels = box_spectrum(args.L, d, args.n_max, u)
+        levels = spectra.box_spectrum(args.L, d, args.n_max, u)
         config = {"domain": "cube", "L": args.L, "d": d, "n_max_per_axis": args.n_max}
     else:
         levels = _custom_levels(args)
         config = {"domain": "custom", "levels": str(args.levels)}
 
     config["tau"] = args.tau
-    config["degeneracy_rel_tolerance"] = DEGENERACY_REL_TOLERANCE
+    config["degeneracy_rel_tolerance"] = spectra.DEGENERACY_REL_TOLERANCE
 
-    dim_min = hilbert_dim_min(levels)
+    dim_min = spectra.hilbert_dim_min(levels)
     results: dict = {
-        "quasistatic": quasistatic_partition(levels, args.tau, u),
+        "quasistatic": spectra.quasistatic_partition(levels, args.tau, u),
         "dim_min": dim_min,
         "level_count": len(levels),
         "qm": None,
@@ -312,9 +315,9 @@ def _cmd_partition(args, u: UnitSystem):
     }
     if args.tau > 0.0:
         # exp(-E_min tau / hbar) cancelled: finite and >= 1 where both sums underflow
-        shifted = Spectrum(levels.energies - levels.energies[0], levels.multiplicities)
-        results["qm"] = qm_partition(levels, args.tau, u)
-        results["qm_over_quasistatic"] = qm_partition(shifted, args.tau, u) / dim_min
+        shifted = spectra.Spectrum(levels.energies - levels.energies[0], levels.multiplicities)
+        results["qm"] = spectra.qm_partition(levels, args.tau, u)
+        results["qm_over_quasistatic"] = spectra.qm_partition(shifted, args.tau, u) / dim_min
         results["dual_temperature"] = duality_map(args.tau, u).temperature
     return config, results
 

@@ -1,82 +1,32 @@
-"""Heat trace over a discrete spectrum and the small-time volume estimate.
+"""Closed-form heat traces and the small-time volume estimate.
 
-The trace sums exp(t * lambda_n) over Laplacian eigenvalues lambda_n <= 0,
-supplied here as kinetic energies E >= 0 through lambda = -E / (hbar^2/2m).
-Multiplying the trace by (4 pi t)^(d/2) recovers the domain volume as
-t -> 0, which is what the convergence scan tabulates.
-
-The heat trace at diffusion time t and the partition function at imaginary
-time tau are the same sum of m * exp(-s * E), with s = t/(hbar^2/2m) or
-s = tau/hbar. One kernel evaluates it for both: every term of the finite
-spectrum is summed exactly by math.fsum (Shewchuk's algorithm) and rounded
-once, so the result does not depend on the order of the levels and nothing
-is truncated: terms that underflowed to exactly 0.0 are skipped, which cannot
-change an fsum, and every nonzero term, subnormal ones too, is summed.
+The heat trace of a Laplacian sums exp(t * lambda_n) over its eigenvalues
+lambda_n <= 0. Multiplying it by (4 pi t)^(d/2) recovers the domain volume
+as t -> 0, which is what the convergence scan tabulates.
 
 The Dirichlet interval trace, which the ball and the cube need, has a
 closed form with nothing truncated (interval_heat_trace). The convergence
-scan takes the one-axis trace as a callable: a closed form or a level list.
+scan takes the one-axis trace as a callable: that closed form, or a sum
+over a level list (spectra.heat_trace). This module uses no arrays, so
+scans of the closed form never load numpy.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
 from itertools import count, takewhile
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
+from .units import PI_RATIONAL, InputError, require_at_least, require_normal, require_positive
 
-from .spectra import Spectrum
-from .units import (
-    PI_RATIONAL,
-    InputError,
-    UnitSystem,
-    kinetic_prefactor,
-    require_at_least,
-    require_normal,
-    require_positive,
-)
-
-__all__ = [
-    "WeylScanRow",
-    "heat_trace",
-    "interval_heat_trace",
-    "weyl_volume_estimate",
-    "weyl_convergence_scan",
-]
+__all__ = ["WeylScanRow", "interval_heat_trace", "weyl_convergence_scan"]
 
 
 class WeylScanRow(NamedTuple):
     t: float
     trace: float
     volume_estimate: float
-
-
-def _boltzmann_sum(spectrum: Spectrum, s: float) -> float:
-    """Sum of multiplicity * exp(-s * energy) over every level, rounded once."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = spectrum.multiplicities * np.exp(-s * spectrum.energies)
-    if math.isinf(s):  # s overflowed: inf * 0 gave nan, but a zero level weighs exp(0) = 1
-        zero = spectrum.energies == 0.0
-        terms[zero] = spectrum.multiplicities[zero]
-    total = math.fsum(terms[terms != 0.0].tolist())
-    if not math.isfinite(total):
-        raise OverflowError(f"spectral sum at s={s!r} exceeds the double-precision range")
-    return total
-
-
-def heat_trace(spectrum: Spectrum, t: float, u: UnitSystem) -> float:
-    """Sum of multiplicity * exp(t * lambda) with lambda = -energy/(hbar^2/2m).
-
-    Every level is summed exactly, so permutations of the input change
-    nothing. Requires t > 0 and nonnegative energies.
-    """
-    require_positive("t", t)
-    if spectrum.energies[0] < 0.0:
-        raise InputError(f"energies must be >= 0, got {float(spectrum.energies[0])!r}")
-    return _boltzmann_sum(spectrum, t / kinetic_prefactor(u))
 
 
 def _gaussians(scale: float) -> list[float]:
@@ -132,11 +82,6 @@ def _times_weyl_power(a: float, t: float, p: Fraction) -> float:
     if scaled < 2.0**-1022:
         raise OverflowError(f"(4 pi t)**p at t={t!r}, p={p} has no accurate double scaling")
     return math.ldexp(scaled, a_e + k)
-
-
-def weyl_volume_estimate(spectrum: Spectrum, t: float, d: int, u: UnitSystem) -> float:
-    """Volume recovered from the trace: heat_trace * (4 pi t)^(d/2)."""
-    return weyl_convergence_scan(partial(heat_trace, spectrum, u=u), [t], d)[0].volume_estimate
 
 
 def weyl_convergence_scan(

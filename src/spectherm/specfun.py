@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .units import InputError, require_at_least, require_positive
 
 __all__ = [
@@ -63,9 +61,22 @@ class QuadratureError(Exception):
         )
 
 
-# 12-point Gauss-Legendre rule on [-1, 1]; exact through polynomial degree 23.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-_GL_PAIRS = tuple(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
+# 12-point Gauss-Legendre rule on [-1, 1], exact through polynomial degree 23:
+# (node, weight) pairs, the bits of numpy.polynomial.legendre.leggauss(12)
+_GL_PAIRS = (
+    (-0.9815606342467192, 0.04717533638651141),
+    (-0.9041172563704748, 0.10693932599531907),
+    (-0.7699026741943047, 0.16007832854334642),
+    (-0.5873179542866175, 0.20316742672306573),
+    (-0.3678314989981802, 0.2334925365383546),
+    (-0.1252334085114689, 0.2491470458134027),
+    (0.1252334085114689, 0.2491470458134027),
+    (0.3678314989981802, 0.2334925365383546),
+    (0.5873179542866175, 0.20316742672306573),
+    (0.7699026741943047, 0.16007832854334642),
+    (0.9041172563704748, 0.10693932599531907),
+    (0.9815606342467192, 0.04717533638651141),
+)
 
 
 def _panel(f: Callable[[float], float], a: float, b: float) -> float:

@@ -1,22 +1,35 @@
-"""Eigenmodes of the kinetic operator on spheres, radial intervals and boxes.
+"""Level lists of the kinetic operator and every sum over them.
 
-Analytic mode families, each a `Spectrum`: sorted energies with their
+This is the array side of the package, and the only module that imports
+numpy: units, specfun, heattrace and thermo compute scalars and never load
+it. Analytic mode families, each a `Spectrum`: sorted energies with their
 multiplicities, as arrays:
 
 * sphere sectors l = 0..l_max, energies proportional to l(l+1) with the
   usual 2l+1 degeneracy (sphere_spectrum);
 * radial modes on [0, r0] that are regular at the origin and vanish at r0,
   which are sine modes of wavenumber n*pi/r0 divided by r
-  (interval_spectrum; radial_wavefunction evaluates them);
+  (interval_spectrum; thermo.radial_wavefunction evaluates them);
 * the ball, sphere sectors tensored with the radial tower (ball_spectrum);
 * Cartesian box modes in d dimensions with vanishing boundary values,
   counted exactly on the integer key n_1^2 + ... + n_d^2 (box_spectrum);
   box_modes lists each mode's quantum numbers instead.
 
-The interval, ball and box builders raise OverflowError, naming their
-inputs, when a level overflows or pref (pi/length)^2 (key 1) is not a
+The interval, ball and box builders, and the solver's closed form, raise
+OverflowError, naming their inputs, when a level overflows or the lowest
+key's energy (pref (pi/length)^2 for the analytic families) is not a
 normal double. One relative gap rule, in hilbert_dim_min, decides which
 neighbouring energies make up the lowest eigenspace.
+
+The heat trace at diffusion time t (heat_trace, weyl_volume_estimate) and
+the partition function at imaginary time tau (qm_partition,
+thermal_partition, quasistatic_partition) are the same sum of
+m * exp(-s * E), with s = t/(hbar^2/2m) or s = tau/hbar. One kernel
+evaluates it for all of them: every term of the finite spectrum is summed
+exactly by math.fsum (Shewchuk's algorithm) and rounded once, so the result
+does not depend on the order of the levels and nothing is truncated: terms
+that underflowed to exactly 0.0 are skipped, which cannot change an fsum,
+and every nonzero term, subnormal ones too, is summed.
 
 A finite-difference solver covers the radial problem with an arbitrary
 radial potential. Substituting u(r) = r*psi(r) removes the first-derivative
@@ -40,10 +53,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .heattrace import weyl_convergence_scan
+from .thermo import duality_map_from_temperature
 from .units import (
     PI_RATIONAL,
     InputError,
@@ -62,10 +78,14 @@ __all__ = [
     "interval_spectrum",
     "ball_spectrum",
     "box_spectrum",
-    "radial_wavefunction",
     "box_modes",
     "solve_radial_numeric",
     "hilbert_dim_min",
+    "heat_trace",
+    "weyl_volume_estimate",
+    "qm_partition",
+    "thermal_partition",
+    "quasistatic_partition",
 ]
 
 # Neighbouring energies E < E' are degenerate when E' - E is at most this
@@ -215,18 +235,6 @@ def ball_spectrum(r0: float, n_max: int, l_max: int, u: UnitSystem) -> Spectrum:
     return Spectrum(energies.ravel(), multiplicities.ravel())
 
 
-def radial_wavefunction(n: int, r0: float, r: float) -> float:
-    """psi_n(r) = sqrt(2/r0) * sin(c_n r) / r, c_n = n*pi/r0, for r in (0, r0].
-
-    Mode n of interval_spectrum(r0, ...), normalized against the r^2 weight
-    on [0, r0]. The value at r = r0 is zero up to the rounding of the sine
-    argument.
-    """
-    if not (0.0 < r <= r0):
-        raise InputError(f"r must lie in (0, {r0!r}], got {r!r}")
-    return math.sqrt(2.0 / r0) * math.sin(n * math.pi / r0 * r) / r
-
-
 def box_modes(
     side: float, d: int, n_max_per_axis: int, u: UnitSystem
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -315,8 +323,10 @@ def solve_radial_numeric(
 
     When U is the same at every interior node (no potential included) the
     eigenpairs are the closed form of the free matrix shifted by that
-    constant, and OverflowError is raised if an energy is not finite; any
-    other potential is solved by LAPACK.
+    constant. OverflowError is raised if an energy is not finite, or if the
+    lowest free energy, before the shift, is not a normal double (it has
+    lost digits, and distinct levels could coincide). Any other potential
+    is solved by LAPACK.
     """
     require_positive("r0", r0)
     require_at_least("grid_points", grid_points, 3)
@@ -342,7 +352,9 @@ def solve_radial_numeric(
     shift = float(u_interior[0])
     modes = None
     if np.all(u_interior == shift):
-        energies = _free_energies(inv_h2, grid_points, k_lowest) + shift
+        free = _free_energies(inv_h2, grid_points, k_lowest)
+        _require_level_range(free[-1], free[0], r0=r0, grid_points=grid_points, k_lowest=k_lowest)
+        energies = free + shift
         if not np.all(np.isfinite(energies)):
             raise OverflowError(
                 f"finite-difference energies overflow: pref/h^2 = {inv_h2!r}, "
@@ -422,3 +434,74 @@ def hilbert_dim_min(spectrum: Spectrum) -> int:
     chained = np.diff(energies) <= DEGENERACY_REL_TOLERANCE * np.abs(energies[1:])
     ground_levels = 1 + int(np.logical_and.accumulate(chained).sum())
     return int(spectrum.multiplicities[:ground_levels].sum())
+
+
+def _boltzmann_sum(spectrum: Spectrum, s: float) -> float:
+    """Sum of multiplicity * exp(-s * energy) over every level, rounded once."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = spectrum.multiplicities * np.exp(-s * spectrum.energies)
+    if math.isinf(s):  # s overflowed: inf * 0 gave nan, but a zero level weighs exp(0) = 1
+        zero = spectrum.energies == 0.0
+        terms[zero] = spectrum.multiplicities[zero]
+    total = math.fsum(terms[terms != 0.0].tolist())
+    if not math.isfinite(total):
+        raise OverflowError(f"spectral sum at s={s!r} exceeds the double-precision range")
+    return total
+
+
+def heat_trace(spectrum: Spectrum, t: float, u: UnitSystem) -> float:
+    """Sum of multiplicity * exp(t * lambda) with lambda = -energy/(hbar^2/2m).
+
+    Every level is summed exactly, so permutations of the input change
+    nothing. Requires t > 0 and nonnegative energies.
+    """
+    require_positive("t", t)
+    if spectrum.energies[0] < 0.0:
+        raise InputError(f"energies must be >= 0, got {float(spectrum.energies[0])!r}")
+    return _boltzmann_sum(spectrum, t / kinetic_prefactor(u))
+
+
+def weyl_volume_estimate(spectrum: Spectrum, t: float, d: int, u: UnitSystem) -> float:
+    """Volume recovered from the trace: heat_trace * (4 pi t)^(d/2)."""
+    return weyl_convergence_scan(partial(heat_trace, spectrum, u=u), [t], d)[0].volume_estimate
+
+
+def qm_partition(spectrum: Spectrum, tau: float, u: UnitSystem) -> float:
+    """Partition sum over levels at imaginary time tau.
+
+    Computes sum of multiplicity * exp(-E tau / hbar) with the heat-trace
+    kernel, so in natural units it equals heat_trace at t = tau bit for bit.
+    """
+    require_positive("tau", tau)
+    return _boltzmann_sum(spectrum, tau / u.hbar)
+
+
+def thermal_partition(spectrum: Spectrum, temperature: float, u: UnitSystem) -> float:
+    """Boltzmann sum at temperature T, evaluated through the dual imaginary time.
+
+    Shares the arithmetic path of qm_partition exactly, so the two sides of
+    the substitution agree bit for bit whenever tau and T are duals.
+    """
+    tau = duality_map_from_temperature(temperature, u).imaginary_time
+    return qm_partition(spectrum, tau, u)
+
+
+def quasistatic_partition(spectrum: Spectrum, tau: float, u: UnitSystem) -> float:
+    """Ground-level contribution: dim(lowest eigenspace) * exp(-E_min tau / hbar).
+
+    The eigenspace counts the levels degenerate with the minimum under the
+    default tolerance. The term goes through qm_partition's kernel as a
+    one-level spectrum: at tau = 0 it is that dimension exactly, and on a
+    one-level spectrum it equals qm_partition bit for bit.
+    """
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise InputError(f"tau must be >= 0 and finite, got {tau!r}")
+    e_min = float(spectrum.energies[0])
+    ground = Spectrum([e_min], [hilbert_dim_min(spectrum)])
+    try:
+        return _boltzmann_sum(ground, tau / u.hbar)
+    except OverflowError:
+        raise OverflowError(
+            f"quasistatic partition at tau={tau!r} with E_min={e_min!r} "
+            "exceeds the double-precision range"
+        ) from None

@@ -2,10 +2,12 @@
 
 Covers the ideal-gas fundamental equation S(V) = S0 + k_B ln(V/V0), the
 entropy expectation in a radial mode with its volume-independent closed
-form, the relation |psi|^2 = exp(S/k_B), the constraint fixing the fiducial
-wavenumber, the imaginary-time/temperature substitution tau = hbar/(k_B T),
-whose dual must be a normal double (OverflowError otherwise), and the
-partition sums over a level list, all through heattrace's kernel.
+form (radial_wavefunction evaluates the mode), the relation
+|psi|^2 = exp(S/k_B), the constraint fixing the fiducial wavenumber, and
+the imaginary-time/temperature substitution tau = hbar/(k_B T), whose dual
+must be a normal double (OverflowError otherwise). Every one of these is a
+scalar computation, so this module uses no arrays; the partition sums over
+a level list live beside the one spectral kernel, in spectra.
 
 The fiducial entropy S0 may be the formal value -infinity; that limit is
 carried as an explicit IEEE -inf (never a large negative float) and short
@@ -17,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .heattrace import _boltzmann_sum
-from .spectra import Spectrum, hilbert_dim_min, radial_wavefunction
 from .specfun import DEFAULT_QUADRATURE, integrate, sine_integral
 from .units import PI_RATIONAL, InputError, UnitSystem, require_at_least, require_positive
 
@@ -35,9 +35,7 @@ __all__ = [
     "duality_map",
     "duality_map_from_temperature",
     "boltzmann_weight_from_entropy",
-    "qm_partition",
-    "thermal_partition",
-    "quasistatic_partition",
+    "radial_wavefunction",
 ]
 
 # Formal fiducial-entropy limit; use this constant rather than an ad-hoc float.
@@ -107,6 +105,18 @@ def ideal_gas_entropy(v: float, fe: FundamentalEquation, u: UnitSystem) -> float
 def _entropy_closed_form(n: int, u: UnitSystem) -> float:
     x = 2.0 * math.pi * n
     return 3.0 * u.k_boltzmann * (sine_integral(x) / x - 1.0)
+
+
+def radial_wavefunction(n: int, r0: float, r: float) -> float:
+    """psi_n(r) = sqrt(2/r0) * sin(c_n r) / r, c_n = n*pi/r0, for r in (0, r0].
+
+    Mode n of spectra.interval_spectrum(r0, ...), normalized against the
+    r^2 weight on [0, r0]. The value at r = r0 is zero up to the rounding of
+    the sine argument.
+    """
+    if not (0.0 < r <= r0):
+        raise InputError(f"r must lie in (0, {r0!r}], got {r!r}")
+    return math.sqrt(2.0 / r0) * math.sin(n * math.pi / r0 * r) / r
 
 
 def _entropy_quadrature(n: int, r0: float, u: UnitSystem) -> float:
@@ -209,44 +219,3 @@ def duality_map(tau: float, u: UnitSystem) -> DualityPoint:
 def duality_map_from_temperature(temperature: float, u: UnitSystem) -> DualityPoint:
     """Imaginary time dual to a temperature: tau = hbar/(k_B T)."""
     return DualityPoint(_dual("temperature", temperature, u), temperature)
-
-
-def qm_partition(spectrum: Spectrum, tau: float, u: UnitSystem) -> float:
-    """Partition sum over levels at imaginary time tau.
-
-    Computes sum of multiplicity * exp(-E tau / hbar) with the heat-trace
-    kernel, so in natural units it equals heat_trace at t = tau bit for bit.
-    """
-    require_positive("tau", tau)
-    return _boltzmann_sum(spectrum, tau / u.hbar)
-
-
-def thermal_partition(spectrum: Spectrum, temperature: float, u: UnitSystem) -> float:
-    """Boltzmann sum at temperature T, evaluated through the dual imaginary time.
-
-    Shares the arithmetic path of qm_partition exactly, so the two sides of
-    the substitution agree bit for bit whenever tau and T are duals.
-    """
-    tau = duality_map_from_temperature(temperature, u).imaginary_time
-    return qm_partition(spectrum, tau, u)
-
-
-def quasistatic_partition(spectrum: Spectrum, tau: float, u: UnitSystem) -> float:
-    """Ground-level contribution: dim(lowest eigenspace) * exp(-E_min tau / hbar).
-
-    The eigenspace counts the levels degenerate with the minimum under the
-    default tolerance. The term goes through qm_partition's kernel as a
-    one-level spectrum: at tau = 0 it is that dimension exactly, and on a
-    one-level spectrum it equals qm_partition bit for bit.
-    """
-    if not (math.isfinite(tau) and tau >= 0.0):
-        raise InputError(f"tau must be >= 0 and finite, got {tau!r}")
-    e_min = float(spectrum.energies[0])
-    ground = Spectrum([e_min], [hilbert_dim_min(spectrum)])
-    try:
-        return _boltzmann_sum(ground, tau / u.hbar)
-    except OverflowError:
-        raise OverflowError(
-            f"quasistatic partition at tau={tau!r} with E_min={e_min!r} "
-            "exceeds the double-precision range"
-        ) from None

@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+__all__ = ["InputError", "UnitSystem", "kinetic_prefactor", "natural_units"]
+
 # pi to 50 digits as an exact rational: its products and quotients with
 # integers, rounded once, are the doubles nearest the same values with pi,
 # unless one lies within 1e-50 (relative) of a midpoint between doubles

@@ -676,6 +676,8 @@ class TestExitCodesAndOutput:
             ["partition", "--domain", "ball", "--n-max", "4", "--r0", "1e200"],
             ["spectrum", "--kind", "box", "--L", "1e200"],
             ["spectrum", "--kind", "radial", "--r0", "1e160", "--n-max", "2"],
+            # so would the finite-difference energies, where h^2 overflows
+            ["spectrum", "--kind", "numeric", "--r0", "1e160", "--grid-points", "10", "--k", "2"],
             # a subnormal dual has lost digits
             ["duality", "--tau", "1e300", "--hbar", "1e-10"],
             ["duality", "--temperature", "1e300", "--hbar", "1e-10"],
@@ -740,8 +742,10 @@ class TestExitCodesAndOutput:
             calls.append(args)
             raise AssertionError("computed a report whose format is refused")
 
-        for name in ("box_spectrum", "entropy_expectation", "solve_fiducial_wavenumber"):
-            monkeypatch.setattr(f"spectherm.cli.{name}", refuse)
+        # where the handlers look each name up: cli reaches spectra only inside them
+        for name in ("spectra.box_spectrum", "cli.entropy_expectation",
+                     "cli.solve_fiducial_wavenumber"):
+            monkeypatch.setattr(f"spectherm.{name}", refuse)
         assert run(argv) == 2
         assert calls == []
         assert "invalid choice: 'csv'" in capsys.readouterr().err
@@ -752,8 +756,84 @@ class TestExitCodesAndOutput:
         assert "0.33333333333333331" in payload
 
 
+# The argvs of the benchmark workloads that need no arrays: startup's eight
+# and the entropy and fiducial forms of solver's.
+SCALAR_ARGVS = [
+    ["entropy", "--n", "1", "--r0", "1"],
+    ["entropy", "--n", "3", "--r0", "0.5", "--kb", "2"],
+    ["fiducial", "--r0", "1", "--s0", "-inf", "--branch", "2"],
+    ["fiducial", "--r0", "1", "--s0", "-1.3862943611198906"],
+    ["duality", "--tau", "1", "--tau", "3", "--temperature", "7"],
+    ["duality", "--tau", "0.125", "--format", "csv"],
+    ["weyl", "--domain", "cube", "--d", "3", "--L", "1", "--t", "1e-06"],
+    ["weyl", "--domain", "ball", "--t", "0.01", "--t", "0.0001", "--format", "csv"],
+    ["entropy", "--n", "4321", "--r0", "1.234567"],
+    ["fiducial", "--r0", "1.5", "--s0", "-1.6", "--branch", "57"],
+]
+
+# Runs argv through the CLI's run(), as the console script does, then
+# prints the numpy modules loaded to stderr.
+NUMPY_PROBE = (
+    "import sys; from spectherm.cli import run; code = run(sys.argv[1:]); "
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy') != [], "
+    "file=sys.stderr); sys.exit(code)"
+)
+
+
 class TestFreshProcess:
     # Subprocesses, because pytest and the test modules import scipy themselves.
+
+    def test_import_loads_no_numpy(self):
+        probe = run_python(
+            "-c",
+            "import sys\n"
+            "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+            "import spectherm\n"
+            "first = loaded()\n"
+            "import spectherm.cli\n"
+            "from spectherm import duality_map, entropy_expectation, interval_heat_trace\n"
+            "print(first, loaded())",
+        )
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout == "[] []\n"
+
+    @pytest.mark.parametrize("argv", SCALAR_ARGVS, ids=" ".join)
+    def test_scalar_subcommand_loads_no_numpy(self, argv):
+        probe = run_python("-c", NUMPY_PROBE, *argv)
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout != ""
+        assert probe.stderr == "False\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--kind", "radial"],
+            ["partition", "--domain", "ball"],
+            ["weyl", "--domain", "custom", "--levels", "levels.txt", "--t", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_array_subcommand_loads_numpy(self, tmp_path, argv):
+        # the probe's positive control: the handlers that build a level list
+        (tmp_path / "levels.txt").write_text("1,1\n")
+        argv = [str(tmp_path / a) if a == "levels.txt" else a for a in argv]
+        probe = run_python("-c", NUMPY_PROBE, *argv)
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stderr == "True\n"
+
+    def test_public_names_are_the_objects_their_modules_define(self):
+        import spectherm
+        from spectherm import heattrace, specfun, spectra, thermo, units
+
+        modules = (heattrace, specfun, spectra, thermo, units)
+        for name in spectherm.__all__:
+            owners = [m for m in modules if name in m.__all__]
+            assert len(owners) == 1, (name, owners)
+            value = getattr(spectherm, name)
+            assert value is vars(owners[0])[name], name
+            if callable(value):  # a function or a class, defined where it is owned
+                assert value.__module__ == owners[0].__name__, name
+        assert sorted(n for m in modules for n in m.__all__) == spectherm.__all__
 
     def test_import_loads_no_scipy(self):
         probe = run_python(

@@ -129,3 +129,13 @@ class TestIntegrate:
         first = integrate(wiggle, 0.0, 5.0)
         second = integrate(wiggle, 0.0, 5.0)
         assert first == second
+
+
+def test_gauss_legendre_literals_are_the_bits_of_leggauss_12():
+    import numpy as np
+
+    from spectherm.specfun import _GL_PAIRS
+
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    expected = [(x.hex(), w.hex()) for x, w in zip(nodes.tolist(), weights.tolist())]
+    assert [(x.hex(), w.hex()) for x, w in _GL_PAIRS] == expected

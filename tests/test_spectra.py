@@ -522,6 +522,8 @@ class TestLevelOverflow:
             (lambda u: sphere_spectrum(3, UnitSystem(1.0, 1.0, 1e-308)), "at l_max=3"),
             (lambda u: box_modes(1e-200, 3, 4, u), "side=1e-200, n_max=4"),
             (lambda u: box_modes(1e-153, 3, 4, u), "side=1e-153, n_max=4"),
+            (lambda u: solve_radial_numeric(1.0, 100000, 2, UnitSystem(1.0, 1.0, 1e-307)),
+             "r0=1.0, grid_points=100000, k_lowest=2"),
         ],
     )
     def test_overflow_names_the_inputs(self, u, build, named):
@@ -545,6 +547,13 @@ class TestLevelOverflow:
             # the radial tower's n = 1 level underflows first
             (lambda u: ball_spectrum(1e200, 4, 0, u), "length=1e+200, n_max=4"),
             (lambda u: interval_spectrum(1e200, 3, u), "length=1e+200, n_max=3"),
+            # the solver's closed form: pref/h^2 is 0 (h^2 overflows) or subnormal
+            (lambda u: solve_radial_numeric(1e160, 10, 2, u),
+             "r0=1e+160, grid_points=10, k_lowest=2"),
+            (lambda u: solve_radial_numeric(1e156, 10, 2, u, eigvals_only=True),
+             "r0=1e+156, grid_points=10, k_lowest=2"),
+            (lambda u: solve_radial_numeric(1e156, 10, 2, u, Potential.from_samples([5.0] * 10)),
+             "r0=1e+156, grid_points=10, k_lowest=2"),
         ],
     )
     def test_underflow_names_the_inputs(self, u, build, named):
