@@ -17,8 +17,8 @@ custom domain names a level file, and that duality gets a value.
 
 Only the handlers that build a level list import spectra, and with it
 numpy: spectrum, partition, and a custom domain's level file
-(load_levels). The scalar subcommands (entropy, fiducial, duality, and
-weyl on the ball or the cube) run without numpy.
+(load_levels). Only weyl imports heattrace (and fractions), and only csv
+output imports csv, so entropy, fiducial and a json duality load neither.
 
 Exit codes: 0 success, 1 computational failure (no real root, quadrature
 breakdown, overflow), 2 rejected input (InputError, an unreadable file, or
@@ -28,7 +28,6 @@ an argument argparse refuses).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -40,7 +39,6 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .heattrace import interval_heat_trace, weyl_convergence_scan
 from .specfun import DEFAULT_QUADRATURE, QuadratureError
 from .thermo import (
     FundamentalEquation,
@@ -177,6 +175,8 @@ def _csv_cell(value) -> str:
 
 
 def _render_csv(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
@@ -229,6 +229,8 @@ def _custom_levels(args) -> Spectrum:
 
 
 def _cmd_weyl(args, u: UnitSystem):
+    from .heattrace import interval_heat_trace, weyl_convergence_scan
+
     d = args.d if args.d is not None else (3 if args.domain == "cube" else 1)
     if args.domain == "custom":
         from . import spectra
@@ -266,12 +268,11 @@ def _cmd_entropy(args, u: UnitSystem):
 
 
 def _cmd_fiducial(args, u: UnitSystem):
-    fe = FundamentalEquation(s0=args.s0, v0=args.v0)
+    fe = FundamentalEquation(s0=args.s0, v0=1.0)  # no fiducial result reads V0
     config = {
         "r0": args.r0,
         "s0": None if not fe.has_finite_entropy else args.s0,
         "s0_is_negative_infinity": not fe.has_finite_entropy,
-        "v0": args.v0,
         "branch": args.branch,
     }
     c = solve_fiducial_wavenumber(fe, args.r0, args.branch, u)
@@ -387,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("fiducial", _cmd_fiducial, ("json",), "fiducial wavenumber constraint")
     p.add_argument("--r0", type=float, default=1.0)
     p.add_argument("--s0", type=float, required=True)
-    p.add_argument("--v0", type=float, default=1.0)
     p.add_argument("--branch", type=int, default=1)
 
     p = add("partition", _cmd_partition, ("json",), "partition functions", domain)

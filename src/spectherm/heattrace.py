@@ -20,6 +20,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from .units import PI_RATIONAL, InputError, require_at_least, require_normal, require_positive
 
+_PI = Fraction(*PI_RATIONAL)
+
 __all__ = ["WeylScanRow", "interval_heat_trace", "weyl_convergence_scan"]
 
 
@@ -45,11 +47,11 @@ def interval_heat_trace(length: float, t: float) -> float:
     """
     require_positive("length", length)
     require_normal("t", t)
-    a = Fraction(t) * PI_RATIONAL**2 / Fraction(length) ** 2
+    a = Fraction(t) * _PI**2 / Fraction(length) ** 2
     if a >= Fraction(1, 10):
         return math.fsum(_gaussians(float(min(a, 746))))  # float(a) may overflow; exp(-746) == 0
     e = (a.denominator.bit_length() - a.numerator.bit_length()) // 2
-    s = PI_RATIONAL / a / Fraction(4) ** e  # c^2 / 4^e, near 1
+    s = _PI / a / Fraction(4) ** e  # c^2 / 4^e, near 1
     root = math.sqrt(s)
     c = math.ldexp(root, e)  # OverflowError if the trace does not fit a double
     c_low = math.ldexp(float((s - Fraction(root) ** 2) / (2 * Fraction(root))), e)

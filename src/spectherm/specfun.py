@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable
 
-from .units import InputError, require_at_least, require_positive
+from .units import Frozen, InputError, require_at_least, require_positive
 
 __all__ = [
     "QuadratureSpec",
@@ -29,14 +28,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Frozen):
     """Accuracy contract for integrate(): absolute tolerance and refinement depth."""
 
-    abs_tolerance: float
-    max_subdivisions: int
+    __slots__ = ("abs_tolerance", "max_subdivisions")
 
-    def __post_init__(self) -> None:
+    def __init__(self, abs_tolerance: float, max_subdivisions: int) -> None:
+        super().__init__(abs_tolerance, max_subdivisions)
         require_positive("abs_tolerance", self.abs_tolerance)
         require_at_least("max_subdivisions", self.max_subdivisions, 1)
 

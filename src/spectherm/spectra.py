@@ -52,7 +52,6 @@ imported only when LAPACK is called, not when this module is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
@@ -62,6 +61,7 @@ from .heattrace import weyl_convergence_scan
 from .thermo import duality_map_from_temperature
 from .units import (
     PI_RATIONAL,
+    Frozen,
     InputError,
     UnitSystem,
     kinetic_prefactor,
@@ -94,8 +94,7 @@ __all__ = [
 DEGENERACY_REL_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(Frozen):
     """Energy levels with their multiplicities, as two sorted float64 arrays.
 
     Energies must be finite and multiplicities positive integers; omitted
@@ -103,20 +102,20 @@ class Spectrum:
     stored as float64, so counts beyond the int64 range (1e30, say) stay
     representable. Construction sorts the levels by energy and makes both
     arrays read-only, so a Spectrum is validated once and never changes.
-    len() is the number of levels.
+    len() is the number of levels, and a Spectrum equals only itself.
     """
 
-    energies: np.ndarray
-    multiplicities: np.ndarray | None = None
+    __slots__ = ("energies", "multiplicities")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
-        energies = np.array(self.energies, dtype=np.float64)
+    def __init__(self, energies, multiplicities=None) -> None:
+        energies = np.array(energies, dtype=np.float64)
         if energies.ndim != 1 or energies.size == 0:
             raise InputError("energies must be a nonempty one-dimensional sequence")
-        if self.multiplicities is None:
+        if multiplicities is None:
             multiplicities = np.ones_like(energies)
         else:
-            multiplicities = np.array(self.multiplicities, dtype=np.float64)
+            multiplicities = np.array(multiplicities, dtype=np.float64)
         if multiplicities.shape != energies.shape:
             raise InputError(
                 f"got {multiplicities.size} multiplicities for {energies.size} energies"
@@ -130,17 +129,15 @@ class Spectrum:
         ):
             raise InputError("each multiplicity must be a positive integer")
         order = np.lexsort((multiplicities, energies))
-        for name, values in (("energies", energies), ("multiplicities", multiplicities)):
-            values = values[order]
-            values.flags.writeable = False
-            object.__setattr__(self, name, values)
+        energies, multiplicities = energies[order], multiplicities[order]
+        energies.flags.writeable = multiplicities.flags.writeable = False
+        super().__init__(energies, multiplicities)
 
     def __len__(self) -> int:
         return self.energies.size
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(Frozen):
     """Radial potential for the numeric solver.
 
     Supply either a callable evaluated at the grid nodes or explicit
@@ -148,11 +145,11 @@ class Potential:
     sampled value must be finite.
     """
 
-    func: Callable[[float], float] | None = None
-    samples: tuple[float, ...] | None = None
+    __slots__ = ("func", "samples")
 
-    def __post_init__(self) -> None:
-        if (self.func is None) == (self.samples is None):
+    def __init__(self, func: Callable[[float], float] | None = None, samples=None) -> None:
+        super().__init__(func, samples)
+        if (func is None) == (samples is None):
             raise InputError("exactly one of func or samples must be given")
 
     @classmethod
@@ -179,8 +176,7 @@ class Potential:
         return values
 
 
-@dataclass(frozen=True)
-class NumericSpectrum:
+class NumericSpectrum(Frozen):
     """Finite-difference eigenpairs of the radial problem.
 
     energies are ascending. Each row of modes holds u(r) = r*psi(r) on the
@@ -188,11 +184,11 @@ class NumericSpectrum:
     modes is None when only eigenvalues were requested.
     """
 
-    r0: float
-    grid_points: int
-    energies: np.ndarray
-    modes: np.ndarray | None
-    grid: np.ndarray = field(repr=False)
+    __slots__ = ("r0", "grid_points", "energies", "modes", "grid")
+    _hidden = ("grid",)
+
+    def __init__(self, r0: float, grid_points: int, energies, modes, grid) -> None:
+        super().__init__(r0, grid_points, energies, modes, grid)
 
     @property
     def spacing(self) -> float:
@@ -370,9 +366,7 @@ def solve_radial_numeric(
             modes = np.zeros((k_lowest, grid_points))
             modes[:, 1:-1] = vectors.T * (1.0 / math.sqrt(h))
 
-    return NumericSpectrum(
-        r0=r0, grid_points=grid_points, energies=energies, modes=modes, grid=grid
-    )
+    return NumericSpectrum(r0, grid_points, energies, modes, grid)
 
 
 def _free_energies(inv_h2: float, grid_points: int, k_lowest: int) -> np.ndarray:
@@ -380,8 +374,8 @@ def _free_energies(inv_h2: float, grid_points: int, k_lowest: int) -> np.ndarray
     # inv_h2 * tridiag(-1, 2, -1) of order N - 2. The angle is a quotient of
     # integers, which Python rounds correctly; j * math.pi / (2 (N - 1))
     # rounds twice and costs up to ~2 more ulp in the energy.
-    den = PI_RATIONAL.denominator * 2 * (grid_points - 1)
-    sines = np.array([math.sin(PI_RATIONAL.numerator * j / den) for j in range(1, k_lowest + 1)])
+    num, den = PI_RATIONAL[0], PI_RATIONAL[1] * 2 * (grid_points - 1)
+    sines = np.array([math.sin(num * j / den) for j in range(1, k_lowest + 1)])
     return 4.0 * inv_h2 * sines * sines
 
 

@@ -17,10 +17,9 @@ circuits the wavenumber constraint to the pure sine-node solutions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .specfun import DEFAULT_QUADRATURE, integrate, sine_integral
-from .units import PI_RATIONAL, InputError, UnitSystem, require_at_least, require_positive
+from .units import PI_RATIONAL, Frozen, InputError, UnitSystem, require_at_least, require_positive
 
 __all__ = [
     "NEGATIVE_INFINITE_ENTROPY",
@@ -54,17 +53,16 @@ class EntropyOverflowError(OverflowError):
     """exp(S/k_B) exceeds the double-precision range."""
 
 
-@dataclass(frozen=True)
-class FundamentalEquation:
+class FundamentalEquation(Frozen):
     """Thermostatic reference state (S0, V0) of S(V) = S0 + k_B ln(V/V0).
 
     s0 is either finite or NEGATIVE_INFINITE_ENTROPY.
     """
 
-    s0: float
-    v0: float
+    __slots__ = ("s0", "v0")
 
-    def __post_init__(self) -> None:
+    def __init__(self, s0: float, v0: float) -> None:
+        super().__init__(s0, v0)
         if math.isnan(self.s0) or self.s0 == math.inf:
             raise InputError(f"s0 must be finite or -inf, got {self.s0!r}")
         require_positive("v0", self.v0)
@@ -74,19 +72,18 @@ class FundamentalEquation:
         return math.isfinite(self.s0)
 
 
-@dataclass(frozen=True)
-class DualityPoint:
+class DualityPoint(Frozen):
     """A single physical point seen from both sides of the substitution.
 
     The imaginary time tau and the temperature T describe the same state,
     linked by tau * k_B * T = hbar.
     """
 
-    imaginary_time: float
-    temperature: float
+    __slots__ = ("imaginary_time", "temperature")
 
-    def __post_init__(self) -> None:
-        for name in ("imaginary_time", "temperature"):
+    def __init__(self, imaginary_time: float, temperature: float) -> None:
+        super().__init__(imaginary_time, temperature)
+        for name in self.__slots__:
             require_positive(name, getattr(self, name))
 
     def residual(self, u: UnitSystem) -> float:
@@ -120,8 +117,11 @@ def radial_wavefunction(n: int, r0: float, r: float) -> float:
 
 
 def _entropy_quadrature(n: int, r0: float, u: UnitSystem) -> float:
+    # radial_wavefunction's arithmetic, with no range check (the nodes lie in (0, r0])
+    norm, c = math.sqrt(2.0 / r0), n * math.pi / r0
+
     def integrand(r: float) -> float:
-        psi = radial_wavefunction(n, r0, r)
+        psi = norm * math.sin(c * r) / r
         return r * r * psi * psi * math.log(r / r0)
 
     return 3.0 * u.k_boltzmann * integrate(integrand, 0.0, r0, DEFAULT_QUADRATURE)
@@ -198,7 +198,7 @@ def solve_fiducial_wavenumber(
     x = math.asin(target)  # the root on the rising quarter, where sin goes 0 -> 1
     if falling:  # sin goes 1 -> 0: reflect the rising root about the maximum
         x = math.pi - x
-    return (float(2 * period * PI_RATIONAL) + x) / r0  # 2 pi k rounded once
+    return (2 * period * PI_RATIONAL[0] / PI_RATIONAL[1] + x) / r0  # 2 pi k rounded once
 
 
 def _dual(name: str, value: float, u: UnitSystem) -> float:

@@ -1,19 +1,17 @@
 """Unit system threaded through every computation in the package, the one
-exception type for arguments and inputs the package rejects, and the checks
-and the rational pi that the modules share."""
+exception type for arguments and inputs the package rejects, and the checks,
+the rational pi (two ints) and the value base, Frozen, that the modules share."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = ["InputError", "UnitSystem", "kinetic_prefactor", "natural_units"]
 
-# pi to 50 digits as an exact rational: its products and quotients with
-# integers, rounded once, are the doubles nearest the same values with pi,
-# unless one lies within 1e-50 (relative) of a midpoint between doubles
-PI_RATIONAL = Fraction("3.14159265358979323846264338327950288419716939937510")
+# pi to 50 digits as (numerator, denominator): its products and quotients
+# with integers, rounded once, are the doubles nearest the same values with
+# pi, unless one lies within 1e-50 (relative) of a midpoint between doubles
+PI_RATIONAL = (314159265358979323846264338327950288419716939937510, 10**50)
 
 
 class InputError(ValueError):
@@ -38,8 +36,42 @@ def require_at_least(name: str, value: int, k: int) -> None:
         raise InputError(f"{name} must be >= {k}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class UnitSystem:
+class Frozen:
+    """Immutable value: __init__ sets the subclass's __slots__ once; set and delete
+    raise AttributeError. Equality (within a class), hash, copy, pickle and the
+    repr Class(name=value, ...), less the _hidden names, all go by the slots."""
+
+    __slots__ = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot set or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        shown = (f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+
+class UnitSystem(Frozen):
     """Physical constants scaling energies, entropies and temperatures.
 
     hbar is the reduced Planck constant (action units), k_boltzmann the
@@ -47,12 +79,11 @@ class UnitSystem:
     Immutable, so instances can be shared freely.
     """
 
-    hbar: float
-    k_boltzmann: float
-    mass: float
+    __slots__ = ("hbar", "k_boltzmann", "mass")
 
-    def __post_init__(self) -> None:
-        for name in ("hbar", "k_boltzmann", "mass"):
+    def __init__(self, hbar: float, k_boltzmann: float, mass: float) -> None:
+        super().__init__(hbar, k_boltzmann, mass)
+        for name in self.__slots__:
             require_positive(name, getattr(self, name))
 
 

@@ -508,6 +508,11 @@ class TestFiducialCommand:
         assert report["results"]["wavenumber"] == pytest.approx(math.pi / 6.0, abs=1e-10)
         assert report["results"]["constraint_lhs"] == pytest.approx(0.5, abs=1e-12)
 
+    def test_v0_refused(self, capsys):
+        # no fiducial result reads V0, so the option is gone
+        assert run(["fiducial", "--s0", "-1.4", "--v0", "7"]) == 2
+        assert "unrecognized arguments: --v0 7" in capsys.readouterr().err
+
     def test_no_real_solution_is_computational_error(self, capsys):
         s0 = 2.0 * math.log(1.5)
         code = run(["fiducial", "--r0", "1", "--s0", str(s0)])
@@ -640,7 +645,9 @@ class TestExitCodesAndOutput:
             ["entropy", "--n", "0"],
             ["entropy", "--hbar", "0"],
             ["fiducial", "--s0", "nan"],
-            ["fiducial", "--s0", "0", "--v0", "-1"],
+            # was --v0 -1: argparse now refuses --v0 (test_v0_refused), so the
+            # fiducial's other positive input takes this place
+            ["fiducial", "--s0", "0", "--r0", "-1"],
             ["duality", "--tau", "inf"],
             ["spectrum", "--kind", "numeric", "--hbar", "1e-200", "--grid-points", "100", "--k", "2"],
             ["spectrum", "--kind", "radial", "--hbar", "1e200"],
@@ -771,12 +778,18 @@ SCALAR_ARGVS = [
     ["fiducial", "--r0", "1.5", "--s0", "-1.6", "--branch", "57"],
 ]
 
+# The modules a fresh process is checked for: numpy, which only a level list
+# needs; fractions (with decimal) and spectherm.heattrace, which only weyl
+# needs; csv, which only csv output needs; and dataclasses, which no
+# computation needs and which loads inspect, ast and dis.
+WATCHED = ("csv", "dataclasses", "decimal", "fractions", "numpy", "spectherm.heattrace")
+LOADED = f"*[m for m in {WATCHED!r} if m in sys.modules]"
+
 # Runs argv through the CLI's run(), as the console script does, then
-# prints the numpy modules loaded to stderr.
-NUMPY_PROBE = (
+# prints the WATCHED modules loaded to stderr.
+MODULE_PROBE = (
     "import sys; from spectherm.cli import run; code = run(sys.argv[1:]); "
-    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy') != [], "
-    "file=sys.stderr); sys.exit(code)"
+    f"print({LOADED}, file=sys.stderr); sys.exit(code)"
 )
 
 
@@ -797,12 +810,25 @@ class TestFreshProcess:
         assert probe.returncode == 0, probe.stderr
         assert probe.stdout == "[] []\n"
 
+    def test_cli_import_loads_none_of_the_watched_modules(self):
+        probe = run_python("-c", f"import sys, spectherm.cli; print({LOADED})")
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout == "\n"
+
     @pytest.mark.parametrize("argv", SCALAR_ARGVS, ids=" ".join)
     def test_scalar_subcommand_loads_no_numpy(self, argv):
-        probe = run_python("-c", NUMPY_PROBE, *argv)
+        # nor any other WATCHED module it does not run: csv only for csv
+        # output, fractions (with decimal) and heattrace only for weyl
+        probe = run_python("-c", MODULE_PROBE, *argv)
         assert probe.returncode == 0, probe.stderr
         assert probe.stdout != ""
-        assert probe.stderr == "False\n"
+        loaded = set(probe.stderr.split())
+        csv = "csv" in argv  # --format csv
+        allowed = {"csv"} if csv else set()
+        if argv[0] == "weyl":
+            allowed |= {"decimal", "fractions", "spectherm.heattrace"}
+        assert loaded <= allowed
+        assert ("csv" in loaded) == csv
 
     @pytest.mark.parametrize(
         "argv",
@@ -817,9 +843,9 @@ class TestFreshProcess:
         # the probe's positive control: the handlers that build a level list
         (tmp_path / "levels.txt").write_text("1,1\n")
         argv = [str(tmp_path / a) if a == "levels.txt" else a for a in argv]
-        probe = run_python("-c", NUMPY_PROBE, *argv)
+        probe = run_python("-c", MODULE_PROBE, *argv)
         assert probe.returncode == 0, probe.stderr
-        assert probe.stderr == "True\n"
+        assert "numpy" in probe.stderr.split()
 
     def test_public_names_are_the_objects_their_modules_define(self):
         import spectherm

@@ -23,8 +23,10 @@ from spectherm import (
     ideal_gas_entropy,
     interval_spectrum,
     natural_units,
+    integrate,
     qm_partition,
     quasistatic_partition,
+    radial_wavefunction,
     solve_fiducial_wavenumber,
     thermal_partition,
 )
@@ -112,6 +114,18 @@ class TestEntropyExpectation:
         for r0 in (0.5, 2.0, 10.0):
             value = entropy_expectation(n, r0, "quadrature", u)
             assert abs(value - reference) < 1e-8
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 2000), r0=log_uniform, kb=log_uniform)
+    def test_quadrature_integrates_the_radial_wavefunction_bit_for_bit(self, n, r0, kb):
+        u = UnitSystem(1.0, kb, 0.5)
+
+        def integrand(r):
+            psi = radial_wavefunction(n, r0, r)
+            return r * r * psi * psi * math.log(r / r0)
+
+        expected = 3.0 * kb * integrate(integrand, 0.0, r0)
+        assert entropy_expectation(n, r0, "quadrature", u).hex() == expected.hex()
 
     def test_closed_form_ignores_r0_exactly(self, u):
         assert entropy_expectation(2, 0.5, "closed_form", u) == entropy_expectation(

@@ -1,8 +1,22 @@
+import copy
 import math
+import pickle
 
+import numpy as np
 import pytest
 
-from spectherm import InputError, UnitSystem, kinetic_prefactor, natural_units
+from spectherm import (
+    DualityPoint,
+    FundamentalEquation,
+    InputError,
+    NumericSpectrum,
+    Potential,
+    QuadratureSpec,
+    Spectrum,
+    UnitSystem,
+    kinetic_prefactor,
+    natural_units,
+)
 
 
 def test_natural_units_defaults():
@@ -69,3 +83,47 @@ def test_unit_system_is_immutable():
     u = natural_units()
     with pytest.raises(Exception):
         u.hbar = 2.0
+
+
+# The value classes: each with its fields, given positionally and by keyword,
+# its repr, and whether it compares by value (Spectrum compares by identity).
+VALUE_CLASSES = [
+    (UnitSystem, dict(hbar=1.0, k_boltzmann=1.0, mass=0.5),
+     "UnitSystem(hbar=1.0, k_boltzmann=1.0, mass=0.5)", True),
+    (QuadratureSpec, dict(abs_tolerance=1e-10, max_subdivisions=60),
+     "QuadratureSpec(abs_tolerance=1e-10, max_subdivisions=60)", True),
+    (FundamentalEquation, dict(s0=-1.5, v0=2.0), "FundamentalEquation(s0=-1.5, v0=2.0)", True),
+    (DualityPoint, dict(imaginary_time=2.0, temperature=0.5),
+     "DualityPoint(imaginary_time=2.0, temperature=0.5)", True),
+    (Potential, dict(func=None, samples=(1.0, 2.0)),
+     "Potential(func=None, samples=(1.0, 2.0))", True),
+    (Spectrum, dict(energies=[2.0, 1.0], multiplicities=[1.0, 3.0]),
+     "Spectrum(energies=array([1., 2.]), multiplicities=array([3., 1.]))", False),
+    # the grid is left out of the repr
+    (NumericSpectrum,
+     dict(r0=1.0, grid_points=3, energies=np.array([1.0]), modes=None,
+          grid=np.array([0.0, 0.5, 1.0])),
+     "NumericSpectrum(r0=1.0, grid_points=3, energies=array([1.]), modes=None)", None),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,fields,text,by_value", VALUE_CLASSES, ids=[case[0].__name__ for case in VALUE_CLASSES]
+)
+def test_value_class_contract(cls, fields, text, by_value):
+    args, first = tuple(fields.values()), next(iter(fields))
+    value, keywords = cls(*args), cls(**fields)
+    assert repr(value) == repr(keywords) == text
+    assert repr(copy.copy(value)) == repr(pickle.loads(pickle.dumps(value))) == text
+    for name in (first, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1.0)
+    with pytest.raises(AttributeError):
+        delattr(value, first)
+    assert repr(value) == text
+    if by_value:
+        assert value == keywords and hash(value) == hash(keywords)
+        assert value != cls(*args[:-1], 7.0) and value != args
+    elif by_value is False:
+        assert value == value and value != keywords
+        assert hash(value) == object.__hash__(value)
