@@ -49,6 +49,7 @@ _OWNERS = {
         "duality_map_from_temperature",
         "entropy_expectation",
         "entropy_from_density",
+        "free_difference_energies",
         "ideal_gas_entropy",
         "radial_wavefunction",
         "solve_fiducial_wavenumber",

@@ -16,9 +16,10 @@ The front end itself checks only what no library call sees: that a
 custom domain names a level file, and that duality gets a value.
 
 Only the handlers that build a level list import spectra, and with it
-numpy: spectrum, partition, and a custom domain's level file
-(load_levels). Only weyl imports heattrace (and fractions), and only csv
-output imports csv, so entropy, fiducial and a json duality load neither.
+numpy: spectrum (not --kind numeric), partition, and a custom domain's
+level file (load_levels). Only weyl imports heattrace (and fractions), and
+only csv output imports csv, so entropy, fiducial and json duality and
+numeric spectra load neither.
 
 Exit codes: 0 success, 1 computational failure (no real root, quadrature
 breakdown, overflow), 2 rejected input (InputError, an unreadable file, or
@@ -46,6 +47,7 @@ from .thermo import (
     duality_map,
     duality_map_from_temperature,
     entropy_expectation,
+    free_difference_energies,
     solve_fiducial_wavenumber,
 )
 from .units import InputError, UnitSystem, kinetic_prefactor
@@ -188,9 +190,17 @@ def _render_csv(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
 # ------------------------------ subcommands --------------------------------
 
 def _cmd_spectrum(args, u: UnitSystem):
+    config: dict = {"kind": args.kind}
+    if args.kind == "numeric":
+        config.update({"r0": args.r0, "grid_points": args.grid_points, "k": args.k})
+        energies = free_difference_energies(args.r0, args.grid_points, args.k, u)
+        pref = kinetic_prefactor(u)
+        columns = ["index", "energy", "wavenumber_estimate"]
+        rows = [[k, e, math.sqrt(e / pref)] for k, e in enumerate(energies, start=1)]
+        return config, {"columns": columns, "rows": rows}
+
     from . import spectra
 
-    config: dict = {"kind": args.kind}
     if args.kind == "angular":
         config["l_max"] = args.l_max
         levels = spectra.sphere_spectrum(args.l_max, u)
@@ -203,22 +213,11 @@ def _cmd_spectrum(args, u: UnitSystem):
         n = range(1, args.n_max + 1)
         columns = ["n", "wavenumber", "kinetic_energy"]
         rows = list(zip(n, [k * math.pi / args.r0 for k in n], levels.energies.tolist()))
-    elif args.kind == "box":
+    else:  # box
         config.update({"L": args.L, "d": args.d, "n_max_per_axis": args.n_max})
         numbers, energies = spectra.box_modes(args.L, args.d, args.n_max, u)
         columns = ["quantum_numbers", "kinetic_energy"]
         rows = [["x".join(map(str, q)), e] for q, e in zip(numbers.tolist(), energies.tolist())]
-    else:  # numeric
-        config.update({"r0": args.r0, "grid_points": args.grid_points, "k": args.k})
-        spectrum = spectra.solve_radial_numeric(
-            args.r0, args.grid_points, args.k, u, eigvals_only=True
-        )
-        pref = kinetic_prefactor(u)
-        columns = ["index", "energy", "wavenumber_estimate"]
-        rows = [
-            [k, e, math.sqrt(max(e, 0.0) / pref)]
-            for k, e in enumerate(spectrum.energies.tolist(), start=1)
-        ]
     return config, {"columns": columns, "rows": rows}
 
 

@@ -36,17 +36,17 @@ radial potential. Substituting u(r) = r*psi(r) removes the first-derivative
 term and the coordinate singularity at r = 0, leaving a plain Dirichlet
 problem -pref * u'' + U(r) u = E u on the interval, discretized by central
 differences into a symmetric tridiagonal matrix. When U is constant on the
-interior nodes (in particular with no potential) that matrix is
-pref/h^2 * tridiag(-1, 2, -1) + U, whose eigenvalues
-4 pref/h^2 sin^2(j pi / (2 (N - 1))) + U and sine eigenvectors are known in
-closed form; the energies are computed to within a few ulp. Any other
-potential goes to LAPACK: the lowest eigenvalues by bisection with Sturm
-counts (stebz), bit-stable across runs but only resolved to a width of
-EPS * |T|_1 ~ 4 * 2**-52 * pref / h^2 (9e-7 of the lowest level at 1e5
-grid points; lower digits move with the index range solved), and the
-eigenvectors by inverse iteration (stein). With eigvals_only=True the
-eigenvectors are skipped and the eigenvalues are the same bits. scipy is
-imported only when LAPACK is called, not when this module is.
+interior nodes (in particular with no potential) its eigenvectors are sines
+and its eigenvalues thermo.free_difference_energies plus U; that function
+uses no arrays, so `spectrum --kind numeric` loads neither numpy nor
+fractions. Any other potential goes to LAPACK: the lowest eigenvalues by
+bisection with Sturm counts (stebz), bit-stable across runs but only
+resolved to a width of EPS * |T|_1 ~ 4 * 2**-52 * pref / h^2 (9e-7 of the
+lowest level at 1e5 grid points; lower digits move with the index range
+solved), and the eigenvectors by inverse iteration (stein). With
+eigvals_only=True the eigenvectors are skipped and the eigenvalues are the
+same bits. scipy is imported only when LAPACK is called, not when this
+module is.
 """
 
 from __future__ import annotations
@@ -58,14 +58,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .heattrace import weyl_convergence_scan
-from .thermo import duality_map_from_temperature
+from .thermo import duality_map_from_temperature, free_difference_energies
 from .units import (
-    PI_RATIONAL,
     Frozen,
     InputError,
     UnitSystem,
     kinetic_prefactor,
     require_at_least,
+    require_grid,
+    require_level_range,
     require_positive,
 )
 
@@ -181,18 +182,24 @@ class NumericSpectrum(Frozen):
 
     energies are ascending. Each row of modes holds u(r) = r*psi(r) on the
     full grid (both endpoints zero), normalized so that sum(u^2) * h = 1;
-    modes is None when only eigenvalues were requested.
+    modes is None when only eigenvalues were requested. It holds arrays, so
+    like Spectrum it equals only itself.
     """
 
-    __slots__ = ("r0", "grid_points", "energies", "modes", "grid")
-    _hidden = ("grid",)
+    __slots__ = ("r0", "grid_points", "energies", "modes")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, r0: float, grid_points: int, energies, modes, grid) -> None:
-        super().__init__(r0, grid_points, energies, modes, grid)
+    def __init__(self, r0: float, grid_points: int, energies, modes) -> None:
+        super().__init__(r0, grid_points, energies, modes)
 
     @property
     def spacing(self) -> float:
         return self.r0 / (self.grid_points - 1)
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The grid_points nodes spanning [0, r0], built anew on each access."""
+        return np.linspace(0.0, self.r0, self.grid_points)
 
 
 def sphere_spectrum(l_max: int, u: UnitSystem) -> Spectrum:
@@ -201,7 +208,7 @@ def sphere_spectrum(l_max: int, u: UnitSystem) -> Spectrum:
     l = np.arange(l_max + 1, dtype=np.float64)
     with np.errstate(over="ignore"):
         energies = kinetic_prefactor(u) * l * (l + 1.0)
-    _require_level_range(energies[-1], l_max=l_max)
+    require_level_range(energies[-1], l_max=l_max)
     return Spectrum(energies, 2.0 * l + 1.0)
 
 
@@ -212,7 +219,7 @@ def interval_spectrum(length: float, n_max: int, u: UnitSystem) -> Spectrum:
     n = np.arange(1, n_max + 1, dtype=np.float64)
     with np.errstate(over="ignore"):
         energies = kinetic_prefactor(u) * (n * math.pi / length) ** 2
-    _require_level_range(energies[-1], energies[0], length=length, n_max=n_max)
+    require_level_range(energies[-1], energies[0], length=length, n_max=n_max)
     return Spectrum(energies)
 
 
@@ -226,7 +233,7 @@ def ball_spectrum(r0: float, n_max: int, l_max: int, u: UnitSystem) -> Spectrum:
     radial = interval_spectrum(r0, n_max, u).energies
     with np.errstate(over="ignore"):
         energies = sphere.energies[:, None] + radial
-    _require_level_range(energies[-1, -1], r0=r0, n_max=n_max, l_max=l_max)
+    require_level_range(energies[-1, -1], r0=r0, n_max=n_max, l_max=l_max)
     multiplicities = np.broadcast_to(sphere.multiplicities[:, None], energies.shape)
     return Spectrum(energies.ravel(), multiplicities.ravel())
 
@@ -282,22 +289,11 @@ def _box_key_energy(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> 
         scale = kinetic_prefactor(u) * (math.pi / side) ** 2
     except OverflowError:
         scale = math.inf
-    _require_level_range(scale * (d * n_max_per_axis**2), scale, side=side, n_max=n_max_per_axis)
+    require_level_range(scale * (d * n_max_per_axis**2), scale, side=side, n_max=n_max_per_axis)
     if n_max_per_axis > 1 and (d > 53 or n_max_per_axis**d > 2**53):
         raise InputError(f"{n_max_per_axis}**{d} box modes: more than 2**53, "
                          "so the multiplicities would not be exact")
     return scale
-
-
-def _require_level_range(top: float, key_one: float | None = None, **given) -> None:
-    # top is the highest level energy, so every level is finite if it is.
-    # key_one is the energy of the lowest key: a subnormal one has lost
-    # digits, and distinct keys could get equal energies.
-    named = ", ".join(f"{name}={value!r}" for name, value in given.items())
-    if not math.isfinite(top):
-        raise OverflowError(f"level energies overflow at {named}")
-    if key_one is not None and not key_one >= 2.0**-1022:
-        raise OverflowError(f"level energies underflow at {named}")
 
 
 def solve_radial_numeric(
@@ -319,38 +315,28 @@ def solve_radial_numeric(
 
     When U is the same at every interior node (no potential included) the
     eigenpairs are the closed form of the free matrix shifted by that
-    constant. OverflowError is raised if an energy is not finite, or if the
-    lowest free energy, before the shift, is not a normal double (it has
-    lost digits, and distinct levels could coincide). Any other potential
-    is solved by LAPACK.
+    constant; with no potential and eigvals_only nothing of size grid_points
+    is built. OverflowError is raised as by thermo.free_difference_energies,
+    or if a shifted energy is not finite. Any other potential is solved by
+    LAPACK.
     """
-    require_positive("r0", r0)
-    require_at_least("grid_points", grid_points, 3)
-    if not (1 <= k_lowest < grid_points - 1):
-        raise InputError(
-            f"k_lowest must satisfy 1 <= k_lowest < grid_points - 1, got {k_lowest!r}"
-        )
-
+    require_grid(r0, grid_points, k_lowest)
     pref = kinetic_prefactor(u)
-    grid = np.linspace(0.0, r0, grid_points)
     h = r0 / (grid_points - 1)
-    interior = grid[1:-1]
-
-    if potential is None:
-        u_interior = np.zeros(grid_points - 2)
-    elif potential.samples is not None:
-        # samples are given on the full grid; endpoint values never enter the matrix
-        u_interior = potential.on_grid(grid)[1:-1]
-    else:
-        u_interior = potential.on_grid(interior)
+    shift = 0.0
+    if potential is not None:
+        grid = np.linspace(0.0, r0, grid_points)
+        if potential.samples is not None:
+            # samples are given on the full grid; endpoint values never enter the matrix
+            u_interior = potential.on_grid(grid)[1:-1]
+        else:
+            u_interior = potential.on_grid(grid[1:-1])
+        shift = float(u_interior[0])
 
     inv_h2 = pref / (h * h)
-    shift = float(u_interior[0])
     modes = None
-    if np.all(u_interior == shift):
-        free = _free_energies(inv_h2, grid_points, k_lowest)
-        _require_level_range(free[-1], free[0], r0=r0, grid_points=grid_points, k_lowest=k_lowest)
-        energies = free + shift
+    if potential is None or np.all(u_interior == shift):
+        energies = np.array(free_difference_energies(r0, grid_points, k_lowest, u)) + shift
         if not np.all(np.isfinite(energies)):
             raise OverflowError(
                 f"finite-difference energies overflow: pref/h^2 = {inv_h2!r}, "
@@ -366,17 +352,7 @@ def solve_radial_numeric(
             modes = np.zeros((k_lowest, grid_points))
             modes[:, 1:-1] = vectors.T * (1.0 / math.sqrt(h))
 
-    return NumericSpectrum(r0, grid_points, energies, modes, grid)
-
-
-def _free_energies(inv_h2: float, grid_points: int, k_lowest: int) -> np.ndarray:
-    # Eigenvalues 4 inv_h2 sin^2(j pi / (2 (N - 1))), j = 1..k_lowest, of
-    # inv_h2 * tridiag(-1, 2, -1) of order N - 2. The angle is a quotient of
-    # integers, which Python rounds correctly; j * math.pi / (2 (N - 1))
-    # rounds twice and costs up to ~2 more ulp in the energy.
-    num, den = PI_RATIONAL[0], PI_RATIONAL[1] * 2 * (grid_points - 1)
-    sines = np.array([math.sin(num * j / den) for j in range(1, k_lowest + 1)])
-    return 4.0 * inv_h2 * sines * sines
+    return NumericSpectrum(r0, grid_points, energies, modes)
 
 
 def _free_modes(r0: float, grid_points: int, k_lowest: int) -> np.ndarray:

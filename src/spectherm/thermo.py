@@ -2,10 +2,11 @@
 
 Covers the ideal-gas fundamental equation S(V) = S0 + k_B ln(V/V0), the
 entropy expectation in a radial mode with its volume-independent closed
-form (radial_wavefunction evaluates the mode), the relation
-|psi|^2 = exp(S/k_B), the constraint fixing the fiducial wavenumber, and
-the imaginary-time/temperature substitution tau = hbar/(k_B T), whose dual
-must be a normal double (OverflowError otherwise). Every one of these is a
+form (radial_wavefunction evaluates the mode, free_difference_energies its
+finite-difference levels), the relation |psi|^2 = exp(S/k_B), the
+constraint fixing the fiducial wavenumber, and the
+imaginary-time/temperature substitution tau = hbar/(k_B T), whose dual must
+be a normal double (OverflowError otherwise). Every one of these is a
 scalar computation, so this module uses no arrays; the partition sums over
 a level list live beside the one spectral kernel, in spectra.
 
@@ -19,7 +20,10 @@ from __future__ import annotations
 import math
 
 from .specfun import DEFAULT_QUADRATURE, integrate, sine_integral
-from .units import PI_RATIONAL, Frozen, InputError, UnitSystem, require_at_least, require_positive
+from .units import (
+    PI_RATIONAL, Frozen, InputError, UnitSystem, kinetic_prefactor,
+    require_at_least, require_grid, require_level_range, require_positive,
+)
 
 __all__ = [
     "NEGATIVE_INFINITE_ENTROPY",
@@ -35,6 +39,7 @@ __all__ = [
     "duality_map_from_temperature",
     "boltzmann_weight_from_entropy",
     "radial_wavefunction",
+    "free_difference_energies",
 ]
 
 # Formal fiducial-entropy limit; use this constant rather than an ad-hoc float.
@@ -114,6 +119,27 @@ def radial_wavefunction(n: int, r0: float, r: float) -> float:
     if not (0.0 < r <= r0):
         raise InputError(f"r must lie in (0, {r0!r}], got {r!r}")
     return math.sqrt(2.0 / r0) * math.sin(n * math.pi / r0 * r) / r
+
+
+def free_difference_energies(
+    r0: float, grid_points: int, k_lowest: int, u: UnitSystem
+) -> tuple[float, ...]:
+    """Lowest k_lowest levels 4 pref/h^2 sin^2(j pi / (2 (N - 1))) of the radial
+    modes on N = grid_points nodes, h = r0/(N - 1): the closed-form eigenvalues of
+    spectra.solve_radial_numeric with no potential. OverflowError if a level is
+    not finite or the lowest is not a normal double."""
+    require_grid(r0, grid_points, k_lowest)
+    h = r0 / (grid_points - 1)
+    scale = 4.0 * (kinetic_prefactor(u) / (h * h))
+    # The angle is a quotient of integers, which Python rounds correctly;
+    # j * math.pi / (2 (N - 1)) rounds twice and costs up to ~2 more ulp.
+    num, den = PI_RATIONAL[0], PI_RATIONAL[1] * 2 * (grid_points - 1)
+    sines = (math.sin(num * j / den) for j in range(1, k_lowest + 1))
+    energies = tuple(scale * s * s for s in sines)
+    require_level_range(
+        energies[-1], energies[0], r0=r0, grid_points=grid_points, k_lowest=k_lowest
+    )
+    return energies
 
 
 def _entropy_quadrature(n: int, r0: float, u: UnitSystem) -> float:

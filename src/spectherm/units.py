@@ -36,13 +36,34 @@ def require_at_least(name: str, value: int, k: int) -> None:
         raise InputError(f"{name} must be >= {k}, got {value!r}")
 
 
+def require_grid(r0: float, grid_points: int, k_lowest: int) -> None:
+    """Raise InputError unless r0 is positive and finite, grid_points >= 3, and
+    1 <= k_lowest < grid_points - 1: the finite-difference grid's checks."""
+    require_positive("r0", r0)
+    require_at_least("grid_points", grid_points, 3)
+    if not (1 <= k_lowest < grid_points - 1):
+        raise InputError(
+            f"k_lowest must satisfy 1 <= k_lowest < grid_points - 1, got {k_lowest!r}"
+        )
+
+
+def require_level_range(top: float, key_one: float | None = None, **given) -> None:
+    """Raise OverflowError naming the given inputs unless top, the highest level
+    energy, is finite and key_one, the energy of the lowest key, if given, is
+    normal: a subnormal one has lost digits, and distinct keys could coincide."""
+    named = ", ".join(f"{name}={value!r}" for name, value in given.items())
+    if not math.isfinite(top):
+        raise OverflowError(f"level energies overflow at {named}")
+    if key_one is not None and not key_one >= 2.0**-1022:
+        raise OverflowError(f"level energies underflow at {named}")
+
+
 class Frozen:
     """Immutable value: __init__ sets the subclass's __slots__ once; set and delete
     raise AttributeError. Equality (within a class), hash, copy, pickle and the
-    repr Class(name=value, ...), less the _hidden names, all go by the slots."""
+    repr Class(name=value, ...) all go by the slots."""
 
     __slots__ = ()
-    _hidden: tuple[str, ...] = ()
 
     def __init__(self, *values) -> None:
         for name, value in zip(self.__slots__, values, strict=True):
@@ -67,7 +88,7 @@ class Frozen:
         return type(self), self._values()
 
     def __repr__(self) -> str:
-        shown = (f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n not in self._hidden)
+        shown = (f"{n}={getattr(self, n)!r}" for n in self.__slots__)
         return f"{type(self).__qualname__}({', '.join(shown)})"
 
 

@@ -19,7 +19,9 @@ from spectherm import (
     Spectrum,
     UnitSystem,
     box_spectrum,
+    free_difference_energies,
     interval_spectrum,
+    solve_radial_numeric,
     sphere_spectrum,
 )
 from spectherm.cli import load_levels, run
@@ -551,6 +553,50 @@ class TestSpectrumCommand:
         assert rows[0][1] == pytest.approx(math.pi**2, rel=1e-5)
         assert rows[2][2] == pytest.approx(3.0 * math.pi, rel=1e-5)
 
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        log_r0=st.floats(min_value=-3.0, max_value=3.0),
+        grid_points=st.integers(min_value=3, max_value=10**7),
+        k=st.integers(min_value=1, max_value=60),
+        log_hbar=st.floats(min_value=-3.0, max_value=3.0),
+        log_mass=st.floats(min_value=-3.0, max_value=3.0),
+    )
+    def test_numeric_table_prints_the_solver_bits(
+        self, log_r0, grid_points, k, log_hbar, log_mass
+    ):
+        r0, hbar, mass = 10.0**log_r0, 10.0**log_hbar, 10.0**log_mass
+        k = min(k, grid_points - 2)
+        u = UnitSystem(hbar, 1.0, mass)  # hbar^2/(2 mass) is normal
+        free = list(free_difference_energies(r0, grid_points, k, u))
+        solved = solve_radial_numeric(r0, grid_points, k, u, eigvals_only=True)
+        assert [e.hex() for e in free] == [e.hex() for e in solved.energies.tolist()]
+
+        argv = ["spectrum", "--kind", "numeric", "--r0", repr(r0), "--grid-points",
+                str(grid_points), "--k", str(k), "--hbar", repr(hbar), "--mass", repr(mass)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(argv) == 0
+        rows = json.loads(out.getvalue())["results"]["rows"]
+        # float(): an energy such as 36.0 prints as 36, which json reads as an int
+        assert [float(row[1]).hex() for row in rows] == [e.hex() for e in free]
+
+    # each error line names the inputs, as the solver's checks word it
+    @pytest.mark.parametrize(
+        "argv, code, line",
+        [
+            (["--r0", "1e160", "--grid-points", "10", "--k", "2"], 1,
+             "level energies underflow at r0=1e+160, grid_points=10, k_lowest=2"),
+            (["--k", "0"], 2, "k_lowest must satisfy 1 <= k_lowest < grid_points - 1, got 0"),
+            (["--k", "9", "--grid-points", "10"], 2,
+             "k_lowest must satisfy 1 <= k_lowest < grid_points - 1, got 9"),
+            (["--mass", "1e-307", "--grid-points", "100000"], 1,
+             "level energies overflow at r0=1.0, grid_points=100000, k_lowest=5"),
+        ],
+    )
+    def test_numeric_error_lines(self, capsys, argv, code, line):
+        assert run(["spectrum", "--kind", "numeric", *argv]) == code
+        assert capsys.readouterr().err == f"error: {line}\n"
+
     def test_csv_round_trips_floats(self, capsys):
         code = run(["spectrum", "--kind", "radial", "--n-max", "2", "--format", "csv"])
         captured = capsys.readouterr()
@@ -763,8 +809,8 @@ class TestExitCodesAndOutput:
         assert "0.33333333333333331" in payload
 
 
-# The argvs of the benchmark workloads that need no arrays: startup's eight
-# and the entropy and fiducial forms of solver's.
+# The argvs of the benchmark workloads that need no arrays: startup's eight,
+# the entropy and fiducial forms of solver's, and the free numeric spectrum.
 SCALAR_ARGVS = [
     ["entropy", "--n", "1", "--r0", "1"],
     ["entropy", "--n", "3", "--r0", "0.5", "--kb", "2"],
@@ -776,6 +822,8 @@ SCALAR_ARGVS = [
     ["weyl", "--domain", "ball", "--t", "0.01", "--t", "0.0001", "--format", "csv"],
     ["entropy", "--n", "4321", "--r0", "1.234567"],
     ["fiducial", "--r0", "1.5", "--s0", "-1.6", "--branch", "57"],
+    ["spectrum", "--kind", "numeric", "--grid-points", "100000", "--k", "50"],
+    ["spectrum", "--kind", "numeric", "--grid-points", "100000", "--k", "50", "--format", "csv"],
 ]
 
 # The modules a fresh process is checked for: numpy, which only a level list

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -330,6 +331,17 @@ class TestNumericSolver:
             second_diff = (mode[:-2] - 2.0 * mode[1:-1] + mode[2:]) / (h * h)
             residual = -second_diff + 2.0 * mode[1:-1] - energy * mode[1:-1]
             assert np.max(np.abs(residual)) < 1e-9 * energy
+
+    def test_free_eigenvalues_build_nothing_of_grid_size(self, u):
+        # the grid alone would be 80 MB of float64; the closed form needs k sines
+        tracemalloc.start()
+        try:
+            spectrum = solve_radial_numeric(1.0, 10**7, 3, u, eigvals_only=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spectrum.modes is None and len(spectrum.energies) == 3
+        assert peak < 2**20
 
     def test_overflowing_free_energies_raise(self):
         from spectherm import UnitSystem

@@ -86,7 +86,8 @@ def test_unit_system_is_immutable():
 
 
 # The value classes: each with its fields, given positionally and by keyword,
-# its repr, and whether it compares by value (Spectrum compares by identity).
+# its repr, and whether it compares by value (Spectrum and NumericSpectrum,
+# which hold arrays, compare by identity).
 VALUE_CLASSES = [
     (UnitSystem, dict(hbar=1.0, k_boltzmann=1.0, mass=0.5),
      "UnitSystem(hbar=1.0, k_boltzmann=1.0, mass=0.5)", True),
@@ -99,11 +100,8 @@ VALUE_CLASSES = [
      "Potential(func=None, samples=(1.0, 2.0))", True),
     (Spectrum, dict(energies=[2.0, 1.0], multiplicities=[1.0, 3.0]),
      "Spectrum(energies=array([1., 2.]), multiplicities=array([3., 1.]))", False),
-    # the grid is left out of the repr
-    (NumericSpectrum,
-     dict(r0=1.0, grid_points=3, energies=np.array([1.0]), modes=None,
-          grid=np.array([0.0, 0.5, 1.0])),
-     "NumericSpectrum(r0=1.0, grid_points=3, energies=array([1.]), modes=None)", None),
+    (NumericSpectrum, dict(r0=1.0, grid_points=3, energies=np.array([1.0]), modes=None),
+     "NumericSpectrum(r0=1.0, grid_points=3, energies=array([1.]), modes=None)", False),
 ]
 
 
@@ -124,6 +122,6 @@ def test_value_class_contract(cls, fields, text, by_value):
     if by_value:
         assert value == keywords and hash(value) == hash(keywords)
         assert value != cls(*args[:-1], 7.0) and value != args
-    elif by_value is False:
+    else:
         assert value == value and value != keywords
         assert hash(value) == object.__hash__(value)
