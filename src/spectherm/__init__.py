@@ -23,7 +23,6 @@ _OWNERS = {
     "spectra": (
         "DEGENERACY_REL_TOLERANCE",
         "NumericSpectrum",
-        "Potential",
         "Spectrum",
         "ball_spectrum",
         "box_modes",

@@ -17,9 +17,9 @@ custom domain names a level file, and that duality gets a value.
 
 Only the handlers that build a level list import spectra, and with it
 numpy: spectrum (not --kind numeric), partition, and a custom domain's
-level file (load_levels). Only weyl imports heattrace (and fractions), and
-only csv output imports csv, so entropy, fiducial and json duality and
-numeric spectra load neither.
+level file (load_levels). Only weyl imports heattrace (and fractions), so
+entropy, fiducial, duality and numeric spectra load neither; csv output is
+joined by hand and imports no csv module.
 
 Exit codes: 0 success, 1 computational failure (no real root, quadrature
 breakdown, overflow), 2 rejected input (InputError, an unreadable file, or
@@ -29,7 +29,6 @@ an argument argparse refuses).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -177,14 +176,10 @@ def _csv_cell(value) -> str:
 
 
 def _render_csv(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
-    import csv
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_cell(cell) for cell in row])
-    return buffer.getvalue()
+    # No cell can hold a comma, a quote or a line break (floats, ints, column
+    # names, 1x2x3 quantum numbers), so no cell needs csv quoting.
+    lines = [columns, *([_csv_cell(cell) for cell in row] for row in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 # ------------------------------ subcommands --------------------------------
@@ -405,16 +400,11 @@ def _join_signed_values(argv: Sequence[str]) -> list[str]:
     # argparse reads a bare "-inf" after --s0 as an option flag; fold the
     # value into the --s0=... form so signed entropies parse naturally
     out: list[str] = []
-    i = 0
-    tokens = list(argv)
-    while i < len(tokens):
-        token = tokens[i]
-        if token == "--s0" and i + 1 < len(tokens) and tokens[i + 1].startswith("-"):
-            out.append(f"--s0={tokens[i + 1]}")
-            i += 2
-            continue
-        out.append(token)
-        i += 1
+    for token in argv:
+        if token.startswith("-") and out and out[-1] == "--s0":
+            out[-1] = f"--s0={token}"
+        else:
+            out.append(token)
     return out
 
 

@@ -98,7 +98,9 @@ def integrate(
     bisection; panels failing the width-proportional share of the tolerance
     are split, depth-first, up to spec.max_subdivisions levels. Leftover
     panel discrepancies accumulate into an error bound, and a
-    QuadratureError is raised if that bound ends up above the tolerance.
+    QuadratureError is raised if that bound ends up above the tolerance, or
+    at once, with no estimate (nan), when a panel to split has a difference
+    that is not finite.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise InputError(f"integration bounds must be finite, got [{a!r}, {b!r}]")
@@ -121,6 +123,8 @@ def integrate(
         if err <= tol or depth >= spec.max_subdivisions:
             values.append(fine)
             errors.append(err)
+        elif not math.isfinite(err):  # splitting would follow it to max depth everywhere
+            raise QuadratureError(math.nan, err, spec.abs_tolerance)
         else:
             half_tol = 0.5 * tol
             stack.append((mid, hi, right, half_tol, depth + 1))

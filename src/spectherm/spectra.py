@@ -32,14 +32,16 @@ that underflowed to exactly 0.0 are skipped, which cannot change an fsum,
 and every nonzero term, subnormal ones too, is summed.
 
 A finite-difference solver covers the radial problem with an arbitrary
-radial potential. Substituting u(r) = r*psi(r) removes the first-derivative
-term and the coordinate singularity at r = 0, leaving a plain Dirichlet
-problem -pref * u'' + U(r) u = E u on the interval, discretized by central
-differences into a symmetric tridiagonal matrix. When U is constant on the
-interior nodes (in particular with no potential) its eigenvectors are sines
-and its eigenvalues thermo.free_difference_energies plus U; that function
-uses no arrays, so `spectrum --kind numeric` loads neither numpy nor
-fractions. Any other potential goes to LAPACK: the lowest eigenvalues by
+radial potential, given as a callable U(r) or as samples on the grid.
+Substituting u(r) = r*psi(r) removes the first-derivative term and the
+coordinate singularity at r = 0, leaving a plain Dirichlet problem
+-pref * u'' + U(r) u = E u on the interval, discretized by central
+differences into a symmetric tridiagonal matrix. thermo.free_difference_energies
+checks the grid and forms the free levels; it uses no arrays, so `spectrum
+--kind numeric` loads neither numpy nor fractions. When U is constant on the
+interior nodes (in particular with no potential) the eigenvectors are sines
+and the eigenvalues those levels plus U. Any other potential goes to LAPACK,
+once the matrix's Gershgorin bound is finite: the lowest eigenvalues by
 bisection with Sturm counts (stebz), bit-stable across runs but only
 resolved to a width of EPS * |T|_1 ~ 4 * 2**-52 * pref / h^2 (9e-7 of the
 lowest level at 1e5 grid points; lower digits move with the index range
@@ -65,14 +67,12 @@ from .units import (
     UnitSystem,
     kinetic_prefactor,
     require_at_least,
-    require_grid,
     require_level_range,
     require_positive,
 )
 
 __all__ = [
     "Spectrum",
-    "Potential",
     "NumericSpectrum",
     "DEGENERACY_REL_TOLERANCE",
     "sphere_spectrum",
@@ -136,45 +136,6 @@ class Spectrum(Frozen):
 
     def __len__(self) -> int:
         return self.energies.size
-
-
-class Potential(Frozen):
-    """Radial potential for the numeric solver.
-
-    Supply either a callable evaluated at the grid nodes or explicit
-    samples matching the solver grid (including both endpoints). Every
-    sampled value must be finite.
-    """
-
-    __slots__ = ("func", "samples")
-
-    def __init__(self, func: Callable[[float], float] | None = None, samples=None) -> None:
-        super().__init__(func, samples)
-        if (func is None) == (samples is None):
-            raise InputError("exactly one of func or samples must be given")
-
-    @classmethod
-    def from_callable(cls, func: Callable[[float], float]) -> "Potential":
-        return cls(func=func)
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[float]) -> "Potential":
-        return cls(samples=tuple(float(v) for v in samples))
-
-    def on_grid(self, r: np.ndarray) -> np.ndarray:
-        """Values at the given grid nodes, validated finite."""
-        if self.func is not None:
-            values = np.array([float(self.func(float(ri))) for ri in r], dtype=float)
-        else:
-            if len(self.samples) != len(r):
-                raise InputError(
-                    f"potential has {len(self.samples)} samples but the grid has {len(r)} nodes"
-                )
-            values = np.asarray(self.samples, dtype=float)
-        if not np.all(np.isfinite(values)):
-            bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise InputError(f"potential is not finite at grid node {bad} (r={float(r[bad])!r})")
-        return values
 
 
 class NumericSpectrum(Frozen):
@@ -301,50 +262,42 @@ def solve_radial_numeric(
     grid_points: int,
     k_lowest: int,
     u: UnitSystem,
-    potential: Potential | None = None,
+    potential: Callable[[float], float] | Sequence[float] | None = None,
     *,
     eigvals_only: bool = False,
 ) -> NumericSpectrum:
     """Lowest k_lowest eigenpairs of -pref*u'' + U(r)u = E u with u(0) = u(r0) = 0.
 
     Uniform grid of grid_points nodes spanning [0, r0], second-order central
-    differences. Eigenvalues come out ascending; eigenvectors are fixed to a
-    deterministic sign (positive slope at the origin) and grid-normalized.
-    With eigvals_only the eigenvectors are never computed and modes is None;
-    the energies are bit-identical to those of the eigenpair solve.
+    differences. potential is None, a callable U(r) evaluated only at the
+    interior nodes (never at r = 0, so 1/r wells work), or grid_points
+    samples of U on the full grid (the endpoint values never enter the
+    matrix); InputError unless every value is finite. Eigenvalues come out
+    ascending; eigenvectors are fixed to a deterministic sign (positive
+    slope at the origin) and grid-normalized. With eigvals_only the
+    eigenvectors are never computed and modes is None; the energies are
+    bit-identical to those of the eigenpair solve.
 
-    When U is the same at every interior node (no potential included) the
-    eigenpairs are the closed form of the free matrix shifted by that
-    constant; with no potential and eigvals_only nothing of size grid_points
-    is built. OverflowError is raised as by thermo.free_difference_energies,
-    or if a shifted energy is not finite. Any other potential is solved by
-    LAPACK.
+    When U is the same at every interior node the eigenpairs are the closed
+    form of the free matrix shifted by that constant; with no potential and
+    eigvals_only nothing of size grid_points is built. Any other potential
+    is solved by LAPACK. OverflowError is raised as by
+    thermo.free_difference_energies, or if a shifted energy or the
+    Gershgorin bound 4 pref/h^2 + max|U| is not finite.
     """
-    require_grid(r0, grid_points, k_lowest)
-    pref = kinetic_prefactor(u)
-    h = r0 / (grid_points - 1)
-    shift = 0.0
-    if potential is not None:
-        grid = np.linspace(0.0, r0, grid_points)
-        if potential.samples is not None:
-            # samples are given on the full grid; endpoint values never enter the matrix
-            u_interior = potential.on_grid(grid)[1:-1]
-        else:
-            u_interior = potential.on_grid(grid[1:-1])
-        shift = float(u_interior[0])
-
-    inv_h2 = pref / (h * h)
+    free = free_difference_energies(r0, grid_points, k_lowest, u)
+    named = {"r0": r0, "grid_points": grid_points, "k_lowest": k_lowest}
+    u_interior = None if potential is None else _interior_potential(potential, r0, grid_points)
     modes = None
-    if potential is None or np.all(u_interior == shift):
-        energies = np.array(free_difference_energies(r0, grid_points, k_lowest, u)) + shift
-        if not np.all(np.isfinite(energies)):
-            raise OverflowError(
-                f"finite-difference energies overflow: pref/h^2 = {inv_h2!r}, "
-                f"constant potential {shift!r}"
-            )
+    if u_interior is None or np.all(u_interior == u_interior[0]):
+        energies = np.array(free) + (0.0 if u_interior is None else float(u_interior[0]))
+        require_level_range(energies[-1], **named)
         if not eigvals_only:
             modes = _free_modes(r0, grid_points, k_lowest)
     else:
+        h = r0 / (grid_points - 1)
+        inv_h2 = kinetic_prefactor(u) / (h * h)
+        require_level_range(4.0 * inv_h2 + float(np.max(np.abs(u_interior))), **named)
         energies, vectors = _lapack_lowest(
             2.0 * inv_h2 + u_interior, np.full(grid_points - 3, -inv_h2), k_lowest, eigvals_only
         )
@@ -353,6 +306,24 @@ def solve_radial_numeric(
             modes[:, 1:-1] = vectors.T * (1.0 / math.sqrt(h))
 
     return NumericSpectrum(r0, grid_points, energies, modes)
+
+
+def _interior_potential(potential, r0: float, grid_points: int) -> np.ndarray:
+    # U at the interior nodes, from a callable or from samples on the full grid
+    grid = np.linspace(0.0, r0, grid_points)
+    if callable(potential):
+        values = np.zeros(grid_points)
+        values[1:-1] = [float(potential(r)) for r in grid[1:-1].tolist()]
+    else:
+        values = np.array([float(v) for v in potential])
+        if len(values) != grid_points:
+            raise InputError(
+                f"potential has {len(values)} samples but the grid has {grid_points} nodes"
+            )
+    if not np.all(np.isfinite(values)):
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise InputError(f"potential is not finite at grid node {bad} (r={float(grid[bad])!r})")
+    return values[1:-1]
 
 
 def _free_modes(r0: float, grid_points: int, k_lowest: int) -> np.ndarray:

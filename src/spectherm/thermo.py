@@ -22,7 +22,7 @@ import math
 from .specfun import DEFAULT_QUADRATURE, integrate, sine_integral
 from .units import (
     PI_RATIONAL, Frozen, InputError, UnitSystem, kinetic_prefactor,
-    require_at_least, require_grid, require_level_range, require_positive,
+    require_at_least, require_level_range, require_positive,
 )
 
 __all__ = [
@@ -127,10 +127,16 @@ def free_difference_energies(
     """Lowest k_lowest levels 4 pref/h^2 sin^2(j pi / (2 (N - 1))) of the radial
     modes on N = grid_points nodes, h = r0/(N - 1): the closed-form eigenvalues of
     spectra.solve_radial_numeric with no potential. OverflowError if a level is
-    not finite or the lowest is not a normal double."""
-    require_grid(r0, grid_points, k_lowest)
-    h = r0 / (grid_points - 1)
-    scale = 4.0 * (kinetic_prefactor(u) / (h * h))
+    not finite (also when h^2 underflows to 0) or the lowest is not a normal
+    double; InputError unless r0 > 0, grid_points >= 3, 1 <= k_lowest < grid_points - 1."""
+    require_positive("r0", r0)
+    require_at_least("grid_points", grid_points, 3)
+    if not (1 <= k_lowest < grid_points - 1):
+        raise InputError(
+            f"k_lowest must satisfy 1 <= k_lowest < grid_points - 1, got {k_lowest!r}"
+        )
+    pref, h = kinetic_prefactor(u), r0 / (grid_points - 1)
+    scale = 4.0 * (pref / (h * h)) if h * h else math.inf
     # The angle is a quotient of integers, which Python rounds correctly;
     # j * math.pi / (2 (N - 1)) rounds twice and costs up to ~2 more ulp.
     num, den = PI_RATIONAL[0], PI_RATIONAL[1] * 2 * (grid_points - 1)
@@ -228,10 +234,12 @@ def solve_fiducial_wavenumber(
 
 
 def _dual(name: str, value: float, u: UnitSystem) -> float:
-    # hbar/(k_B value): tau from T or T from tau. A dual that overflows or is
-    # subnormal (it has lost digits) is a computational failure.
+    # hbar/(k_B value): tau from T or T from tau. A dual that overflows (k_B
+    # value underflowing to 0 too) or is subnormal (it has lost digits) is a
+    # computational failure.
     require_positive(name, value)
-    dual = u.hbar / (u.k_boltzmann * value)
+    product = u.k_boltzmann * value
+    dual = u.hbar / product if product else math.inf
     if not (math.isfinite(dual) and dual >= 2.0**-1022):
         raise OverflowError(f"hbar/(k_B {name}) at {name}={value!r} is not a normal double")
     return dual

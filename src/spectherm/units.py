@@ -36,17 +36,6 @@ def require_at_least(name: str, value: int, k: int) -> None:
         raise InputError(f"{name} must be >= {k}, got {value!r}")
 
 
-def require_grid(r0: float, grid_points: int, k_lowest: int) -> None:
-    """Raise InputError unless r0 is positive and finite, grid_points >= 3, and
-    1 <= k_lowest < grid_points - 1: the finite-difference grid's checks."""
-    require_positive("r0", r0)
-    require_at_least("grid_points", grid_points, 3)
-    if not (1 <= k_lowest < grid_points - 1):
-        raise InputError(
-            f"k_lowest must satisfy 1 <= k_lowest < grid_points - 1, got {k_lowest!r}"
-        )
-
-
 def require_level_range(top: float, key_one: float | None = None, **given) -> None:
     """Raise OverflowError naming the given inputs unless top, the highest level
     energy, is finite and key_one, the energy of the lowest key, if given, is

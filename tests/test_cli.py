@@ -591,6 +591,9 @@ class TestSpectrumCommand:
              "k_lowest must satisfy 1 <= k_lowest < grid_points - 1, got 9"),
             (["--mass", "1e-307", "--grid-points", "100000"], 1,
              "level energies overflow at r0=1.0, grid_points=100000, k_lowest=5"),
+            # h^2 underflows to 0
+            (["--r0", "1e-170", "--grid-points", "10", "--k", "2"], 1,
+             "level energies overflow at r0=1e-170, grid_points=10, k_lowest=2"),
         ],
     )
     def test_numeric_error_lines(self, capsys, argv, code, line):
@@ -747,6 +750,26 @@ class TestExitCodesAndOutput:
         assert "np." not in captured.err, captured.err
         assert "out of range" not in captured.err, captured.err  # Python's errno 34 text
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            # k_B times the value underflows to 0, so the dual is infinite
+            (["duality", "--tau", "1e-300", "--kb", "1e-30"],
+             "hbar/(k_B tau) at tau=1e-300 is not a normal double"),
+            (["duality", "--temperature", "0.3", "--kb", "5e-324"],
+             "hbar/(k_B temperature) at temperature=0.3 is not a normal double"),
+            (["partition", "--domain", "ball", "--tau", "0.3", "--kb", "5e-324"],
+             "hbar/(k_B tau) at tau=0.3 is not a normal double"),
+            # r*r overflows, so every panel difference is nan
+            (["entropy", "--n", "3", "--r0", "1e155"],
+             "quadrature did not converge: error bound nan exceeds tolerance 1.000e-10 "
+             "(best estimate nan)"),
+        ],
+    )
+    def test_computational_failure_lines(self, capsys, argv, line):
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         argv = ["entropy", "--n", "1"]
         run(argv)
@@ -828,8 +851,8 @@ SCALAR_ARGVS = [
 
 # The modules a fresh process is checked for: numpy, which only a level list
 # needs; fractions (with decimal) and spectherm.heattrace, which only weyl
-# needs; csv, which only csv output needs; and dataclasses, which no
-# computation needs and which loads inspect, ast and dis.
+# needs; csv, which nothing needs (csv output is joined by hand); and
+# dataclasses, which no computation needs and which loads inspect, ast and dis.
 WATCHED = ("csv", "dataclasses", "decimal", "fractions", "numpy", "spectherm.heattrace")
 LOADED = f"*[m for m in {WATCHED!r} if m in sys.modules]"
 
@@ -865,18 +888,15 @@ class TestFreshProcess:
 
     @pytest.mark.parametrize("argv", SCALAR_ARGVS, ids=" ".join)
     def test_scalar_subcommand_loads_no_numpy(self, argv):
-        # nor any other WATCHED module it does not run: csv only for csv
-        # output, fractions (with decimal) and heattrace only for weyl
+        # nor any other WATCHED module it does not run: fractions (with
+        # decimal) and heattrace only for weyl, and csv never
         probe = run_python("-c", MODULE_PROBE, *argv)
         assert probe.returncode == 0, probe.stderr
         assert probe.stdout != ""
         loaded = set(probe.stderr.split())
-        csv = "csv" in argv  # --format csv
-        allowed = {"csv"} if csv else set()
-        if argv[0] == "weyl":
-            allowed |= {"decimal", "fractions", "spectherm.heattrace"}
+        allowed = {"decimal", "fractions", "spectherm.heattrace"} if argv[0] == "weyl" else set()
         assert loaded <= allowed
-        assert ("csv" in loaded) == csv
+        assert "csv" not in loaded
 
     @pytest.mark.parametrize(
         "argv",
@@ -922,10 +942,10 @@ class TestFreshProcess:
         probe = run_python(
             "-c",
             "import sys\n"
-            "from spectherm import Potential, natural_units, solve_radial_numeric\n"
+            "from spectherm import natural_units, solve_radial_numeric\n"
             "before = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
             "levels = solve_radial_numeric(\n"
-            "    1.0, 50, 2, natural_units(), Potential.from_callable(lambda r: r * r)\n"
+            "    1.0, 50, 2, natural_units(), lambda r: r * r\n"
             ")\n"
             "print(before, 'scipy.linalg' in sys.modules, len(levels.energies))",
         )

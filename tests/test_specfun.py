@@ -113,6 +113,24 @@ class TestIntegrate:
         assert math.isfinite(err.best_estimate)
         assert err.abs_tolerance == spec.abs_tolerance
 
+    # nan everywhere, and -inf on part of the interval, so that the panel
+    # difference (-inf) - (-inf) is nan
+    @pytest.mark.parametrize(
+        "f", [lambda x: math.nan, lambda x: -math.inf if x > 0.3 else 0.0], ids=["nan", "inf"]
+    )
+    def test_nonfinite_panel_difference_raises_at_once(self, f):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        with pytest.raises(QuadratureError) as excinfo:
+            integrate(counted, 0.0, 1.0)
+        assert math.isnan(excinfo.value.best_estimate)
+        assert not math.isfinite(excinfo.value.error_bound)
+        assert len(calls) <= 3 * 12  # the interval and its two halves, 12 nodes each
+
     def test_default_spec_values(self):
         assert DEFAULT_QUADRATURE.abs_tolerance == 1e-10
         assert DEFAULT_QUADRATURE.max_subdivisions == 60

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from spectherm import (
     InputError,
-    Potential,
     QuadratureSpec,
     Spectrum,
     UnitSystem,
@@ -207,16 +206,12 @@ class TestNumericSolver:
 
     def test_constant_potential_shifts_spectrum(self, u):
         free = solve_radial_numeric(1.0, 600, 4, u)
-        shifted = solve_radial_numeric(
-            1.0, 600, 4, u, potential=Potential.from_callable(lambda r: 5.0)
-        )
+        shifted = solve_radial_numeric(1.0, 600, 4, u, potential=lambda r: 5.0)
         assert np.allclose(shifted.energies - free.energies, 5.0, atol=1e-8)
 
     def test_sampled_zero_potential_equals_free(self, u):
         free = solve_radial_numeric(1.0, 400, 3, u)
-        sampled = solve_radial_numeric(
-            1.0, 400, 3, u, potential=Potential.from_samples([0.0] * 400)
-        )
+        sampled = solve_radial_numeric(1.0, 400, 3, u, potential=[0.0] * 400)
         assert np.array_equal(free.energies, sampled.energies)
         assert np.array_equal(free.modes, sampled.modes)
 
@@ -224,24 +219,18 @@ class TestNumericSolver:
         "well", [lambda r: r, lambda r: r * r, lambda r: 5.0 * r]
     )
     def test_confining_potential_keeps_ground_state_simple(self, u, well):
-        spectrum = solve_radial_numeric(
-            1.0, 800, 6, u, potential=Potential.from_callable(well)
-        )
+        spectrum = solve_radial_numeric(1.0, 800, 6, u, potential=well)
         assert hilbert_dim_min(Spectrum(spectrum.energies)) == 1
 
     def test_potential_ground_energy_matches_shooting_method(self, u):
         well = lambda r: r * r
-        spectrum = solve_radial_numeric(
-            1.0, 3000, 1, u, potential=Potential.from_callable(well)
-        )
+        spectrum = solve_radial_numeric(1.0, 3000, 1, u, potential=well)
         reference = shooting_ground_energy(well, math.pi**2, math.pi**2 + 1.0)
         assert spectrum.energies[0] == pytest.approx(reference, rel=1e-6)
 
     def test_eigenpairs_satisfy_difference_equation(self, u):
         well = lambda r: 3.0 * r
-        spectrum = solve_radial_numeric(
-            1.0, 400, 3, u, potential=Potential.from_callable(well)
-        )
+        spectrum = solve_radial_numeric(1.0, 400, 3, u, potential=well)
         h = spectrum.spacing
         r = spectrum.grid
         for k in range(3):
@@ -281,16 +270,14 @@ class TestNumericSolver:
         "potential",
         [
             None,
-            Potential.from_callable(lambda r: 3.0 * r * r),
-            Potential.from_samples(np.cos(np.linspace(0.0, 5.0, 2000)).tolist()),
+            lambda r: 3.0 * r * r,
+            np.cos(np.linspace(0.0, 5.0, 2000)).tolist(),
         ],
         ids=["free", "callable", "sampled"],
     )
     def test_eigvals_only_matches_eigenpair_energies(self, u, potential):
         pairs = solve_radial_numeric(1.0, 2000, 8, u, potential=potential)
-        only = solve_radial_numeric(
-            1.0, 2000, 8, u, potential=potential, eigvals_only=True
-        )
+        only = solve_radial_numeric(1.0, 2000, 8, u, potential=potential, eigvals_only=True)
         assert only.modes is None
         assert only.grid_points == pairs.grid_points
         assert np.array_equal(only.energies, pairs.energies)
@@ -315,17 +302,49 @@ class TestNumericSolver:
     @pytest.mark.parametrize("c", [0.0, 5.0, -2.5])
     def test_constant_potentials_shift_the_closed_form_exactly(self, u, c):
         free = solve_radial_numeric(1.0, 700, 6, u).energies
-        for potential in (
-            Potential.from_callable(lambda r: c),
-            Potential.from_samples([c] * 700),
-        ):
+        for potential in (lambda r: c, [c] * 700):
             shifted = solve_radial_numeric(1.0, 700, 6, u, potential=potential)
             assert np.array_equal(shifted.energies, free + c)
 
+    # a well a + b r + c r^2 as a callable and as samples on the full grid,
+    # given as a list, a tuple and an ndarray
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
+        st.floats(0.1, 10.0), st.integers(5, 300), st.integers(1, 3), st.booleans(),
+    )
+    def test_callable_and_sample_forms_agree_bitwise(
+        self, a, b, c, r0, grid_points, k_lowest, eigvals_only
+    ):
+        well = lambda r: a + b * r + c * r * r
+        samples = [well(r) for r in np.linspace(0.0, r0, grid_points)]
+        first, *others = [
+            solve_radial_numeric(
+                r0, grid_points, k_lowest, natural_units(), p, eigvals_only=eigvals_only
+            )
+            for p in (well, samples, tuple(samples), np.array(samples))
+        ]
+        for other in others:
+            assert np.array_equal(other.energies, first.energies)
+            if eigvals_only:
+                assert other.modes is None and first.modes is None
+            else:
+                assert np.array_equal(other.modes, first.modes)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.floats(-1e6, 1e6), st.floats(0.1, 10.0), st.integers(3, 2000), st.integers(1, 5)
+    )
+    def test_constant_well_is_exactly_free_plus_c(self, c, r0, grid_points, k_lowest):
+        k_lowest = min(k_lowest, grid_points - 2)
+        free = solve_radial_numeric(r0, grid_points, k_lowest, natural_units())
+        for potential in (lambda r: c, [c] * grid_points):
+            shifted = solve_radial_numeric(r0, grid_points, k_lowest, natural_units(), potential)
+            assert np.array_equal(shifted.energies, free.energies + c)
+            assert np.array_equal(shifted.modes, free.modes)
+
     def test_closed_form_modes_satisfy_difference_equation(self, u):
-        spectrum = solve_radial_numeric(
-            1.0, 400, 3, u, potential=Potential.from_callable(lambda r: 2.0)
-        )
+        spectrum = solve_radial_numeric(1.0, 400, 3, u, potential=lambda r: 2.0)
         h = spectrum.spacing
         for mode, energy in zip(spectrum.modes, spectrum.energies):
             second_diff = (mode[:-2] - 2.0 * mode[1:-1] + mode[2:]) / (h * h)
@@ -371,18 +390,11 @@ class TestNumericSolver:
 
     def test_nonfinite_potential_rejected(self, u):
         with pytest.raises(ValueError):
-            solve_radial_numeric(
-                1.0, 50, 2, u,
-                potential=Potential.from_callable(
-                    lambda r: math.inf if r > 0.5 else 0.0
-                ),
-            )
+            solve_radial_numeric(1.0, 50, 2, u, potential=lambda r: math.inf if r > 0.5 else 0.0)
 
     def test_sample_count_must_match_grid(self, u):
         with pytest.raises(ValueError):
-            solve_radial_numeric(
-                1.0, 50, 2, u, potential=Potential.from_samples([0.0] * 49)
-            )
+            solve_radial_numeric(1.0, 50, 2, u, potential=[0.0] * 49)
 
     def test_grid_too_coarse(self, u):
         with pytest.raises(ValueError):
@@ -393,12 +405,6 @@ class TestNumericSolver:
             solve_radial_numeric(1.0, 10, 9, u)
         with pytest.raises(ValueError):
             solve_radial_numeric(1.0, 10, 0, u)
-
-    def test_potential_requires_exactly_one_source(self):
-        with pytest.raises(ValueError):
-            Potential()
-        with pytest.raises(ValueError):
-            Potential(func=lambda r: 0.0, samples=(0.0,))
 
 
 class TestHilbertDimMin:
@@ -544,6 +550,27 @@ class TestLevelOverflow:
             with pytest.raises(OverflowError, match=named):
                 build(u)
 
+    # h^2 underflows to 0 with no potential; pref/h^2 overflows under a
+    # potential LAPACK would solve; and only the Gershgorin bound
+    # 4 pref/h^2 + max|U| overflows, the free levels do not
+    @pytest.mark.parametrize(
+        "r0, potential",
+        [
+            (1e-170, None),
+            (1e-155, lambda r: r),
+            (1e-150, lambda r: -1.7976931348623157e308 if r > 5e-151 else 0.0),
+        ],
+        ids=["h2-zero", "lapack", "gershgorin"],
+    )
+    def test_finite_difference_overflow_line(self, u, r0, potential):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError) as excinfo:
+                solve_radial_numeric(r0, 10, 2, u, potential)
+        assert str(excinfo.value) == (
+            f"level energies overflow at r0={r0!r}, grid_points=10, k_lowest=2"
+        )
+
     def test_largest_finite_levels_accepted(self, u):
         side = math.pi * math.sqrt(48.0 / 1.7e308)
         assert box_modes(side, 3, 4, u)[1][-1] < math.inf
@@ -564,7 +591,7 @@ class TestLevelOverflow:
              "r0=1e+160, grid_points=10, k_lowest=2"),
             (lambda u: solve_radial_numeric(1e156, 10, 2, u, eigvals_only=True),
              "r0=1e+156, grid_points=10, k_lowest=2"),
-            (lambda u: solve_radial_numeric(1e156, 10, 2, u, Potential.from_samples([5.0] * 10)),
+            (lambda u: solve_radial_numeric(1e156, 10, 2, u, [5.0] * 10),
              "r0=1e+156, grid_points=10, k_lowest=2"),
         ],
     )

@@ -343,6 +343,14 @@ class TestDuality:
         with pytest.raises(OverflowError, match="temperature=1e[+]300 is not a normal double"):
             duality_map_from_temperature(1e300, u2)
 
+    def test_zero_product_is_an_infinite_dual(self):
+        # k_B * x underflows to 0.0, so hbar/(k_B x) is infinite, not a division by zero
+        u2 = UnitSystem(hbar=1.0, k_boltzmann=5e-324, mass=0.5)
+        with pytest.raises(OverflowError, match="tau=0.3 is not a normal double"):
+            duality_map(0.3, u2)
+        with pytest.raises(OverflowError, match="temperature=0.3 is not a normal double"):
+            duality_map_from_temperature(0.3, u2)
+
     def test_smallest_normal_dual_accepted(self):
         u2 = UnitSystem(hbar=2.0**-1022, k_boltzmann=1.0, mass=0.5)
         assert duality_map(1.0, u2).temperature == 2.0**-1022

@@ -10,7 +10,6 @@ from spectherm import (
     FundamentalEquation,
     InputError,
     NumericSpectrum,
-    Potential,
     QuadratureSpec,
     Spectrum,
     UnitSystem,
@@ -96,8 +95,6 @@ VALUE_CLASSES = [
     (FundamentalEquation, dict(s0=-1.5, v0=2.0), "FundamentalEquation(s0=-1.5, v0=2.0)", True),
     (DualityPoint, dict(imaginary_time=2.0, temperature=0.5),
      "DualityPoint(imaginary_time=2.0, temperature=0.5)", True),
-    (Potential, dict(func=None, samples=(1.0, 2.0)),
-     "Potential(func=None, samples=(1.0, 2.0))", True),
     (Spectrum, dict(energies=[2.0, 1.0], multiplicities=[1.0, 3.0]),
      "Spectrum(energies=array([1., 2.]), multiplicities=array([3., 1.]))", False),
     (NumericSpectrum, dict(r0=1.0, grid_points=3, energies=np.array([1.0]), modes=None),
