@@ -25,7 +25,6 @@ _OWNERS = {
         "NumericSpectrum",
         "Spectrum",
         "ball_spectrum",
-        "box_modes",
         "box_spectrum",
         "heat_trace",
         "hilbert_dim_min",
@@ -44,14 +43,17 @@ _OWNERS = {
         "FundamentalEquation",
         "NoRealSolution",
         "boltzmann_weight_from_entropy",
+        "box_modes",
         "duality_map",
         "duality_map_from_temperature",
         "entropy_expectation",
         "entropy_from_density",
         "free_difference_energies",
         "ideal_gas_entropy",
+        "interval_energies",
         "radial_wavefunction",
         "solve_fiducial_wavenumber",
+        "sphere_energies",
     ),
     "units": ("InputError", "UnitSystem", "kinetic_prefactor", "natural_units"),
 }

@@ -16,14 +16,14 @@ The front end itself checks only what no library call sees: that a
 custom domain names a level file, and that duality gets a value.
 
 Only the handlers that build a level list import spectra, and with it
-numpy: spectrum (not --kind numeric), partition, and a custom domain's
-level file (load_levels). Only weyl imports heattrace (and fractions), so
-entropy, fiducial, duality and numeric spectra load neither; csv output is
-joined by hand and imports no csv module.
+numpy: partition and a custom domain's level file (load_levels); every
+spectrum table takes its rows from thermo. Only weyl imports heattrace
+(and fractions), so entropy, fiducial, duality and spectrum load neither;
+csv output is joined by hand and imports no csv module.
 
 Exit codes: 0 success, 1 computational failure (no real root, quadrature
-breakdown, overflow), 2 rejected input (InputError, an unreadable file, or
-an argument argparse refuses).
+breakdown, overflow, out of memory), 2 rejected input (InputError, an
+unreadable file, or an argument argparse refuses).
 """
 
 from __future__ import annotations
@@ -41,13 +41,9 @@ from typing import TYPE_CHECKING, Sequence
 
 from .specfun import DEFAULT_QUADRATURE, QuadratureError
 from .thermo import (
-    FundamentalEquation,
-    NoRealSolution,
-    duality_map,
-    duality_map_from_temperature,
-    entropy_expectation,
-    free_difference_energies,
-    solve_fiducial_wavenumber,
+    FundamentalEquation, NoRealSolution, box_modes, duality_map, duality_map_from_temperature,
+    entropy_expectation, free_difference_energies, interval_energies, solve_fiducial_wavenumber,
+    sphere_energies,
 )
 from .units import InputError, UnitSystem, kinetic_prefactor
 
@@ -192,27 +188,21 @@ def _cmd_spectrum(args, u: UnitSystem):
         pref = kinetic_prefactor(u)
         columns = ["index", "energy", "wavenumber_estimate"]
         rows = [[k, e, math.sqrt(e / pref)] for k, e in enumerate(energies, start=1)]
-        return config, {"columns": columns, "rows": rows}
-
-    from . import spectra
-
-    if args.kind == "angular":
+    elif args.kind == "angular":
         config["l_max"] = args.l_max
-        levels = spectra.sphere_spectrum(args.l_max, u)
         columns = ["l", "kinetic_energy", "degeneracy"]
-        rows = list(zip(range(args.l_max + 1), levels.energies.tolist(),
-                        map(int, levels.multiplicities.tolist())))
+        rows = [[l, e, 2 * l + 1] for l, e in enumerate(sphere_energies(args.l_max, u))]
     elif args.kind == "radial":
         config.update({"r0": args.r0, "n_max": args.n_max})
-        levels = spectra.interval_spectrum(args.r0, args.n_max, u)
+        energies = interval_energies(args.r0, args.n_max, u)
         n = range(1, args.n_max + 1)
         columns = ["n", "wavenumber", "kinetic_energy"]
-        rows = list(zip(n, [k * math.pi / args.r0 for k in n], levels.energies.tolist()))
+        rows = list(zip(n, [k * math.pi / args.r0 for k in n], energies))
     else:  # box
         config.update({"L": args.L, "d": args.d, "n_max_per_axis": args.n_max})
-        numbers, energies = spectra.box_modes(args.L, args.d, args.n_max, u)
+        numbers, energies = box_modes(args.L, args.d, args.n_max, u)
         columns = ["quantum_numbers", "kinetic_energy"]
-        rows = [["x".join(map(str, q)), e] for q, e in zip(numbers.tolist(), energies.tolist())]
+        rows = [["x".join(map(str, q)), e] for q, e in zip(numbers, energies)]
     return config, {"columns": columns, "rows": rows}
 
 
@@ -439,6 +429,9 @@ def run(argv: Sequence[str]) -> int:
         return 2
     except (NoRealSolution, QuadratureError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the allocation; a bare one says nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -13,7 +13,7 @@ multiplicities, as arrays:
 * the ball, sphere sectors tensored with the radial tower (ball_spectrum);
 * Cartesian box modes in d dimensions with vanishing boundary values,
   counted exactly on the integer key n_1^2 + ... + n_d^2 (box_spectrum);
-  box_modes lists each mode's quantum numbers instead.
+  thermo.box_modes lists each mode's quantum numbers instead.
 
 The interval, ball and box builders, and the solver's closed form, raise
 OverflowError, naming their inputs, when a level overflows or the lowest
@@ -41,14 +41,15 @@ checks the grid and forms the free levels; it uses no arrays, so `spectrum
 --kind numeric` loads neither numpy nor fractions. When U is constant on the
 interior nodes (in particular with no potential) the eigenvectors are sines
 and the eigenvalues those levels plus U. Any other potential goes to LAPACK,
-once the matrix's Gershgorin bound is finite: the lowest eigenvalues by
-bisection with Sturm counts (stebz), bit-stable across runs but only
-resolved to a width of EPS * |T|_1 ~ 4 * 2**-52 * pref / h^2 (9e-7 of the
-lowest level at 1e5 grid points; lower digits move with the index range
-solved), and the eigenvectors by inverse iteration (stein). With
-eigvals_only=True the eigenvectors are skipped and the eigenvalues are the
-same bits. scipy is imported only when LAPACK is called, not when this
-module is.
+once the matrix's Gershgorin bound is finite (the matrix is scaled by a
+power of two when that bound is above 2**500, since stebz squares the
+off-diagonal): the lowest eigenvalues by bisection with Sturm counts
+(stebz), bit-stable across runs but only resolved to a width of
+EPS * |T|_1 ~ 4 * 2**-52 * pref / h^2 (9e-7 of the lowest level at 1e5 grid
+points; lower digits move with the index range solved), and the
+eigenvectors by inverse iteration (stein). With eigvals_only=True the
+eigenvectors are skipped and the eigenvalues are the same bits. scipy is
+imported only when LAPACK is called, not when this module is.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .heattrace import weyl_convergence_scan
-from .thermo import duality_map_from_temperature, free_difference_energies
+from .thermo import _box_key_energy, duality_map_from_temperature, free_difference_energies
 from .units import (
     Frozen,
     InputError,
@@ -79,7 +80,6 @@ __all__ = [
     "interval_spectrum",
     "ball_spectrum",
     "box_spectrum",
-    "box_modes",
     "solve_radial_numeric",
     "hilbert_dim_min",
     "heat_trace",
@@ -199,26 +199,6 @@ def ball_spectrum(r0: float, n_max: int, l_max: int, u: UnitSystem) -> Spectrum:
     return Spectrum(energies.ravel(), multiplicities.ravel())
 
 
-def box_modes(
-    side: float, d: int, n_max_per_axis: int, u: UnitSystem
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every Dirichlet mode of the d-dimensional box with quantum numbers <= n_max_per_axis.
-
-    Returns the quantum numbers, an int64 array of one row per mode, and
-    the mode energies pref (pi/side)^2 (n_1^2 + ... + n_d^2). Rows are
-    sorted ascending by energy, ties in ascending lexicographic order of
-    the quantum numbers, so the output is reproducible.
-    """
-    scale = _box_key_energy(side, d, n_max_per_axis, u)
-    # row i holds the base-n_max digits of i plus one, so rows start in lexicographic order
-    powers = n_max_per_axis ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    index = np.arange(n_max_per_axis**d, dtype=np.int64)[:, None]
-    numbers = index // powers % n_max_per_axis + 1
-    energies = scale * (numbers * numbers).sum(axis=1)
-    order = np.argsort(energies, kind="stable")
-    return numbers[order], energies[order]
-
-
 def box_spectrum(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> Spectrum:
     """Box levels pref (pi/side)^2 K, one per integer key K = n_1^2 + ... + n_d^2.
 
@@ -236,25 +216,6 @@ def box_spectrum(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> Spe
         np.add.at(summed, slots.ravel(), np.repeat(counts, n_max_per_axis))
         counts = summed
     return Spectrum(scale * keys, counts)
-
-
-def _box_key_energy(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> float:
-    # Checks the box and returns pref (pi/side)^2, the energy of key 1.
-    # OverflowError if that is not normal or the top key d n_max^2 has no
-    # finite energy; InputError for more than 2**53 modes, beyond which
-    # neither a float64 multiplicity nor an int64 mode index is exact.
-    require_positive("side", side)
-    require_at_least("d", d, 1)
-    require_at_least("n_max_per_axis", n_max_per_axis, 1)
-    try:
-        scale = kinetic_prefactor(u) * (math.pi / side) ** 2
-    except OverflowError:
-        scale = math.inf
-    require_level_range(scale * (d * n_max_per_axis**2), scale, side=side, n_max=n_max_per_axis)
-    if n_max_per_axis > 1 and (d > 53 or n_max_per_axis**d > 2**53):
-        raise InputError(f"{n_max_per_axis}**{d} box modes: more than 2**53, "
-                         "so the multiplicities would not be exact")
-    return scale
 
 
 def solve_radial_numeric(
@@ -297,10 +258,15 @@ def solve_radial_numeric(
     else:
         h = r0 / (grid_points - 1)
         inv_h2 = kinetic_prefactor(u) / (h * h)
-        require_level_range(4.0 * inv_h2 + float(np.max(np.abs(u_interior))), **named)
+        bound = 4.0 * inv_h2 + float(np.max(np.abs(u_interior)))
+        require_level_range(bound, **named)
+        # stebz squares the off-diagonal: scale by the least 2**-k putting the bound below 2**500
+        scale = 2.0 ** max(0, math.frexp(bound)[1] - 500)
         energies, vectors = _lapack_lowest(
-            2.0 * inv_h2 + u_interior, np.full(grid_points - 3, -inv_h2), k_lowest, eigvals_only
+            (2.0 * inv_h2 + u_interior) / scale, np.full(grid_points - 3, -inv_h2 / scale),
+            k_lowest, eigvals_only,
         )
+        energies = energies * scale
         if not eigvals_only:
             modes = np.zeros((k_lowest, grid_points))
             modes[:, 1:-1] = vectors.T * (1.0 / math.sqrt(h))

@@ -6,9 +6,10 @@ form (radial_wavefunction evaluates the mode, free_difference_energies its
 finite-difference levels), the relation |psi|^2 = exp(S/k_B), the
 constraint fixing the fiducial wavenumber, and the
 imaginary-time/temperature substitution tau = hbar/(k_B T), whose dual must
-be a normal double (OverflowError otherwise). Every one of these is a
-scalar computation, so this module uses no arrays; the partition sums over
-a level list live beside the one spectral kernel, in spectra.
+be a normal double (OverflowError otherwise), and the `spectrum` table rows
+(sphere_energies, interval_energies, box_modes). All of these are Python
+numbers, so this module uses no arrays; the level lists and the partition
+sums over them live beside the one spectral kernel, in spectra.
 
 The fiducial entropy S0 may be the formal value -infinity; that limit is
 carried as an explicit IEEE -inf (never a large negative float) and short
@@ -17,6 +18,7 @@ circuits the wavenumber constraint to the pure sine-node solutions.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .specfun import DEFAULT_QUADRATURE, integrate, sine_integral
@@ -40,6 +42,9 @@ __all__ = [
     "boltzmann_weight_from_entropy",
     "radial_wavefunction",
     "free_difference_energies",
+    "sphere_energies",
+    "interval_energies",
+    "box_modes",
 ]
 
 # Formal fiducial-entropy limit; use this constant rather than an ad-hoc float.
@@ -148,9 +153,67 @@ def free_difference_energies(
     return energies
 
 
+def sphere_energies(l_max: int, u: UnitSystem) -> tuple[float, ...]:
+    """Energies pref*l(l+1) of the angular sectors l = 0..l_max (multiplicity
+    2l+1), bit for bit those of spectra.sphere_spectrum, with its checks."""
+    require_at_least("l_max", l_max, 0)
+    pref = kinetic_prefactor(u)
+    energies = tuple([(pref * l) * (l + 1.0) for l in range(l_max + 1)])
+    require_level_range(energies[-1], l_max=l_max)
+    return energies
+
+
+def interval_energies(length: float, n_max: int, u: UnitSystem) -> tuple[float, ...]:
+    """Dirichlet levels pref*(n*pi/length)^2, n = 1..n_max, bit for bit those of
+    spectra.interval_spectrum (numpy squares by x*x, never by pow), with its checks."""
+    require_positive("length", length)
+    require_at_least("n_max", n_max, 1)
+    pref = kinetic_prefactor(u)
+    wavenumbers = (n * math.pi / length for n in range(1, n_max + 1))
+    energies = tuple([pref * (k * k) for k in wavenumbers])
+    require_level_range(energies[-1], energies[0], length=length, n_max=n_max)
+    return energies
+
+
+def box_modes(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> tuple[tuple, tuple]:
+    """Quantum-number tuples and energies pref (pi/side)^2 K of every Dirichlet mode of
+    the d-dimensional box with quantum numbers <= n_max_per_axis, K = n_1^2 + ... + n_d^2
+    an exact int, so the bits of spectra.box_spectrum's levels. Sorted by K, ties in
+    lexicographic order of the quantum numbers; checked as box_spectrum is."""
+    scale = _box_key_energy(side, d, n_max_per_axis, u)
+    axis = range(1, n_max_per_axis + 1)
+    keys = list(map(sum, itertools.product([n * n for n in axis], repeat=d)))
+    # product yields the tuples in lexicographic order, and sorted is stable
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    numbers = list(itertools.product(axis, repeat=d))
+    return tuple(map(numbers.__getitem__, order)), tuple([scale * keys[i] for i in order])
+
+
+def _box_key_energy(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> float:
+    # Checks the box and returns pref (pi/side)^2, the energy of key 1. OverflowError if
+    # that is not normal or the top key d n_max^2 has no finite energy; InputError for
+    # more than 2**53 modes, beyond which a float64 multiplicity is not exact.
+    require_positive("side", side)
+    require_at_least("d", d, 1)
+    require_at_least("n_max_per_axis", n_max_per_axis, 1)
+    try:
+        scale = kinetic_prefactor(u) * (math.pi / side) ** 2
+    except OverflowError:
+        scale = math.inf
+    require_level_range(scale * (d * n_max_per_axis**2), scale, side=side, n_max=n_max_per_axis)
+    if n_max_per_axis > 1 and (d > 53 or n_max_per_axis**d > 2**53):
+        raise InputError(f"{n_max_per_axis}**{d} box modes: more than 2**53, "
+                         "so the multiplicities would not be exact")
+    return scale
+
+
 def _entropy_quadrature(n: int, r0: float, u: UnitSystem) -> float:
-    # radial_wavefunction's arithmetic, with no range check (the nodes lie in (0, r0])
+    # radial_wavefunction's arithmetic, with no range check (the nodes lie in (0, r0]);
+    # a finite norm needs r0 > 1.1e-308, so no node of the first panel (>= 0.009 r0) is 0
     norm, c = math.sqrt(2.0 / r0), n * math.pi / r0
+    if not (math.isfinite(norm) and math.isfinite(c)):
+        raise InputError(f"r0={r0!r} is too small for the entropy quadrature: "
+                         f"sqrt(2/r0) or n*pi/r0 is not finite at n={n!r}")
 
     def integrand(r: float) -> float:
         psi = norm * math.sin(c * r) / r

@@ -18,10 +18,13 @@ from spectherm import (
     InputError,
     Spectrum,
     UnitSystem,
+    box_modes,
     box_spectrum,
     free_difference_energies,
+    interval_energies,
     interval_spectrum,
     solve_radial_numeric,
+    sphere_energies,
     sphere_spectrum,
 )
 from spectherm.cli import load_levels, run
@@ -251,6 +254,16 @@ class TestEntropyCommand:
 
     def test_csv_rejected_for_scalar_report(self, capsys):
         assert run(["entropy", "--n", "1", "--format", "csv"]) == 2
+
+    # sqrt(2/r0) or n*pi/r0 overflows, or the nodes round to 0 (5e-324): the
+    # quadrature cannot form its integrand in doubles
+    @pytest.mark.parametrize("r0", ["5e-324", "1e-310", "2.2250738585072014e-308"])
+    def test_r0_too_small_for_the_quadrature(self, capsys, r0):
+        assert run(["entropy", "--n", "3", "--r0", r0]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: r0={r0} is too small for the entropy quadrature: "
+            "sqrt(2/r0) or n*pi/r0 is not finite at n=3\n"
+        ))
 
     def test_result_does_not_depend_on_hbar(self, capsys):
         # hbar^2/(2 mass) underflows here, but the entropy never uses it
@@ -608,13 +621,23 @@ class TestSpectrumCommand:
         wavenumber = float(lines[1].split(",")[1])
         assert wavenumber == math.pi
 
+    # The tables take their rows from thermo's stdlib functions, the level
+    # lists from spectra's numpy ones: the same operations in the same order,
+    # so the same bits. A box mode's energy is its key's level energy, and
+    # each level appears as often as its multiplicity.
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         log_hbar=st.floats(min_value=-3.0, max_value=3.0),
         log_mass=st.floats(min_value=-3.0, max_value=3.0),
         log_length=st.floats(min_value=-2.0, max_value=2.0),
+        l_max=st.integers(min_value=0, max_value=3000),
+        n_max=st.integers(min_value=1, max_value=3000),
+        d=st.integers(min_value=1, max_value=4),
+        box_n_max=st.integers(min_value=1, max_value=7),
     )
-    def test_tables_print_the_level_list_bits(self, log_hbar, log_mass, log_length):
+    def test_tables_print_the_level_list_bits(
+        self, log_hbar, log_mass, log_length, l_max, n_max, d, box_n_max
+    ):
         hbar, mass, length = 10.0**log_hbar, 10.0**log_mass, 10.0**log_length
         u = UnitSystem(hbar, 1.0, mass)
         units = ["--hbar", repr(hbar), "--mass", repr(mass)]
@@ -625,23 +648,41 @@ class TestSpectrumCommand:
                 assert run(["spectrum", *argv, *units]) == 0
             return json.loads(out.getvalue())["results"]["rows"]
 
-        radial = rows("--kind", "radial", "--r0", repr(length), "--n-max", "50")
-        assert [row[1] for row in radial] == [n * math.pi / length for n in range(1, 51)]
-        assert [row[2] for row in radial] == interval_spectrum(length, 50, u).energies.tolist()
+        def bits(values):
+            # float(): an energy such as 36.0 prints as 36, which json reads as an int
+            return [float(v).hex() for v in values]
 
-        sphere = sphere_spectrum(10, u)
-        angular = rows("--kind", "angular", "--l-max", "10")
-        assert [row[1] for row in angular] == sphere.energies.tolist()
+        radial = rows("--kind", "radial", "--r0", repr(length), "--n-max", str(n_max))
+        assert [row[0] for row in radial] == list(range(1, n_max + 1))
+        assert bits(row[1] for row in radial) == bits(
+            n * math.pi / length for n in range(1, n_max + 1)
+        )
+        assert (
+            bits(row[2] for row in radial)
+            == bits(interval_energies(length, n_max, u))
+            == bits(interval_spectrum(length, n_max, u).energies.tolist())
+        )
+
+        sphere = sphere_spectrum(l_max, u)
+        angular = rows("--kind", "angular", "--l-max", str(l_max))
+        assert [row[0] for row in angular] == list(range(l_max + 1))
+        assert (
+            bits(row[1] for row in angular)
+            == bits(sphere_energies(l_max, u))
+            == bits(sphere.energies.tolist())
+        )
         assert [row[2] for row in angular] == sphere.multiplicities.tolist()
 
-        # box rows grouped by their key n_1^2 + ... + n_d^2, in table order
-        groups: dict[int, list[float]] = {}
-        for numbers, energy in rows("--kind", "box", "--L", repr(length), "--n-max", "4"):
-            groups.setdefault(sum(int(n) ** 2 for n in numbers.split("x")), []).append(energy)
-        levels = box_spectrum(length, 3, 4, u)
-        assert list(groups) == sorted(groups)
-        assert [set(group) for group in groups.values()] == [{e} for e in levels.energies]
-        assert [len(group) for group in groups.values()] == levels.multiplicities.tolist()
+        box = rows("--kind", "box", "--d", str(d), "--L", repr(length), "--n-max", str(box_n_max))
+        numbers, energies = box_modes(length, d, box_n_max, u)
+        assert [row[0] for row in box] == ["x".join(map(str, q)) for q in numbers]
+        assert bits(row[1] for row in box) == bits(energies)
+        levels = box_spectrum(length, d, box_n_max, u)
+        expanded = [
+            e for e, m in zip(levels.energies.tolist(), levels.multiplicities.tolist())
+            for _ in range(int(m))
+        ]
+        assert bits(energies) == bits(expanded)
 
     def test_unit_overrides_reach_the_spectra(self, capsys):
         default = run_json(capsys, ["spectrum", "--kind", "radial", "--n-max", "1"])
@@ -770,6 +811,20 @@ class TestExitCodesAndOutput:
         assert run(argv) == 1
         assert capsys.readouterr() == ("", f"error: {line}\n")
 
+    # a bare MemoryError has no text; numpy's names the allocation
+    @pytest.mark.parametrize(
+        "exc, line",
+        [(MemoryError(), "out of memory"),
+         (MemoryError("Unable to allocate 7.45 GiB"), "Unable to allocate 7.45 GiB")],
+    )
+    def test_out_of_memory_exits_1_with_one_error_line(self, capsys, monkeypatch, exc, line):
+        def exhaust(*args):
+            raise exc
+
+        monkeypatch.setattr("spectherm.cli.box_modes", exhaust)
+        assert run(["spectrum", "--kind", "box", "--d", "3", "--n-max", "1000"]) == 1
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         argv = ["entropy", "--n", "1"]
         run(argv)
@@ -833,7 +888,8 @@ class TestExitCodesAndOutput:
 
 
 # The argvs of the benchmark workloads that need no arrays: startup's eight,
-# the entropy and fiducial forms of solver's, and the free numeric spectrum.
+# the entropy and fiducial forms of solver's, and the free numeric spectrum;
+# then every spectrum table, whose rows come from thermo, in json and csv.
 SCALAR_ARGVS = [
     ["entropy", "--n", "1", "--r0", "1"],
     ["entropy", "--n", "3", "--r0", "0.5", "--kb", "2"],
@@ -847,13 +903,21 @@ SCALAR_ARGVS = [
     ["fiducial", "--r0", "1.5", "--s0", "-1.6", "--branch", "57"],
     ["spectrum", "--kind", "numeric", "--grid-points", "100000", "--k", "50"],
     ["spectrum", "--kind", "numeric", "--grid-points", "100000", "--k", "50", "--format", "csv"],
+    ["spectrum", "--kind", "radial"],
+    ["spectrum", "--kind", "radial", "--n-max", "4", "--format", "csv"],
+    ["spectrum", "--kind", "angular", "--l-max", "4"],
+    ["spectrum", "--kind", "angular", "--format", "csv"],
+    ["spectrum", "--kind", "box", "--d", "3", "--L", "1", "--n-max", "2"],
+    ["spectrum", "--kind", "box", "--format", "csv"],
 ]
 
-# The modules a fresh process is checked for: numpy, which only a level list
-# needs; fractions (with decimal) and spectherm.heattrace, which only weyl
-# needs; csv, which nothing needs (csv output is joined by hand); and
-# dataclasses, which no computation needs and which loads inspect, ast and dis.
-WATCHED = ("csv", "dataclasses", "decimal", "fractions", "numpy", "spectherm.heattrace")
+# The modules a fresh process is checked for: numpy and spectherm.spectra,
+# which only a level list needs; fractions (with decimal) and
+# spectherm.heattrace, which only weyl needs; csv, which nothing needs (csv
+# output is joined by hand); and dataclasses, which no computation needs and
+# which loads inspect, ast and dis.
+WATCHED = ("csv", "dataclasses", "decimal", "fractions", "numpy", "spectherm.heattrace",
+           "spectherm.spectra")
 LOADED = f"*[m for m in {WATCHED!r} if m in sys.modules]"
 
 # Runs argv through the CLI's run(), as the console script does, then
@@ -901,7 +965,6 @@ class TestFreshProcess:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["spectrum", "--kind", "radial"],
             ["partition", "--domain", "ball"],
             ["weyl", "--domain", "custom", "--levels", "levels.txt", "--t", "1"],
         ],
@@ -913,7 +976,7 @@ class TestFreshProcess:
         argv = [str(tmp_path / a) if a == "levels.txt" else a for a in argv]
         probe = run_python("-c", MODULE_PROBE, *argv)
         assert probe.returncode == 0, probe.stderr
-        assert "numpy" in probe.stderr.split()
+        assert {"numpy", "spectherm.spectra"} <= set(probe.stderr.split())
 
     def test_public_names_are_the_objects_their_modules_define(self):
         import spectherm

@@ -307,7 +307,7 @@ class TestLevelHelpers:
             levels = box_spectrum(side, d, n_max, u)
             expanded = np.repeat(levels.energies, levels.multiplicities.astype(int))
             _, energies = box_modes(side, d, n_max, u)
-            assert expanded.tolist() == energies.tolist()
+            assert expanded.tolist() == list(energies)
 
     def test_box_spectrum_counts_exactly_up_to_2_to_the_53(self, u):
         levels = box_spectrum(1.0, 53, 2, u)
