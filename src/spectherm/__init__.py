@@ -38,8 +38,6 @@ _OWNERS = {
     ),
     "thermo": (
         "NEGATIVE_INFINITE_ENTROPY",
-        "DualityPoint",
-        "EntropyOverflowError",
         "FundamentalEquation",
         "NoRealSolution",
         "boltzmann_weight_from_entropy",

@@ -303,7 +303,7 @@ def _cmd_partition(args, u: UnitSystem):
         shifted = spectra.Spectrum(levels.energies - levels.energies[0], levels.multiplicities)
         results["qm"] = spectra.qm_partition(levels, args.tau, u)
         results["qm_over_quasistatic"] = spectra.qm_partition(shifted, args.tau, u) / dim_min
-        results["dual_temperature"] = duality_map(args.tau, u).temperature
+        results["dual_temperature"] = duality_map(args.tau, u)
     return config, results
 
 
@@ -314,13 +314,8 @@ def _cmd_duality(args, u: UnitSystem):
         raise InputError("provide at least one --tau or --temperature")
     config = {"tau": list(taus), "temperature": list(temperatures)}
     columns = ["tau", "temperature"]
-    rows = []
-    for tau in taus:
-        point = duality_map(tau, u)
-        rows.append([point.imaginary_time, point.temperature])
-    for temperature in temperatures:
-        point = duality_map_from_temperature(temperature, u)
-        rows.append([point.imaginary_time, point.temperature])
+    rows = [[tau, duality_map(tau, u)] for tau in taus]
+    rows += [[duality_map_from_temperature(t, u), t] for t in temperatures]
     return config, {"columns": columns, "rows": rows}
 
 

@@ -47,9 +47,8 @@ off-diagonal): the lowest eigenvalues by bisection with Sturm counts
 (stebz), bit-stable across runs but only resolved to a width of
 EPS * |T|_1 ~ 4 * 2**-52 * pref / h^2 (9e-7 of the lowest level at 1e5 grid
 points; lower digits move with the index range solved), and the
-eigenvectors by inverse iteration (stein). With eigvals_only=True the
-eigenvectors are skipped and the eigenvalues are the same bits. scipy is
-imported only when LAPACK is called, not when this module is.
+eigenvectors by inverse iteration (stein). scipy is imported only when
+LAPACK is called, not when this module is.
 """
 
 from __future__ import annotations
@@ -142,9 +141,8 @@ class NumericSpectrum(Frozen):
     """Finite-difference eigenpairs of the radial problem.
 
     energies are ascending. Each row of modes holds u(r) = r*psi(r) on the
-    full grid (both endpoints zero), normalized so that sum(u^2) * h = 1;
-    modes is None when only eigenvalues were requested. It holds arrays, so
-    like Spectrum it equals only itself.
+    full grid (both endpoints zero), normalized so that sum(u^2) * h = 1.
+    It holds arrays, so like Spectrum it equals only itself.
     """
 
     __slots__ = ("r0", "grid_points", "energies", "modes")
@@ -224,8 +222,6 @@ def solve_radial_numeric(
     k_lowest: int,
     u: UnitSystem,
     potential: Callable[[float], float] | Sequence[float] | None = None,
-    *,
-    eigvals_only: bool = False,
 ) -> NumericSpectrum:
     """Lowest k_lowest eigenpairs of -pref*u'' + U(r)u = E u with u(0) = u(r0) = 0.
 
@@ -235,26 +231,22 @@ def solve_radial_numeric(
     samples of U on the full grid (the endpoint values never enter the
     matrix); InputError unless every value is finite. Eigenvalues come out
     ascending; eigenvectors are fixed to a deterministic sign (positive
-    slope at the origin) and grid-normalized. With eigvals_only the
-    eigenvectors are never computed and modes is None; the energies are
-    bit-identical to those of the eigenpair solve.
+    slope at the origin) and grid-normalized.
 
     When U is the same at every interior node the eigenpairs are the closed
-    form of the free matrix shifted by that constant; with no potential and
-    eigvals_only nothing of size grid_points is built. Any other potential
-    is solved by LAPACK. OverflowError is raised as by
+    form of the free matrix shifted by that constant; the free energies alone,
+    with nothing of size grid_points built, are thermo.free_difference_energies.
+    Any other potential is solved by LAPACK. OverflowError is raised as by
     thermo.free_difference_energies, or if a shifted energy or the
     Gershgorin bound 4 pref/h^2 + max|U| is not finite.
     """
     free = free_difference_energies(r0, grid_points, k_lowest, u)
     named = {"r0": r0, "grid_points": grid_points, "k_lowest": k_lowest}
     u_interior = None if potential is None else _interior_potential(potential, r0, grid_points)
-    modes = None
     if u_interior is None or np.all(u_interior == u_interior[0]):
         energies = np.array(free) + (0.0 if u_interior is None else float(u_interior[0]))
         require_level_range(energies[-1], **named)
-        if not eigvals_only:
-            modes = _free_modes(r0, grid_points, k_lowest)
+        modes = _free_modes(r0, grid_points, k_lowest)
     else:
         h = r0 / (grid_points - 1)
         inv_h2 = kinetic_prefactor(u) / (h * h)
@@ -262,14 +254,12 @@ def solve_radial_numeric(
         require_level_range(bound, **named)
         # stebz squares the off-diagonal: scale by the least 2**-k putting the bound below 2**500
         scale = 2.0 ** max(0, math.frexp(bound)[1] - 500)
-        energies, vectors = _lapack_lowest(
-            (2.0 * inv_h2 + u_interior) / scale, np.full(grid_points - 3, -inv_h2 / scale),
-            k_lowest, eigvals_only,
-        )
+        diagonal = (2.0 * inv_h2 + u_interior) / scale
+        off_diagonal = np.full(grid_points - 3, -inv_h2 / scale)
+        energies, vectors = _lapack_lowest(diagonal, off_diagonal, k_lowest)
         energies = energies * scale
-        if not eigvals_only:
-            modes = np.zeros((k_lowest, grid_points))
-            modes[:, 1:-1] = vectors.T * (1.0 / math.sqrt(h))
+        modes = np.zeros((k_lowest, grid_points))
+        modes[:, 1:-1] = vectors.T * (1.0 / math.sqrt(h))
 
     return NumericSpectrum(r0, grid_points, energies, modes)
 
@@ -304,22 +294,17 @@ def _free_modes(r0: float, grid_points: int, k_lowest: int) -> np.ndarray:
 
 
 def _lapack_lowest(
-    diagonal: np.ndarray, off_diagonal: np.ndarray, k_lowest: int, eigvals_only: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
+    diagonal: np.ndarray, off_diagonal: np.ndarray, k_lowest: int
+) -> tuple[np.ndarray, np.ndarray]:
     # Lowest k_lowest eigenvalues of a symmetric tridiagonal matrix by LAPACK
-    # stebz (bisection with Sturm counts), plus unit eigenvector columns by
-    # stein unless eigvals_only; the eigenvalues are the same bits either way.
+    # stebz (bisection with Sturm counts), and unit eigenvector columns by stein.
     # Deferred: scipy.linalg is most of the package's import time, and only
     # a nonconstant potential needs it.
     from scipy.linalg import eigh_tridiagonal
 
-    solved = eigh_tridiagonal(
-        diagonal, off_diagonal, eigvals_only=eigvals_only,
-        select="i", select_range=(0, k_lowest - 1),
+    energies, vectors = eigh_tridiagonal(
+        diagonal, off_diagonal, select="i", select_range=(0, k_lowest - 1)
     )
-    if eigvals_only:
-        return solved, None
-    energies, vectors = solved
     for k in range(k_lowest):
         v = vectors[:, k]
         # deterministic sign: first appreciable component positive
@@ -389,8 +374,7 @@ def thermal_partition(spectrum: Spectrum, temperature: float, u: UnitSystem) -> 
     Shares the arithmetic path of qm_partition exactly, so the two sides of
     the substitution agree bit for bit whenever tau and T are duals.
     """
-    tau = duality_map_from_temperature(temperature, u).imaginary_time
-    return qm_partition(spectrum, tau, u)
+    return qm_partition(spectrum, duality_map_from_temperature(temperature, u), u)
 
 
 def quasistatic_partition(spectrum: Spectrum, tau: float, u: UnitSystem) -> float:

@@ -4,9 +4,9 @@ Covers the ideal-gas fundamental equation S(V) = S0 + k_B ln(V/V0), the
 entropy expectation in a radial mode with its volume-independent closed
 form (radial_wavefunction evaluates the mode, free_difference_energies its
 finite-difference levels), the relation |psi|^2 = exp(S/k_B), the
-constraint fixing the fiducial wavenumber, and the
-imaginary-time/temperature substitution tau = hbar/(k_B T), whose dual must
-be a normal double (OverflowError otherwise), and the `spectrum` table rows
+constraint fixing the fiducial wavenumber, and the tau <-> T substitution
+tau = hbar/(k_B T), whose two maps return the dual as a float that must be
+a normal double (OverflowError otherwise), and the `spectrum` table rows
 (sphere_energies, interval_energies, box_modes). All of these are Python
 numbers, so this module uses no arrays; the level lists and the partition
 sums over them live beside the one spectral kernel, in spectra.
@@ -30,9 +30,7 @@ from .units import (
 __all__ = [
     "NEGATIVE_INFINITE_ENTROPY",
     "FundamentalEquation",
-    "DualityPoint",
     "NoRealSolution",
-    "EntropyOverflowError",
     "ideal_gas_entropy",
     "entropy_expectation",
     "entropy_from_density",
@@ -59,10 +57,6 @@ class NoRealSolution(Exception):
     """
 
 
-class EntropyOverflowError(OverflowError):
-    """exp(S/k_B) exceeds the double-precision range."""
-
-
 class FundamentalEquation(Frozen):
     """Thermostatic reference state (S0, V0) of S(V) = S0 + k_B ln(V/V0).
 
@@ -80,25 +74,6 @@ class FundamentalEquation(Frozen):
     @property
     def has_finite_entropy(self) -> bool:
         return math.isfinite(self.s0)
-
-
-class DualityPoint(Frozen):
-    """A single physical point seen from both sides of the substitution.
-
-    The imaginary time tau and the temperature T describe the same state,
-    linked by tau * k_B * T = hbar.
-    """
-
-    __slots__ = ("imaginary_time", "temperature")
-
-    def __init__(self, imaginary_time: float, temperature: float) -> None:
-        super().__init__(imaginary_time, temperature)
-        for name in self.__slots__:
-            require_positive(name, getattr(self, name))
-
-    def residual(self, u: UnitSystem) -> float:
-        """Relative defect of tau * k_B * T = hbar; zero up to rounding."""
-        return self.imaginary_time * u.k_boltzmann * self.temperature / u.hbar - 1.0
 
 
 def ideal_gas_entropy(v: float, fe: FundamentalEquation, u: UnitSystem) -> float:
@@ -208,16 +183,19 @@ def _box_key_energy(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> 
 
 
 def _entropy_quadrature(n: int, r0: float, u: UnitSystem) -> float:
-    # radial_wavefunction's arithmetic, with no range check (the nodes lie in (0, r0]);
-    # a finite norm needs r0 > 1.1e-308, so no node of the first panel (>= 0.009 r0) is 0
+    # radial_wavefunction's arithmetic, with no range check (the nodes lie in (0, r0])
     norm, c = math.sqrt(2.0 / r0), n * math.pi / r0
     if not (math.isfinite(norm) and math.isfinite(c)):
         raise InputError(f"r0={r0!r} is too small for the entropy quadrature: "
                          f"sqrt(2/r0) or n*pi/r0 is not finite at n={n!r}")
 
     def integrand(r: float) -> float:
+        rr = r * r  # subnormal or 0 at a tiny node: the weight would lose its digits
+        if rr < 2.0**-1022:
+            raise InputError(f"r0={r0!r} is too small for the entropy quadrature: "
+                             f"r*r is not a normal double at the node r={r!r}")
         psi = norm * math.sin(c * r) / r
-        return r * r * psi * psi * math.log(r / r0)
+        return rr * psi * psi * math.log(r / r0)
 
     return 3.0 * u.k_boltzmann * integrate(integrand, 0.0, r0, DEFAULT_QUADRATURE)
 
@@ -228,7 +206,8 @@ def entropy_expectation(n: int, r0: float, method: str, u: UnitSystem) -> float:
     method "closed_form" evaluates 3 k_B (Si(2 pi n)/(2 pi n) - 1); method
     "quadrature" integrates 3 k_B r^2 |psi_n|^2 ln(r/r0) over [0, r0]
     numerically. The two agree to 1e-8 k_B, and neither depends on r0: the
-    fiducial radius cancels from the expectation.
+    fiducial radius cancels from the expectation. The quadrature rejects an r0
+    (InputError) at which r*r is not a normal double at a Gauss node, below about 2e-150.
     """
     require_at_least("n", n, 1)
     require_positive("r0", r0)
@@ -253,9 +232,7 @@ def boltzmann_weight_from_entropy(s: float, u: UnitSystem) -> float:
     try:
         return math.exp(exponent)
     except OverflowError:
-        raise EntropyOverflowError(
-            f"exp({exponent:.6g}) exceeds the double-precision range"
-        ) from None
+        raise OverflowError(f"exp({exponent:.6g}) exceeds the double-precision range") from None
 
 
 def solve_fiducial_wavenumber(
@@ -308,11 +285,11 @@ def _dual(name: str, value: float, u: UnitSystem) -> float:
     return dual
 
 
-def duality_map(tau: float, u: UnitSystem) -> DualityPoint:
+def duality_map(tau: float, u: UnitSystem) -> float:
     """Temperature dual to the imaginary time tau: T = hbar/(k_B tau)."""
-    return DualityPoint(imaginary_time=tau, temperature=_dual("tau", tau, u))
+    return _dual("tau", tau, u)
 
 
-def duality_map_from_temperature(temperature: float, u: UnitSystem) -> DualityPoint:
+def duality_map_from_temperature(temperature: float, u: UnitSystem) -> float:
     """Imaginary time dual to a temperature: tau = hbar/(k_B T)."""
-    return DualityPoint(_dual("temperature", temperature, u), temperature)
+    return _dual("temperature", temperature, u)

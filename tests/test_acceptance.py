@@ -200,13 +200,11 @@ def test_criterion_06_fiducial_constraint():
 def test_criterion_07_duality_substitution():
     taus = [0.25, 0.5, 1.0, 2.0, 3.0, 4.0]
     round_trip_exact = all(
-        duality_map_from_temperature(duality_map(tau, U).temperature, U).imaginary_time
-        == tau
-        for tau in taus
+        duality_map_from_temperature(duality_map(tau, U), U) == tau for tau in taus
     )
     levels = interval_spectrum(1.0, 10, U)
     bitwise = all(
-        thermal_partition(levels, duality_map(tau, U).temperature, U)
+        thermal_partition(levels, duality_map(tau, U), U)
         == qm_partition(levels, tau, U)
         for tau in taus
     )

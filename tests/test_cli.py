@@ -4,10 +4,12 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import urllib.request
 import warnings
+from datetime import timedelta
 from pathlib import Path
 
 import mpmath as mp
@@ -50,6 +52,19 @@ def run_python(*args, timeout=120):
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
     )
+
+
+def run_captured(argv):
+    """run(argv) in this process: (exit code, stdout, stderr). Unlike capsys,
+    usable inside a Hypothesis example."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def one_error_line(err):
+    return len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def run_json(capsys, argv):
@@ -256,14 +271,36 @@ class TestEntropyCommand:
         assert run(["entropy", "--n", "1", "--format", "csv"]) == 2
 
     # sqrt(2/r0) or n*pi/r0 overflows, or the nodes round to 0 (5e-324): the
-    # quadrature cannot form its integrand in doubles
-    @pytest.mark.parametrize("r0", ["5e-324", "1e-310", "2.2250738585072014e-308"])
+    # quadrature cannot form its integrand in doubles. Below about 2e-150, r*r
+    # is subnormal or 0 at the smallest Gauss nodes, where the weight r^2 psi^2
+    # loses its digits: 1e-200 printed 0, 1e-160 was 1.7e-3 off, and 1e-158
+    # ran for minutes.
+    R0_TOO_SMALL = {
+        "5e-324": "sqrt(2/r0) or n*pi/r0 is not finite at n=3",
+        "1e-310": "sqrt(2/r0) or n*pi/r0 is not finite at n=3",
+        "2.2250738585072014e-308": "sqrt(2/r0) or n*pi/r0 is not finite at n=3",
+        "1e-158": "r*r is not a normal double at the node r=9.21968287664039e-161",
+        "1e-160": "r*r is not a normal double at the node r=9.219682876640409e-163",
+        "1e-200": "r*r is not a normal double at the node r=9.219682876640352e-203",
+    }
+
+    @pytest.mark.parametrize("r0", list(R0_TOO_SMALL))
     def test_r0_too_small_for_the_quadrature(self, capsys, r0):
         assert run(["entropy", "--n", "3", "--r0", r0]) == 2
         assert capsys.readouterr() == ("", (
             f"error: r0={r0} is too small for the entropy quadrature: "
-            "sqrt(2/r0) or n*pi/r0 is not finite at n=3\n"
+            f"{self.R0_TOO_SMALL[r0]}\n"
         ))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 200), st.floats(-160.0, 100.0))
+    def test_quadrature_agrees_or_rejects_r0(self, n, log_r0):
+        # the docstring's 1e-8 agreement holds at every r0 the quadrature accepts
+        code, out, err = run_captured(["entropy", "--n", str(n), "--r0", repr(10.0**log_r0)])
+        if code == 0:
+            assert abs(json.loads(out)["results"]["difference"]) <= 1e-8
+        else:
+            assert code == 2 and one_error_line(err), err
 
     def test_result_does_not_depend_on_hbar(self, capsys):
         # hbar^2/(2 mass) underflows here, but the entropy never uses it
@@ -581,15 +618,15 @@ class TestSpectrumCommand:
         k = min(k, grid_points - 2)
         u = UnitSystem(hbar, 1.0, mass)  # hbar^2/(2 mass) is normal
         free = list(free_difference_energies(r0, grid_points, k, u))
-        solved = solve_radial_numeric(r0, grid_points, k, u, eigvals_only=True)
-        assert [e.hex() for e in free] == [e.hex() for e in solved.energies.tolist()]
+        if grid_points * k <= 10**6:  # the solver also builds its k x N modes
+            solved = solve_radial_numeric(r0, grid_points, k, u)
+            assert [e.hex() for e in free] == [e.hex() for e in solved.energies.tolist()]
 
         argv = ["spectrum", "--kind", "numeric", "--r0", repr(r0), "--grid-points",
                 str(grid_points), "--k", str(k), "--hbar", repr(hbar), "--mass", repr(mass)]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert run(argv) == 0
-        rows = json.loads(out.getvalue())["results"]["rows"]
+        code, out, err = run_captured(argv)
+        assert code == 0, err
+        rows = json.loads(out)["results"]["rows"]
         # float(): an energy such as 36.0 prints as 36, which json reads as an int
         assert [float(row[1]).hex() for row in rows] == [e.hex() for e in free]
 
@@ -707,7 +744,48 @@ class TestDualityCommand:
         assert run(["duality"]) == 2
 
 
+LEVELS = str(Path(__file__).resolve().parent / "golden" / "levels.txt")
+# (argv, float options, formats): every subcommand and kind or domain, small sizes
+SWEEP_TEMPLATES = [
+    (["spectrum", "--kind", "angular", "--l-max", "3"], ["--r0", "--L"], ["json", "csv"]),
+    (["spectrum", "--kind", "radial", "--n-max", "3"], ["--r0", "--L"], ["json", "csv"]),
+    (["spectrum", "--kind", "box", "--d", "2", "--n-max", "2"], ["--r0", "--L"], ["json", "csv"]),
+    (["spectrum", "--kind", "numeric", "--grid-points", "20", "--k", "3"], ["--r0", "--L"],
+     ["json", "csv"]),
+    (["weyl", "--domain", "ball"], ["--r0", "--L", "--t"], ["json", "csv"]),
+    (["weyl", "--domain", "cube", "--d", "3"], ["--r0", "--L", "--t"], ["json", "csv"]),
+    (["weyl", "--domain", "custom", "--levels", LEVELS], ["--r0", "--L", "--t"], ["json", "csv"]),
+    (["entropy", "--n", "3"], ["--r0"], ["json"]),
+    (["fiducial"], ["--r0", "--s0"], ["json"]),
+    (["partition", "--domain", "ball", "--n-max", "3", "--l-max", "1"], ["--r0", "--L", "--tau"],
+     ["json"]),
+    (["partition", "--domain", "cube", "--d", "2", "--n-max", "2"], ["--r0", "--L", "--tau"],
+     ["json"]),
+    (["partition", "--domain", "custom", "--levels", LEVELS], ["--r0", "--L", "--tau"], ["json"]),
+    (["duality"], ["--tau", "--temperature"], ["json", "csv"]),
+]
+# the edges of the double range, where products and quotients leave it, and invalid input
+SWEEP_VALUES = ["5e-324", "1e-310", "1e-170", "1e-155", "1e-20", "0.3", "1", "1e20", "1e155",
+                "1e170", "1e300", "inf", "nan", "-1", "0"]
+
+
 class TestExitCodesAndOutput:
+    @settings(max_examples=1000, deadline=timedelta(seconds=5), derandomize=True)
+    @given(st.data())
+    def test_float_option_sweep(self, data):
+        base, options, formats = data.draw(st.sampled_from(SWEEP_TEMPLATES))
+        argv = [*base, "--format", data.draw(st.sampled_from(formats))]
+        for option in ("--hbar", "--kb", "--mass", *options):
+            argv += [option, data.draw(st.sampled_from(SWEEP_VALUES))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would print more stderr lines
+            code, out, err = run_captured(argv)
+        assert code in (0, 1, 2), err
+        if code == 1:
+            assert one_error_line(err), err
+        if code == 0:
+            assert not re.search(r"\b(inf|nan|infinity)\b", out, re.IGNORECASE), out
+
     def test_unknown_flag(self, capsys):
         assert run(["entropy", "--frequency", "3"]) == 2
 
@@ -1028,7 +1106,7 @@ class TestFreshProcess:
         assert probe.stderr == "[]\n"
 
     @pytest.mark.parametrize("branch", [10**12, 10**12 + 1])
-    def test_fiducial_branch_is_one_bisection(self, branch):
+    def test_fiducial_root_at_branch_1e12_is_closed_form(self, branch):
         argv = ["fiducial", "--r0", "1", "--s0", "-1.3862943611198906", "--branch", str(branch)]
         probe = run_python("-m", "spectherm", *argv, timeout=10)
         assert probe.returncode == 0, probe.stderr

@@ -236,9 +236,8 @@ class TestNumericSolver:
     @pytest.mark.parametrize("r0", [1e-60, 1e-77, 1e-100, 1e-150])
     def test_lapack_beyond_the_squared_off_diagonal_range(self, u, r0):
         free = free_difference_energies(r0, 10, 2, u)
-        for eigvals_only in (True, False):
-            solved = solve_radial_numeric(r0, 10, 2, u, lambda r: r, eigvals_only=eigvals_only)
-            assert solved.energies.tolist() == pytest.approx(free, rel=1e-14)
+        solved = solve_radial_numeric(r0, 10, 2, u, lambda r: r)
+        assert solved.energies.tolist() == pytest.approx(free, rel=1e-14)
         norms = np.sum(solved.modes**2, axis=1) * solved.spacing
         assert norms.tolist() == pytest.approx([1.0, 1.0], rel=1e-12)
 
@@ -280,26 +279,11 @@ class TestNumericSolver:
         assert np.array_equal(first.energies, second.energies)
         assert np.array_equal(first.modes, second.modes)
 
-    @pytest.mark.parametrize(
-        "potential",
-        [
-            None,
-            lambda r: 3.0 * r * r,
-            np.cos(np.linspace(0.0, 5.0, 2000)).tolist(),
-        ],
-        ids=["free", "callable", "sampled"],
-    )
-    def test_eigvals_only_matches_eigenpair_energies(self, u, potential):
-        pairs = solve_radial_numeric(1.0, 2000, 8, u, potential=potential)
-        only = solve_radial_numeric(1.0, 2000, 8, u, potential=potential, eigvals_only=True)
-        assert only.modes is None
-        assert only.grid_points == pairs.grid_points
-        assert np.array_equal(only.energies, pairs.energies)
-
     @pytest.mark.parametrize("grid_points, k_lowest", FREE_MATRIX_CASES)
     def test_free_energies_within_4_ulp_of_exact(self, u, grid_points, k_lowest):
-        spectrum = solve_radial_numeric(1.0, grid_points, k_lowest, u, eigvals_only=True)
-        for j, energy in enumerate(spectrum.energies, start=1):
+        # the levels the solver starts from, without its grid_points x k_lowest modes
+        energies = free_difference_energies(1.0, grid_points, k_lowest, u)
+        for j, energy in enumerate(energies, start=1):
             exact = dirichlet_tridiagonal_eigenvalue_mpmath(j, grid_points)
             assert ulps_from(energy, exact) <= 4.0, j
 
@@ -308,7 +292,7 @@ class TestNumericSolver:
 
         u2 = UnitSystem(hbar=2.0, k_boltzmann=1.0, mass=0.7)
         pref = kinetic_prefactor(u2)
-        spectrum = solve_radial_numeric(3.3, 1234, 6, u2, eigvals_only=True)
+        spectrum = solve_radial_numeric(3.3, 1234, 6, u2)
         for j, energy in enumerate(spectrum.energies, start=1):
             exact = dirichlet_tridiagonal_eigenvalue_mpmath(j, 1234, r0=3.3, pref=pref)
             assert ulps_from(energy, exact) <= 4.0, j
@@ -325,25 +309,18 @@ class TestNumericSolver:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
-        st.floats(0.1, 10.0), st.integers(5, 300), st.integers(1, 3), st.booleans(),
+        st.floats(0.1, 10.0), st.integers(5, 300), st.integers(1, 3),
     )
-    def test_callable_and_sample_forms_agree_bitwise(
-        self, a, b, c, r0, grid_points, k_lowest, eigvals_only
-    ):
+    def test_callable_and_sample_forms_agree_bitwise(self, a, b, c, r0, grid_points, k_lowest):
         well = lambda r: a + b * r + c * r * r
         samples = [well(r) for r in np.linspace(0.0, r0, grid_points)]
         first, *others = [
-            solve_radial_numeric(
-                r0, grid_points, k_lowest, natural_units(), p, eigvals_only=eigvals_only
-            )
+            solve_radial_numeric(r0, grid_points, k_lowest, natural_units(), p)
             for p in (well, samples, tuple(samples), np.array(samples))
         ]
         for other in others:
             assert np.array_equal(other.energies, first.energies)
-            if eigvals_only:
-                assert other.modes is None and first.modes is None
-            else:
-                assert np.array_equal(other.modes, first.modes)
+            assert np.array_equal(other.modes, first.modes)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -366,14 +343,15 @@ class TestNumericSolver:
             assert np.max(np.abs(residual)) < 1e-9 * energy
 
     def test_free_eigenvalues_build_nothing_of_grid_size(self, u):
-        # the grid alone would be 80 MB of float64; the closed form needs k sines
+        # `spectrum --kind numeric` takes this path. The grid alone would be
+        # 80 MB of float64; the closed form needs k sines.
         tracemalloc.start()
         try:
-            spectrum = solve_radial_numeric(1.0, 10**7, 3, u, eigvals_only=True)
+            energies = free_difference_energies(1.0, 10**7, 3, u)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert spectrum.modes is None and len(spectrum.energies) == 3
+        assert len(energies) == 3
         assert peak < 2**20
 
     def test_overflowing_free_energies_raise(self):
@@ -381,7 +359,7 @@ class TestNumericSolver:
 
         tiny_mass = UnitSystem(hbar=1.0, k_boltzmann=1.0, mass=1e-307)
         with pytest.raises(OverflowError):
-            solve_radial_numeric(1.0, 100000, 2, tiny_mass, eigvals_only=True)
+            solve_radial_numeric(1.0, 100000, 2, tiny_mass)
 
     @pytest.mark.parametrize("grid_points, k_lowest", FREE_MATRIX_CASES[:3])
     def test_lapack_within_bisection_width_of_closed_form(self, grid_points, k_lowest):
@@ -391,12 +369,10 @@ class TestNumericSolver:
         h = 1.0 / (grid_points - 1)
         inv_h2 = 1.0 / (h * h)
         energies, vectors = _lapack_lowest(
-            np.full(grid_points - 2, 2.0 * inv_h2),
-            np.full(grid_points - 3, -inv_h2),
-            k_lowest,
-            eigvals_only=True,
+            np.full(grid_points - 2, 2.0 * inv_h2), np.full(grid_points - 3, -inv_h2), k_lowest
         )
-        assert vectors is None and len(energies) == k_lowest
+        assert len(energies) == k_lowest and vectors.shape == (grid_points - 2, k_lowest)
+        assert np.sum(vectors**2, axis=0).tolist() == pytest.approx([1.0] * k_lowest, rel=1e-12)
         width = EPS * 4.0 * inv_h2
         for j, energy in enumerate(energies, start=1):
             exact = dirichlet_tridiagonal_eigenvalue_mpmath(j, grid_points)
@@ -604,7 +580,7 @@ class TestLevelOverflow:
             # the solver's closed form: pref/h^2 is 0 (h^2 overflows) or subnormal
             (lambda u: solve_radial_numeric(1e160, 10, 2, u),
              "r0=1e+160, grid_points=10, k_lowest=2"),
-            (lambda u: solve_radial_numeric(1e156, 10, 2, u, eigvals_only=True),
+            (lambda u: free_difference_energies(1e156, 10, 2, u),
              "r0=1e+156, grid_points=10, k_lowest=2"),
             (lambda u: solve_radial_numeric(1e156, 10, 2, u, [5.0] * 10),
              "r0=1e+156, grid_points=10, k_lowest=2"),

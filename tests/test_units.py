@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from spectherm import (
-    DualityPoint,
     FundamentalEquation,
     InputError,
     NumericSpectrum,
@@ -93,8 +92,6 @@ VALUE_CLASSES = [
     (QuadratureSpec, dict(abs_tolerance=1e-10, max_subdivisions=60),
      "QuadratureSpec(abs_tolerance=1e-10, max_subdivisions=60)", True),
     (FundamentalEquation, dict(s0=-1.5, v0=2.0), "FundamentalEquation(s0=-1.5, v0=2.0)", True),
-    (DualityPoint, dict(imaginary_time=2.0, temperature=0.5),
-     "DualityPoint(imaginary_time=2.0, temperature=0.5)", True),
     (Spectrum, dict(energies=[2.0, 1.0], multiplicities=[1.0, 3.0]),
      "Spectrum(energies=array([1., 2.]), multiplicities=array([3., 1.]))", False),
     (NumericSpectrum, dict(r0=1.0, grid_points=3, energies=np.array([1.0]), modes=None),
