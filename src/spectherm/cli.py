@@ -45,7 +45,7 @@ from .thermo import (
     entropy_expectation, free_difference_energies, interval_energies, solve_fiducial_wavenumber,
     sphere_energies,
 )
-from .units import InputError, UnitSystem, kinetic_prefactor
+from .units import PI_RATIONAL, InputError, UnitSystem, kinetic_prefactor
 
 if TYPE_CHECKING:
     from .spectra import Spectrum
@@ -195,9 +195,10 @@ def _cmd_spectrum(args, u: UnitSystem):
     elif args.kind == "radial":
         config.update({"r0": args.r0, "n_max": args.n_max})
         energies = interval_energies(args.r0, args.n_max, u)
-        n = range(1, args.n_max + 1)
+        r0_num, r0_den = args.r0.as_integer_ratio()  # n pi / r0: ints, divided once
+        num, den = PI_RATIONAL[0] * r0_den, PI_RATIONAL[1] * r0_num
         columns = ["n", "wavenumber", "kinetic_energy"]
-        rows = list(zip(n, [k * math.pi / args.r0 for k in n], energies))
+        rows = [(n, n * num / den, e) for n, e in enumerate(energies, start=1)]
     else:  # box
         config.update({"L": args.L, "d": args.d, "n_max_per_axis": args.n_max})
         numbers, energies = box_modes(args.L, args.d, args.n_max, u)

@@ -15,11 +15,11 @@ multiplicities, as arrays:
   counted exactly on the integer key n_1^2 + ... + n_d^2 (box_spectrum);
   thermo.box_modes lists each mode's quantum numbers instead.
 
-The interval, ball and box builders, and the solver's closed form, raise
-OverflowError, naming their inputs, when a level overflows or the lowest
-key's energy (pref (pi/length)^2 for the analytic families) is not a
-normal double. One relative gap rule, in hilbert_dim_min, decides which
-neighbouring energies make up the lowest eigenspace.
+Each analytic level is thermo._level_scale's key-1 energy times an exact int
+key, the bits of thermo's tables. The builders check their top level first;
+they and the solver's closed form raise OverflowError, naming their inputs,
+when a level overflows or the lowest key's energy is not a normal double.
+One relative gap rule, in hilbert_dim_min, decides the lowest eigenspace.
 
 The heat trace at diffusion time t (heat_trace, weyl_volume_estimate) and
 the partition function at imaginary time tau (qm_partition,
@@ -60,13 +60,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .heattrace import weyl_convergence_scan
-from .thermo import _box_key_energy, duality_map_from_temperature, free_difference_energies
+from .thermo import _level_scale, duality_map_from_temperature, free_difference_energies
 from .units import (
     Frozen,
     InputError,
     UnitSystem,
     kinetic_prefactor,
-    require_at_least,
     require_level_range,
     require_positive,
 )
@@ -163,23 +162,16 @@ class NumericSpectrum(Frozen):
 
 def sphere_spectrum(l_max: int, u: UnitSystem) -> Spectrum:
     """Angular sectors l = 0..l_max with energies pref*l(l+1) and multiplicity 2l+1."""
-    require_at_least("l_max", l_max, 0)
+    pref = _level_scale(u, l_max)
     l = np.arange(l_max + 1, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        energies = kinetic_prefactor(u) * l * (l + 1.0)
-    require_level_range(energies[-1], l_max=l_max)
-    return Spectrum(energies, 2.0 * l + 1.0)
+    return Spectrum(pref * (l * (l + 1.0)), 2.0 * l + 1.0)
 
 
 def interval_spectrum(length: float, n_max: int, u: UnitSystem) -> Spectrum:
     """Dirichlet levels pref*(n*pi/length)^2, n = 1..n_max, each simple."""
-    require_positive("length", length)
-    require_at_least("n_max", n_max, 1)
+    scale = _level_scale(u, n_max, length)
     n = np.arange(1, n_max + 1, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        energies = kinetic_prefactor(u) * (n * math.pi / length) ** 2
-    require_level_range(energies[-1], energies[0], length=length, n_max=n_max)
-    return Spectrum(energies)
+    return Spectrum(scale * (n * n))
 
 
 def ball_spectrum(r0: float, n_max: int, l_max: int, u: UnitSystem) -> Spectrum:
@@ -190,9 +182,9 @@ def ball_spectrum(r0: float, n_max: int, l_max: int, u: UnitSystem) -> Spectrum:
     """
     sphere = sphere_spectrum(l_max, u)
     radial = interval_spectrum(r0, n_max, u).energies
-    with np.errstate(over="ignore"):
-        energies = sphere.energies[:, None] + radial
-    require_level_range(energies[-1, -1], r0=r0, n_max=n_max, l_max=l_max)
+    require_level_range(float(sphere.energies[-1]) + float(radial[-1]),
+                        r0=r0, n_max=n_max, l_max=l_max)
+    energies = sphere.energies[:, None] + radial
     multiplicities = np.broadcast_to(sphere.multiplicities[:, None], energies.shape)
     return Spectrum(energies.ravel(), multiplicities.ravel())
 
@@ -203,7 +195,7 @@ def box_spectrum(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> Spe
     A key's multiplicity is its number of tuples 1 <= n_i <= n_max_per_axis,
     counted in int64 one axis at a time; more than 2**53 modes raise InputError.
     """
-    scale = _box_key_energy(side, d, n_max_per_axis, u)
+    scale = _level_scale(u, n_max_per_axis, side, d)
     if n_max_per_axis == 1:  # the one mode 1x...x1, key d
         return Spectrum([scale * d])
     keys, counts = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)

@@ -128,26 +128,50 @@ def free_difference_energies(
     return energies
 
 
+def _level_scale(u: UnitSystem, n_max: int, length: float | None = None, d: int | None = None):
+    # Checks an analytic family and returns its key-1 energy: pref for the sphere (no length;
+    # n_max is l_max), else pref (pi/length)^2 for the interval (no d) and the box, a ratio of
+    # ints divided with one correct rounding. OverflowError naming the inputs unless the top
+    # level is finite and key 1's normal; InputError past 2**53 box modes (inexact counts).
+    if length is None:
+        require_at_least("l_max", n_max, 0)
+        given, top_key = {"l_max": n_max}, n_max * (n_max + 1)
+    elif d is None:
+        require_positive("length", length)
+        require_at_least("n_max", n_max, 1)
+        given, top_key = {"length": length, "n_max": n_max}, n_max * n_max
+    else:
+        require_positive("side", length)
+        require_at_least("d", d, 1)
+        require_at_least("n_max_per_axis", n_max, 1)
+        given, top_key = {"side": length, "n_max": n_max}, d * n_max * n_max
+    scale = pref = kinetic_prefactor(u)
+    try:  # the division, or the top key's conversion to float, may pass the double range
+        if length is not None:
+            (a, b), (c, e) = pref.as_integer_ratio(), length.as_integer_ratio()
+            scale = a * (PI_RATIONAL[0] * e) ** 2 / (b * (PI_RATIONAL[1] * c) ** 2)
+        top = scale * top_key
+    except OverflowError:
+        scale = top = math.inf
+    require_level_range(top, scale, **given)
+    if d is not None and n_max > 1 and (d > 53 or n_max**d > 2**53):
+        raise InputError(f"{n_max}**{d} box modes: more than 2**53, "
+                         "so the multiplicities would not be exact")
+    return scale
+
+
 def sphere_energies(l_max: int, u: UnitSystem) -> tuple[float, ...]:
     """Energies pref*l(l+1) of the angular sectors l = 0..l_max (multiplicity
-    2l+1), bit for bit those of spectra.sphere_spectrum, with its checks."""
-    require_at_least("l_max", l_max, 0)
-    pref = kinetic_prefactor(u)
-    energies = tuple([(pref * l) * (l + 1.0) for l in range(l_max + 1)])
-    require_level_range(energies[-1], l_max=l_max)
-    return energies
+    2l+1), each one rounding of pref times the int l(l+1), as in spectra.sphere_spectrum."""
+    pref = _level_scale(u, l_max)
+    return tuple([pref * (l * (l + 1.0)) for l in range(l_max + 1)])
 
 
 def interval_energies(length: float, n_max: int, u: UnitSystem) -> tuple[float, ...]:
-    """Dirichlet levels pref*(n*pi/length)^2, n = 1..n_max, bit for bit those of
-    spectra.interval_spectrum (numpy squares by x*x, never by pow), with its checks."""
-    require_positive("length", length)
-    require_at_least("n_max", n_max, 1)
-    pref = kinetic_prefactor(u)
-    wavenumbers = (n * math.pi / length for n in range(1, n_max + 1))
-    energies = tuple([pref * (k * k) for k in wavenumbers])
-    require_level_range(energies[-1], energies[0], length=length, n_max=n_max)
-    return energies
+    """Dirichlet levels pref*(n*pi/length)^2, n = 1..n_max: the key-1 energy, rounded
+    once, times the int n^2, as in spectra.interval_spectrum and box_modes(length, 1, n_max)."""
+    scale = _level_scale(u, n_max, length)
+    return tuple([scale * (n * n) for n in range(1, n_max + 1)])
 
 
 def box_modes(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> tuple[tuple, tuple]:
@@ -155,31 +179,13 @@ def box_modes(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> tuple[
     the d-dimensional box with quantum numbers <= n_max_per_axis, K = n_1^2 + ... + n_d^2
     an exact int, so the bits of spectra.box_spectrum's levels. Sorted by K, ties in
     lexicographic order of the quantum numbers; checked as box_spectrum is."""
-    scale = _box_key_energy(side, d, n_max_per_axis, u)
+    scale = _level_scale(u, n_max_per_axis, side, d)
     axis = range(1, n_max_per_axis + 1)
     keys = list(map(sum, itertools.product([n * n for n in axis], repeat=d)))
     # product yields the tuples in lexicographic order, and sorted is stable
     order = sorted(range(len(keys)), key=keys.__getitem__)
     numbers = list(itertools.product(axis, repeat=d))
     return tuple(map(numbers.__getitem__, order)), tuple([scale * keys[i] for i in order])
-
-
-def _box_key_energy(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> float:
-    # Checks the box and returns pref (pi/side)^2, the energy of key 1. OverflowError if
-    # that is not normal or the top key d n_max^2 has no finite energy; InputError for
-    # more than 2**53 modes, beyond which a float64 multiplicity is not exact.
-    require_positive("side", side)
-    require_at_least("d", d, 1)
-    require_at_least("n_max_per_axis", n_max_per_axis, 1)
-    try:
-        scale = kinetic_prefactor(u) * (math.pi / side) ** 2
-    except OverflowError:
-        scale = math.inf
-    require_level_range(scale * (d * n_max_per_axis**2), scale, side=side, n_max=n_max_per_axis)
-    if n_max_per_axis > 1 and (d > 53 or n_max_per_axis**d > 2**53):
-        raise InputError(f"{n_max_per_axis}**{d} box modes: more than 2**53, "
-                         "so the multiplicities would not be exact")
-    return scale
 
 
 def _entropy_quadrature(n: int, r0: float, u: UnitSystem) -> float:

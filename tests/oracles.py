@@ -113,6 +113,20 @@ def radial_overlap_mpmath(n: int, m: int, r0: float) -> float:
         return float(mp.quad(integrand, [0, r0_mp]))
 
 
+def key_one_energy_mpmath(pref: float, length: float, key: int = 1):
+    """pref (pi/length)^2 key, the analytic level of an int key (n^2 on the interval,
+    n_1^2 + ... + n_d^2 in the box), at 60 digits from the doubles pref and length.
+    Returned as an mpmath number; float() of it is the correctly rounded level."""
+    with mp.workdps(60):
+        return mp.mpf(pref) * (mp.pi / mp.mpf(length)) ** 2 * key
+
+
+def wavenumber_mpmath(n: int, length: float):
+    """n pi / length at 60 digits, as an mpmath number."""
+    with mp.workdps(60):
+        return n * mp.pi / mp.mpf(length)
+
+
 # --------------------------- direct spectral sums ---------------------------
 
 def interval_trace_direct(t: float, length: float = 1.0) -> float:

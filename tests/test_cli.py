@@ -25,6 +25,7 @@ from spectherm import (
     free_difference_energies,
     interval_energies,
     interval_spectrum,
+    kinetic_prefactor,
     solve_radial_numeric,
     sphere_energies,
     sphere_spectrum,
@@ -37,6 +38,8 @@ from oracles import (
     INTERVAL_VOLUME_ESTIMATE,
     cube_levels,
     interval_trace_theta,
+    key_one_energy_mpmath,
+    wavenumber_mpmath,
 )
 
 EPS = 2.0**-52
@@ -65,6 +68,13 @@ def run_captured(argv):
 
 def one_error_line(err):
     return len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def table_rows(argv):
+    """The rows of `spectrum argv`'s json report; usable inside a Hypothesis example."""
+    code, out, err = run_captured(["spectrum", *argv])
+    assert code == 0, err
+    return json.loads(out)["results"]["rows"]
 
 
 def run_json(capsys, argv):
@@ -659,9 +669,11 @@ class TestSpectrumCommand:
         assert wavenumber == math.pi
 
     # The tables take their rows from thermo's stdlib functions, the level
-    # lists from spectra's numpy ones: the same operations in the same order,
-    # so the same bits. A box mode's energy is its key's level energy, and
-    # each level appears as often as its multiplicity.
+    # lists from spectra's numpy ones: each level is the same key-1 energy
+    # times the same int key, so the same bits. A box mode's energy is its
+    # key's level energy, and each level appears as often as its multiplicity.
+    # The wavenumber n pi / r0 is rounded once, so it is the 60-digit value
+    # rounded to a double.
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         log_hbar=st.floats(min_value=-3.0, max_value=3.0),
@@ -680,10 +692,7 @@ class TestSpectrumCommand:
         units = ["--hbar", repr(hbar), "--mass", repr(mass)]
 
         def rows(*argv):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                assert run(["spectrum", *argv, *units]) == 0
-            return json.loads(out.getvalue())["results"]["rows"]
+            return table_rows([*argv, *units])
 
         def bits(values):
             # float(): an energy such as 36.0 prints as 36, which json reads as an int
@@ -692,7 +701,7 @@ class TestSpectrumCommand:
         radial = rows("--kind", "radial", "--r0", repr(length), "--n-max", str(n_max))
         assert [row[0] for row in radial] == list(range(1, n_max + 1))
         assert bits(row[1] for row in radial) == bits(
-            n * math.pi / length for n in range(1, n_max + 1)
+            wavenumber_mpmath(n, length) for n in range(1, n_max + 1)
         )
         assert (
             bits(row[2] for row in radial)
@@ -720,6 +729,61 @@ class TestSpectrumCommand:
             for _ in range(int(m))
         ]
         assert bits(energies) == bits(expanded)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        log_length=st.floats(min_value=-5.0, max_value=5.0),
+        log_hbar=st.floats(min_value=-3.0, max_value=3.0),
+        log_mass=st.floats(min_value=-3.0, max_value=3.0),
+        n_max=st.integers(min_value=1, max_value=50),
+        box=st.integers(min_value=1, max_value=4).flatmap(
+            lambda d: st.tuples(st.just(d), st.integers(1, (50, 50, 27, 11)[d - 1]))
+        ),
+    )
+    def test_printed_levels_within_their_ulp_bounds(
+        self, log_length, log_hbar, log_mass, n_max, box
+    ):
+        """Printed levels and wavenumbers against their 60-digit values.
+
+        The doubles pref = hbar^2/(2 mass) and L are taken as exact, and so is K,
+        the int key of a level (n^2, n_1^2 + ... + n_d^2 or l(l+1)), below 2**53
+        here. The radial and box levels are fl(s K), where s = fl(S) and
+        S = pref pi^2 / L^2 is the key-1 energy; the error against E = S K is
+            |fl(s K) - E| <= K |s - S| + |fl(s K) - s K|
+                          <= K ulp(s)/2 + ulp(E)/2 <= 1.5 ulp(E),
+        since K ulp(s)/2 <= K s 2**-53 ~ E 2**-53 < ulp(E), and the product is
+        rounded once. (Where s K rounds up to the next power of two the error is
+        still below ulp(E).) A sphere level fl(pref l(l+1)) and a wavenumber
+        n pi / L, a ratio of ints, are rounded once: within 0.5 ulp. The 50-digit
+        pi moves any of these by less than 1e-49 relative.
+        """
+        length, d, box_n_max = math.exp(log_length), *box
+        hbar, mass = math.exp(log_hbar), math.exp(log_mass)
+        pref = kinetic_prefactor(UnitSystem(hbar, 1.0, mass))
+        units = ["--hbar", repr(hbar), "--mass", repr(mass)]
+
+        def ulps(value, exact):
+            return float(abs(mp.mpf(value) - exact)) / math.ulp(float(exact))
+
+        radial = table_rows(["--kind", "radial", "--r0", repr(length),
+                             "--n-max", str(n_max), *units])
+        for n, wavenumber, energy in radial:
+            assert ulps(wavenumber, wavenumber_mpmath(n, length)) <= 0.5
+            assert ulps(energy, key_one_energy_mpmath(pref, length, n * n)) <= 1.5
+
+        angular = table_rows(["--kind", "angular", "--l-max", str(n_max), *units])
+        with mp.workdps(60):
+            for l, energy, _ in angular:
+                assert ulps(energy, mp.mpf(pref) * (l * (l + 1))) <= 0.5
+
+        table = table_rows(["--kind", "box", "--d", str(d), "--L", repr(length),
+                            "--n-max", str(box_n_max), *units])
+        levels = {}  # key -> energy: every mode of a key prints the same level
+        for numbers, energy in table:
+            key = sum(int(n) ** 2 for n in numbers.split("x"))
+            assert levels.setdefault(key, energy) == energy
+        for key, energy in levels.items():
+            assert ulps(energy, key_one_energy_mpmath(pref, length, key)) <= 1.5
 
     def test_unit_overrides_reach_the_spectra(self, capsys):
         default = run_json(capsys, ["spectrum", "--kind", "radial", "--n-max", "1"])

@@ -34,6 +34,7 @@ from oracles import (
     cube_levels,
     interval_heat_trace_mpmath,
     interval_trace_direct,
+    key_one_energy_mpmath,
 )
 
 EPS = 2.0**-52
@@ -290,7 +291,7 @@ class TestLevelHelpers:
     @pytest.mark.parametrize("units", range(len(BOX_UNITS)))
     def test_box_spectrum_matches_counter_oracle(self, d, n_max, units):
         side, u = self.BOX_UNITS[units]
-        scale = kinetic_prefactor(u) * (math.pi / side) ** 2
+        scale = float(key_one_energy_mpmath(kinetic_prefactor(u), side))
         keys, counts = zip(*cube_levels(d, n_max))
         levels = box_spectrum(side, d, n_max, u)
         assert levels.energies.tolist() == [scale * key for key in keys]

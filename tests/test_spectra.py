@@ -21,6 +21,7 @@ from spectherm import (
     free_difference_energies,
     hilbert_dim_min,
     integrate,
+    interval_energies,
     interval_spectrum,
     kinetic_prefactor,
     natural_units,
@@ -33,8 +34,10 @@ from spectherm.spectra import _lapack_lowest
 from oracles import (
     dirichlet_tridiagonal_eigenvalue,
     dirichlet_tridiagonal_eigenvalue_mpmath,
+    key_one_energy_mpmath,
     radial_overlap_mpmath,
     shooting_ground_energy,
+    wavenumber_mpmath,
 )
 
 
@@ -441,8 +444,9 @@ class TestHilbertDimMin:
 
 
 def box_modes_by_tuples(side, d, n_max_per_axis, u):
-    """Reference enumeration: one Python tuple per mode, sorted by (energy, tuple)."""
-    scale = kinetic_prefactor(u) * (math.pi / side) ** 2
+    """Reference enumeration: one Python tuple per mode, sorted by (energy, tuple),
+    each energy the correctly rounded key-1 energy times the mode's key."""
+    scale = float(key_one_energy_mpmath(kinetic_prefactor(u), side))
     modes = sorted(
         (scale * sum(n * n for n in numbers), numbers)
         for numbers in itertools.product(range(1, n_max_per_axis + 1), repeat=d)
@@ -463,7 +467,25 @@ class TestBoxModes:
     def test_one_dimensional_box_equals_radial_spectrum(self, u):
         _, box = box_modes(1.0, 1, 5, u)
         radial = interval_spectrum(1.0, 5, u).energies
-        assert box == pytest.approx(radial, rel=1e-14)
+        assert list(box) == radial.tolist()
+
+    # Every builder forms a level as the one key-1 energy times the int n^2
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        log_length=st.floats(min_value=-5.0, max_value=5.0),
+        log_hbar=st.floats(min_value=-3.0, max_value=3.0),
+        log_mass=st.floats(min_value=-3.0, max_value=3.0),
+        n_max=st.integers(min_value=1, max_value=3000),
+    )
+    def test_interval_levels_are_one_dimensional_box_levels_bit_for_bit(
+        self, log_length, log_hbar, log_mass, n_max
+    ):
+        length = math.exp(log_length)
+        u = UnitSystem(math.exp(log_hbar), 1.0, math.exp(log_mass))
+        levels = interval_spectrum(length, n_max, u).energies.tolist()
+        assert box_spectrum(length, 1, n_max, u).energies.tolist() == levels
+        assert list(interval_energies(length, n_max, u)) == levels
+        assert list(box_modes(length, 1, n_max, u)[1]) == levels
 
     def test_degenerate_levels_in_lexicographic_order(self, u):
         numbers, _ = box_modes(1.0, 3, 2, u)
