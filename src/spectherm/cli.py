@@ -32,7 +32,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 import warnings
 from functools import partial
@@ -45,15 +44,13 @@ from .thermo import (
     entropy_expectation, free_difference_energies, interval_energies, solve_fiducial_wavenumber,
     sphere_energies,
 )
-from .units import PI_RATIONAL, InputError, UnitSystem, kinetic_prefactor
+from .units import InputError, UnitSystem, kinetic_prefactor, pi_over
 
 if TYPE_CHECKING:
     from .spectra import Spectrum
 
 __all__ = ["load_levels", "run", "main"]
 
-# np.loadtxt reads a line of blanks, or blanks before a comment, as a row
-_BLANK_LINE_PREFIX = re.compile(r"^[^\S\n]+(?=#|$)", re.MULTILINE)
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
@@ -61,9 +58,10 @@ def load_levels(path: str | Path) -> Spectrum:
     """Parse an energy,multiplicity level file (one pair per line, # comments).
 
     One np.loadtxt call parses the file in C and `Spectrum` checks it. Only
-    if that fails is the text read in Python: lines of blanks are cleared
-    and the parse retried, then halves of the rows are parsed to find the
-    first bad line. Every failure raises InputError.
+    if that fails is the text read in Python: the parse is retried once on
+    the lines with more than blanks before any comment (np.loadtxt reads a
+    line of blanks as a row), then halves of those lines are parsed to find
+    the first bad one. Every failure raises InputError.
     """
     # np.loadtxt fetches a path with a URL's scheme and host, reads a
     # missing file's compressed sibling and decompresses by suffix. An
@@ -79,19 +77,14 @@ def load_levels(path: str | Path) -> Spectrum:
         raise InputError(f"cannot read levels file {path}: {exc}") from exc
     except ValueError as exc:
         error = exc
-    text, cleared = _BLANK_LINE_PREFIX.subn("", Path(file).read_text(encoding="utf-8"))
-    lines = text.split("\n")
-    if cleared:
-        try:
-            return _parse_levels(lines)
-        except ValueError as exc:
-            error = exc
-    rows = [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.split("#", 1)[0]]
+    lines = enumerate(Path(file).read_text(encoding="utf-8").split("\n"), start=1)
+    rows = [(lineno, line) for lineno, line in lines if line.split("#", 1)[0].strip()]
     if not rows:
         raise InputError(f"{path}: {error}") from error
-    # each row parses to one row of the table, so a set of rows fails exactly
-    # when one of them fails alone, and rows[lo:hi] always fails
-    lo, hi = 0, len(rows)
+    try:
+        return _parse_levels([line for _, line in rows])
+    except ValueError:  # each row parses to one row of the table, so a set of rows
+        lo, hi = 0, len(rows)  # fails exactly when one fails alone: rows[lo:hi] always does
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
@@ -195,10 +188,8 @@ def _cmd_spectrum(args, u: UnitSystem):
     elif args.kind == "radial":
         config.update({"r0": args.r0, "n_max": args.n_max})
         energies = interval_energies(args.r0, args.n_max, u)
-        r0_num, r0_den = args.r0.as_integer_ratio()  # n pi / r0: ints, divided once
-        num, den = PI_RATIONAL[0] * r0_den, PI_RATIONAL[1] * r0_num
-        columns = ["n", "wavenumber", "kinetic_energy"]
-        rows = [(n, n * num / den, e) for n, e in enumerate(energies, start=1)]
+        columns, wavenumber = ["n", "wavenumber", "kinetic_energy"], pi_over(args.r0)
+        rows = [(n, wavenumber(n), e) for n, e in enumerate(energies, start=1)]
     else:  # box
         config.update({"L": args.L, "d": args.d, "n_max_per_axis": args.n_max})
         numbers, energies = box_modes(args.L, args.d, args.n_max, u)

@@ -172,7 +172,7 @@ def _exp1_imag_axis(x: float) -> complex:
             c = complex(tiny, 0.0)
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < 1e-17:
+        if abs(delta - 1.0) <= 2.0**-52:  # within an ulp of 1: below that it may never stop
             return cmath.exp(-z) * h
     raise RuntimeError(f"continued fraction for E1 did not settle at x={x!r}")
 
@@ -192,5 +192,6 @@ def sine_integral(x: float) -> float:
     ax = abs(x)
     if ax <= _SERIES_CUTOFF:
         return _si_power_series(x)
-    value = 0.5 * math.pi + _exp1_imag_axis(ax).imag
+    # past 2**60 Si(x) rounds to pi/2, and above ~4.5e307 the fraction's 1/(x i) is subnormal
+    value = 0.5 * math.pi + (_exp1_imag_axis(ax).imag if ax < 2.0**60 else 0.0)
     return value if x > 0 else -value

@@ -11,9 +11,9 @@ a normal double (OverflowError otherwise), and the `spectrum` table rows
 numbers, so this module uses no arrays; the level lists and the partition
 sums over them live beside the one spectral kernel, in spectra.
 
-The fiducial entropy S0 may be the formal value -infinity; that limit is
-carried as an explicit IEEE -inf (never a large negative float) and short
-circuits the wavenumber constraint to the pure sine-node solutions.
+The fiducial entropy S0 may be the formal value -infinity; that limit is carried as
+an explicit IEEE -inf (never a large negative float) and short circuits the wavenumber
+constraint to the sine nodes n pi / r0, rounded once by units.pi_over like every k pi / length.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 
 from .specfun import DEFAULT_QUADRATURE, integrate, sine_integral
 from .units import (
-    PI_RATIONAL, Frozen, InputError, UnitSystem, kinetic_prefactor,
+    PI_RATIONAL, Frozen, InputError, UnitSystem, kinetic_prefactor, pi_over,
     require_at_least, require_level_range, require_positive,
 )
 
@@ -84,9 +84,13 @@ def ideal_gas_entropy(v: float, fe: FundamentalEquation, u: UnitSystem) -> float
     return fe.s0 + u.k_boltzmann * math.log(v / fe.v0)
 
 
-def _entropy_closed_form(n: int, u: UnitSystem) -> float:
-    x = 2.0 * math.pi * n
-    return 3.0 * u.k_boltzmann * (sine_integral(x) / x - 1.0)
+def _mode(n: int, r0: float, what: str) -> tuple[float, float]:
+    # sqrt(2/r0) and c_n = n pi / r0 (rounded once) of radial_wavefunction, or InputError
+    norm, c = math.sqrt(2.0 / r0), pi_over(r0)(n)
+    if not (math.isfinite(norm) and math.isfinite(c)):
+        raise InputError(f"r0={r0!r} is too small for {what}: "
+                         f"sqrt(2/r0) or n*pi/r0 is not finite at n={n!r}")
+    return norm, c
 
 
 def radial_wavefunction(n: int, r0: float, r: float) -> float:
@@ -94,11 +98,15 @@ def radial_wavefunction(n: int, r0: float, r: float) -> float:
 
     Mode n of spectra.interval_spectrum(r0, ...), normalized against the
     r^2 weight on [0, r0]. The value at r = r0 is zero up to the rounding of
-    the sine argument.
+    the sine argument. InputError at an r0 too small for psi to be finite.
     """
     if not (0.0 < r <= r0):
         raise InputError(f"r must lie in (0, {r0!r}], got {r!r}")
-    return math.sqrt(2.0 / r0) * math.sin(n * math.pi / r0 * r) / r
+    require_positive("r0", r0)  # r0 = inf passes the check on r
+    norm, c = _mode(n, r0, "the radial mode")
+    if math.isfinite(psi := norm * math.sin(c * r) / r):
+        return psi
+    raise InputError(f"r0={r0!r} is too small for the radial mode: psi({r!r}) is not finite")
 
 
 def free_difference_energies(
@@ -117,10 +125,7 @@ def free_difference_energies(
         )
     pref, h = kinetic_prefactor(u), r0 / (grid_points - 1)
     scale = 4.0 * (pref / (h * h)) if h * h else math.inf
-    # The angle is a quotient of integers, which Python rounds correctly;
-    # j * math.pi / (2 (N - 1)) rounds twice and costs up to ~2 more ulp.
-    num, den = PI_RATIONAL[0], PI_RATIONAL[1] * 2 * (grid_points - 1)
-    sines = (math.sin(num * j / den) for j in range(1, k_lowest + 1))
+    sines = map(math.sin, map(pi_over(grid_points - 1, 2), range(1, k_lowest + 1)))
     energies = tuple(scale * s * s for s in sines)
     require_level_range(
         energies[-1], energies[0], r0=r0, grid_points=grid_points, k_lowest=k_lowest
@@ -190,10 +195,7 @@ def box_modes(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> tuple[
 
 def _entropy_quadrature(n: int, r0: float, u: UnitSystem) -> float:
     # radial_wavefunction's arithmetic, with no range check (the nodes lie in (0, r0])
-    norm, c = math.sqrt(2.0 / r0), n * math.pi / r0
-    if not (math.isfinite(norm) and math.isfinite(c)):
-        raise InputError(f"r0={r0!r} is too small for the entropy quadrature: "
-                         f"sqrt(2/r0) or n*pi/r0 is not finite at n={n!r}")
+    norm, c = _mode(n, r0, "the entropy quadrature")
 
     def integrand(r: float) -> float:
         rr = r * r  # subnormal or 0 at a tiny node: the weight would lose its digits
@@ -218,7 +220,8 @@ def entropy_expectation(n: int, r0: float, method: str, u: UnitSystem) -> float:
     require_at_least("n", n, 1)
     require_positive("r0", r0)
     if method == "closed_form":
-        return _entropy_closed_form(n, u)
+        x = pi_over(1)(2 * n)
+        return 3.0 * u.k_boltzmann * (sine_integral(x) / x - 1.0)
     if method == "quadrature":
         return _entropy_quadrature(n, r0, u)
     raise InputError(f"method must be 'closed_form' or 'quadrature', got {method!r}")
@@ -247,18 +250,18 @@ def solve_fiducial_wavenumber(
     """Wavenumber c solving sin(c r0)/r0 = exp(S0/(2 k_B)), branch-th root.
 
     In the formal S0 = -inf limit the constraint degenerates to sin(c r0) = 0
-    and the roots are exactly branch * pi / r0. For finite S0 the roots
+    and the roots are the sine nodes branch pi / r0. For finite S0 the roots
     alternate between the rising and the falling quarter of each positive
     lobe of the sine, and (k, falling) = divmod(branch - 1, 2) names them.
-    With y = r0 exp(S0/(2 k_B)) the root is closed form, whatever the branch:
-    c r0 = 2 pi k + asin(y), or 2 pi k + pi - asin(y) when falling. There is
-    no real solution once exp(S0/(2 k_B)) exceeds 1/r0.
+    With y = r0 exp(S0/(2 k_B)) (NoRealSolution past 1), c r0 = 2 pi k + asin(y),
+    2 pi k + pi - asin(y) when falling, or (4 branch - 3) pi / 2 at tangency (y
+    rounds to 1); each multiple of pi is rounded once.
     """
     require_positive("r0", r0)
     require_at_least("branch", branch, 1)
 
     if not fe.has_finite_entropy:
-        return branch * math.pi / r0
+        return pi_over(r0)(branch)
 
     # compare in log space so oversized fiducial entropies cannot overflow
     log_rhs = fe.s0 / (2.0 * u.k_boltzmann)
@@ -270,13 +273,13 @@ def solve_fiducial_wavenumber(
     target = math.exp(log_rhs) * r0  # solve sin(x) = target with x = c * r0
     if target >= 1.0:
         # tangency (exact or by rounding): one root per period, at the maxima
-        return (0.5 * math.pi + 2.0 * math.pi * (branch - 1)) / r0
+        return pi_over(r0, 2)(4 * branch - 3)
 
     period, falling = divmod(branch - 1, 2)
     x = math.asin(target)  # the root on the rising quarter, where sin goes 0 -> 1
     if falling:  # sin goes 1 -> 0: reflect the rising root about the maximum
         x = math.pi - x
-    return (2 * period * PI_RATIONAL[0] / PI_RATIONAL[1] + x) / r0  # 2 pi k rounded once
+    return (pi_over(1)(2 * period) + x) / r0
 
 
 def _dual(name: str, value: float, u: UnitSystem) -> float:

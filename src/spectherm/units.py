@@ -1,6 +1,6 @@
-"""Unit system threaded through every computation in the package, the one
-exception type for arguments and inputs the package rejects, and the checks,
-the rational pi (two ints) and the value base, Frozen, that the modules share."""
+"""Unit system threaded through every computation in the package, the one exception
+type for arguments and inputs the package rejects, and the checks, the rational pi
+(two ints), k pi / length (pi_over) and the value base, Frozen, that the modules share."""
 
 from __future__ import annotations
 
@@ -12,6 +12,21 @@ __all__ = ["InputError", "UnitSystem", "kinetic_prefactor", "natural_units"]
 # with integers, rounded once, are the doubles nearest the same values with
 # pi, unless one lies within 1e-50 (relative) of a midpoint between doubles
 PI_RATIONAL = (314159265358979323846264338327950288419716939937510, 10**50)
+
+
+def pi_over(length: float, parts: int = 1):
+    """The map k -> k pi / (parts length) on ints k >= 0: length > 0 (int or float) is taken
+    exactly, so each value is one quotient of ints, rounded once (inf past the double range)."""
+    c, e = length.as_integer_ratio()
+    num, den = PI_RATIONAL[0] * e, PI_RATIONAL[1] * c * parts
+
+    def times(k: int) -> float:
+        try:
+            return k * num / den
+        except OverflowError:
+            return math.inf
+
+    return times
 
 
 class InputError(ValueError):

@@ -37,6 +37,7 @@ from oracles import (
     ENTROPY_EXPECTATION,
     entropy_expectation_mpmath,
     si_by_quadrature,
+    wavenumber_mpmath,
 )
 
 U = natural_units()
@@ -182,8 +183,9 @@ def test_criterion_06_fiducial_constraint():
         raised = True
 
     fe_inf = FundamentalEquation(s0=NEGATIVE_INFINITE_ENTROPY, v0=1.0)
+    # the sine node branch pi / r0 correctly rounded: its 60-digit value rounded once
     sentinel_exact = all(
-        solve_fiducial_wavenumber(fe_inf, r0, branch, U) == branch * math.pi / r0
+        solve_fiducial_wavenumber(fe_inf, r0, branch, U) == float(wavenumber_mpmath(branch, r0))
         for r0 in (1.0, 2.0)
         for branch in (1, 2, 3, 4)
     )

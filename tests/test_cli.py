@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectherm import (
+    NEGATIVE_INFINITE_ENTROPY,
+    FundamentalEquation,
     InputError,
     Spectrum,
     UnitSystem,
@@ -26,11 +28,14 @@ from spectherm import (
     interval_energies,
     interval_spectrum,
     kinetic_prefactor,
+    natural_units,
+    solve_fiducial_wavenumber,
     solve_radial_numeric,
     sphere_energies,
     sphere_spectrum,
 )
 from spectherm.cli import load_levels, run
+from spectherm.thermo import _mode
 
 from oracles import (
     CUBE_VOLUME_ESTIMATE_1E6,
@@ -581,6 +586,52 @@ class TestFiducialCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert "error" in captured.err
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        log_r0=st.floats(min_value=-7.0, max_value=7.0),
+        branch=st.one_of(st.integers(1, 40), st.integers(1, 10**6)),
+    )
+    def test_wavenumbers_within_half_an_ulp_of_mpmath(self, log_r0, branch):
+        """Every k pi / length, against its 60-digit value, with r0 taken as exact.
+
+        The S0 = -inf root and the mode's c_n are branch pi / r0, the tangency
+        root is (4 branch - 3) pi / (2 r0) and row n of the radial table is
+        n pi / r0. Each is one quotient of ints, rounded once, so within 0.5 ulp
+        (the 50-digit pi moves it by less than 1e-49 relative). The -inf root
+        and the table row print the same bytes.
+        """
+        r0, u = math.exp(log_r0), natural_units()
+
+        def ulps(value, exact):
+            return float(abs(mp.mpf(value) - exact)) / math.ulp(float(exact))
+
+        node = wavenumber_mpmath(branch, r0)
+        sentinel = FundamentalEquation(NEGATIVE_INFINITE_ENTROPY, 1.0)
+        assert ulps(solve_fiducial_wavenumber(sentinel, r0, branch, u), node) <= 0.5
+        assert ulps(_mode(branch, r0, "the radial mode")[1], node) <= 0.5
+
+        # exp(S0/2) r0 rounds to 1 at S0 = -2 ln r0 for r0 or for one a few ulp above
+        tangent = r0
+        for _ in range(64):
+            if math.exp(-math.log(tangent)) * tangent >= 1.0:
+                break
+            tangent = math.nextafter(tangent, math.inf)
+        else:
+            raise AssertionError(f"no tangency within 64 ulp above r0={r0!r}")
+        at_maximum = FundamentalEquation(-2.0 * math.log(tangent), 1.0)
+        root = solve_fiducial_wavenumber(at_maximum, tangent, branch, u)
+        assert ulps(root, wavenumber_mpmath(4 * branch - 3, 2 * tangent)) <= 0.5
+
+        n = min(branch, 40)
+        code, out, err = run_captured(["fiducial", "--s0=-inf", "--r0", repr(r0),
+                                       "--branch", str(n)])
+        assert code == 0, err
+        printed = re.search(r'"wavenumber": (\S+),', out).group(1)
+        table = run_captured(["spectrum", "--kind", "radial", "--r0", repr(r0),
+                              "--n-max", str(n), "--format", "csv"])[1]
+        assert table.splitlines()[n].split(",")[1] == printed
+        assert ulps(float(printed), wavenumber_mpmath(n, r0)) <= 0.5
 
 
 class TestSpectrumCommand:

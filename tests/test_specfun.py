@@ -1,6 +1,8 @@
 import math
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectherm import (
     DEFAULT_QUADRATURE,
@@ -68,6 +70,27 @@ class TestSineIntegral:
     def test_rejects_nonfinite(self, bad):
         with pytest.raises(ValueError):
             sine_integral(bad)
+
+    @pytest.mark.parametrize("x", [1e11, 2.0 * math.pi * 13117595275, 1.5213460680681109e308])
+    def test_continued_fraction_stops_at_large_arguments(self, x):
+        # its stop test once asked for |delta - 1| < 1e-17, below an ulp of 1,
+        # and never passed at the first two: RuntimeError after 300 terms; at
+        # the third the fraction's subnormal terms kept it from settling
+        assert sine_integral(x) == pytest.approx(si_mpmath(x), abs=1e-15)
+        assert sine_integral(-x) == -sine_integral(x)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(log_x=st.floats(min_value=math.log(4.0), max_value=math.log(1e16)))
+    def test_within_4_ulp_of_mpmath_up_to_1e16(self, log_x):
+        """Finite and within 4 ulp of Si(x) for x log-uniform in [4, 1e16].
+
+        The bound was fixed before measuring, from the 3.4 ulp seen earlier
+        near the series cutoff x = 4; x is taken as exact."""
+        x = math.exp(log_x)
+        value = sine_integral(x)
+        assert math.isfinite(value)
+        with mp.workdps(40):
+            assert abs(mp.mpf(value) - mp.si(mp.mpf(x))) <= 4 * math.ulp(value)
 
 
 class TestIntegrate:

@@ -161,6 +161,13 @@ class TestRadialWavefunction:
                     expected = 1.0 if i == j else 0.0
                     assert abs(value - expected) < 1e-8
 
+    @pytest.mark.parametrize("r0", [2.2250738585072014e-308, 1e-310, 5e-324, math.inf])
+    def test_r0_too_small_or_infinite_is_rejected_input(self, r0):
+        # psi overflowed to inf at the smallest normal r0, and below it sin(inf)
+        # raised a bare "math domain error"; an infinite r0 returned 0
+        with pytest.raises(InputError, match="r0"):
+            radial_wavefunction(1, r0, min(r0, 1.0))
+
     def test_overlap_matches_mpmath(self):
         def integrand(r):
             return r * r * radial_wavefunction(1, 2.0, r) * radial_wavefunction(3, 2.0, r)

@@ -29,7 +29,7 @@ from spectherm import (
     thermal_partition,
 )
 
-from oracles import ENTROPY_EXPECTATION, entropy_expectation_mpmath
+from oracles import ENTROPY_EXPECTATION, entropy_expectation_mpmath, wavenumber_mpmath
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 log_uniform = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
@@ -229,7 +229,8 @@ class TestFiducialWavenumber:
     @pytest.mark.parametrize("branch", [1, 2, 3, 4, 5])
     def test_sentinel_gives_exact_sine_nodes(self, u, r0, branch):
         fe = FundamentalEquation(s0=NEGATIVE_INFINITE_ENTROPY, v0=1.0)
-        assert solve_fiducial_wavenumber(fe, r0, branch, u) == branch * math.pi / r0
+        # the sine node correctly rounded: its 60-digit value rounded once
+        assert solve_fiducial_wavenumber(fe, r0, branch, u) == float(wavenumber_mpmath(branch, r0))
 
     @pytest.mark.parametrize(
         "s0,r0,branch",
