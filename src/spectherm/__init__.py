@@ -14,15 +14,14 @@ __version__ = "0.1.0"
 _OWNERS = {
     "heattrace": ("WeylScanRow", "interval_heat_trace", "weyl_convergence_scan"),
     "specfun": (
-        "DEFAULT_QUADRATURE",
+        "ABS_TOLERANCE",
+        "MAX_SUBDIVISIONS",
         "QuadratureError",
-        "QuadratureSpec",
         "integrate",
         "sine_integral",
     ),
     "spectra": (
         "DEGENERACY_REL_TOLERANCE",
-        "NumericSpectrum",
         "Spectrum",
         "ball_spectrum",
         "box_spectrum",
@@ -38,7 +37,6 @@ _OWNERS = {
     ),
     "thermo": (
         "NEGATIVE_INFINITE_ENTROPY",
-        "FundamentalEquation",
         "NoRealSolution",
         "boltzmann_weight_from_entropy",
         "box_modes",

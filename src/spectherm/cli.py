@@ -38,11 +38,11 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .specfun import DEFAULT_QUADRATURE, QuadratureError
+from .specfun import ABS_TOLERANCE, MAX_SUBDIVISIONS, QuadratureError
 from .thermo import (
-    FundamentalEquation, NoRealSolution, box_modes, duality_map, duality_map_from_temperature,
-    entropy_expectation, free_difference_energies, interval_energies, solve_fiducial_wavenumber,
-    sphere_energies,
+    NEGATIVE_INFINITE_ENTROPY, NoRealSolution, box_modes, duality_map,
+    duality_map_from_temperature, entropy_expectation, free_difference_energies,
+    interval_energies, solve_fiducial_wavenumber, sphere_energies,
 )
 from .units import InputError, UnitSystem, kinetic_prefactor, pi_over
 
@@ -230,8 +230,8 @@ def _cmd_entropy(args, u: UnitSystem):
     config = {
         "n": args.n,
         "r0": args.r0,
-        "abs_tolerance": DEFAULT_QUADRATURE.abs_tolerance,
-        "max_subdivisions": DEFAULT_QUADRATURE.max_subdivisions,
+        "abs_tolerance": ABS_TOLERANCE,
+        "max_subdivisions": MAX_SUBDIVISIONS,
     }
     closed = entropy_expectation(args.n, args.r0, "closed_form", u)
     quad = entropy_expectation(args.n, args.r0, "quadrature", u)
@@ -244,16 +244,16 @@ def _cmd_entropy(args, u: UnitSystem):
 
 
 def _cmd_fiducial(args, u: UnitSystem):
-    fe = FundamentalEquation(s0=args.s0, v0=1.0)  # no fiducial result reads V0
+    c = solve_fiducial_wavenumber(args.s0, args.r0, args.branch, u)
+    limit = args.s0 == NEGATIVE_INFINITE_ENTROPY
     config = {
         "r0": args.r0,
-        "s0": None if not fe.has_finite_entropy else args.s0,
-        "s0_is_negative_infinity": not fe.has_finite_entropy,
+        "s0": None if limit else args.s0,
+        "s0_is_negative_infinity": limit,
         "branch": args.branch,
     }
-    c = solve_fiducial_wavenumber(fe, args.r0, args.branch, u)
     results: dict = {"wavenumber": c, "branch": args.branch}
-    if fe.has_finite_entropy:
+    if not limit:
         results["constraint_lhs"] = math.sin(c * args.r0) / args.r0
         results["constraint_rhs"] = math.exp(args.s0 / (2.0 * u.k_boltzmann))
     return config, results

@@ -8,7 +8,8 @@ supported range (|x| <= 1e4 contractually, in practice much further).
 The integrator is a deterministic adaptive panel scheme built on a fixed
 Gauss-Legendre rule. Panels never evaluate their endpoints, so integrable
 endpoint singularities (a log divergence, say) are handled without special
-casing by the caller.
+casing by the caller. Its accuracy contract is two keywords, whose defaults
+are the module constants ABS_TOLERANCE and MAX_SUBDIVISIONS.
 """
 
 from __future__ import annotations
@@ -17,29 +18,18 @@ import cmath
 import math
 from typing import Callable
 
-from .units import Frozen, InputError, require_at_least, require_positive
+from .units import InputError, require_at_least, require_positive
 
 __all__ = [
-    "QuadratureSpec",
+    "ABS_TOLERANCE",
+    "MAX_SUBDIVISIONS",
     "QuadratureError",
-    "DEFAULT_QUADRATURE",
     "integrate",
     "sine_integral",
 ]
 
-
-class QuadratureSpec(Frozen):
-    """Accuracy contract for integrate(): absolute tolerance and refinement depth."""
-
-    __slots__ = ("abs_tolerance", "max_subdivisions")
-
-    def __init__(self, abs_tolerance: float, max_subdivisions: int) -> None:
-        super().__init__(abs_tolerance, max_subdivisions)
-        require_positive("abs_tolerance", self.abs_tolerance)
-        require_at_least("max_subdivisions", self.max_subdivisions, 1)
-
-
-DEFAULT_QUADRATURE = QuadratureSpec(abs_tolerance=1e-10, max_subdivisions=60)
+ABS_TOLERANCE = 1e-10
+MAX_SUBDIVISIONS = 60
 
 
 class QuadratureError(Exception):
@@ -90,18 +80,22 @@ def integrate(
     f: Callable[[float], float],
     a: float,
     b: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    abs_tolerance: float = ABS_TOLERANCE,
+    max_subdivisions: int = MAX_SUBDIVISIONS,
 ) -> float:
-    """Integrate f over [a, b] to within spec.abs_tolerance.
+    """Integrate f over [a, b] to within abs_tolerance.
 
     Deterministic refinement: each panel is compared against its own
     bisection; panels failing the width-proportional share of the tolerance
-    are split, depth-first, up to spec.max_subdivisions levels. Leftover
+    are split, depth-first, up to max_subdivisions levels. InputError unless
+    abs_tolerance is positive and finite and max_subdivisions >= 1. Leftover
     panel discrepancies accumulate into an error bound, and a
     QuadratureError is raised if that bound ends up above the tolerance, or
     at once, with no estimate (nan), when a panel to split has a difference
     that is not finite.
     """
+    require_positive("abs_tolerance", abs_tolerance)
+    require_at_least("max_subdivisions", max_subdivisions, 1)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise InputError(f"integration bounds must be finite, got [{a!r}, {b!r}]")
     if a > b:
@@ -112,7 +106,7 @@ def integrate(
     values: list[float] = []
     errors: list[float] = []
     # Stack entries: (lo, hi, single-panel value, local tolerance, depth).
-    stack = [(a, b, _panel(f, a, b), spec.abs_tolerance, 0)]
+    stack = [(a, b, _panel(f, a, b), abs_tolerance, 0)]
     while stack:
         lo, hi, coarse, tol, depth = stack.pop()
         mid = 0.5 * (lo + hi)
@@ -120,11 +114,11 @@ def integrate(
         right = _panel(f, mid, hi)
         fine = left + right
         err = abs(fine - coarse)
-        if err <= tol or depth >= spec.max_subdivisions:
+        if err <= tol or depth >= max_subdivisions:
             values.append(fine)
             errors.append(err)
         elif not math.isfinite(err):  # splitting would follow it to max depth everywhere
-            raise QuadratureError(math.nan, err, spec.abs_tolerance)
+            raise QuadratureError(math.nan, err, abs_tolerance)
         else:
             half_tol = 0.5 * tol
             stack.append((mid, hi, right, half_tol, depth + 1))
@@ -132,8 +126,8 @@ def integrate(
 
     estimate = math.fsum(values)
     error_bound = math.fsum(errors)
-    if not (error_bound <= spec.abs_tolerance):  # also trips on NaN
-        raise QuadratureError(estimate, error_bound, spec.abs_tolerance)
+    if not (error_bound <= abs_tolerance):  # also trips on NaN
+        raise QuadratureError(estimate, error_bound, abs_tolerance)
     return estimate
 
 

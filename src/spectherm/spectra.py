@@ -72,7 +72,6 @@ from .units import (
 
 __all__ = [
     "Spectrum",
-    "NumericSpectrum",
     "DEGENERACY_REL_TOLERANCE",
     "sphere_spectrum",
     "interval_spectrum",
@@ -136,30 +135,6 @@ class Spectrum(Frozen):
         return self.energies.size
 
 
-class NumericSpectrum(Frozen):
-    """Finite-difference eigenpairs of the radial problem.
-
-    energies are ascending. Each row of modes holds u(r) = r*psi(r) on the
-    full grid (both endpoints zero), normalized so that sum(u^2) * h = 1.
-    It holds arrays, so like Spectrum it equals only itself.
-    """
-
-    __slots__ = ("r0", "grid_points", "energies", "modes")
-    __eq__, __hash__ = object.__eq__, object.__hash__
-
-    def __init__(self, r0: float, grid_points: int, energies, modes) -> None:
-        super().__init__(r0, grid_points, energies, modes)
-
-    @property
-    def spacing(self) -> float:
-        return self.r0 / (self.grid_points - 1)
-
-    @property
-    def grid(self) -> np.ndarray:
-        """The grid_points nodes spanning [0, r0], built anew on each access."""
-        return np.linspace(0.0, self.r0, self.grid_points)
-
-
 def sphere_spectrum(l_max: int, u: UnitSystem) -> Spectrum:
     """Angular sectors l = 0..l_max with energies pref*l(l+1) and multiplicity 2l+1."""
     pref = _level_scale(u, l_max)
@@ -214,16 +189,17 @@ def solve_radial_numeric(
     k_lowest: int,
     u: UnitSystem,
     potential: Callable[[float], float] | Sequence[float] | None = None,
-) -> NumericSpectrum:
+) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k_lowest eigenpairs of -pref*u'' + U(r)u = E u with u(0) = u(r0) = 0.
 
-    Uniform grid of grid_points nodes spanning [0, r0], second-order central
-    differences. potential is None, a callable U(r) evaluated only at the
-    interior nodes (never at r = 0, so 1/r wells work), or grid_points
-    samples of U on the full grid (the endpoint values never enter the
-    matrix); InputError unless every value is finite. Eigenvalues come out
-    ascending; eigenvectors are fixed to a deterministic sign (positive
-    slope at the origin) and grid-normalized.
+    Uniform grid np.linspace(0, r0, grid_points), spacing h = r0/(grid_points - 1),
+    second-order central differences. potential is None, a callable U(r)
+    evaluated only at the interior nodes (never at r = 0, so 1/r wells work),
+    or grid_points samples of U on the full grid (the endpoint values never
+    enter the matrix); InputError unless every value is finite. Returns
+    (energies, modes): the k_lowest energies ascending, and in row j of modes
+    u(r) = r*psi(r) on the full grid (both endpoints zero), normalized so that
+    sum(u^2) * h = 1 and signed deterministically (positive slope at the origin).
 
     When U is the same at every interior node the eigenpairs are the closed
     form of the free matrix shifted by that constant; the free energies alone,
@@ -253,7 +229,7 @@ def solve_radial_numeric(
         modes = np.zeros((k_lowest, grid_points))
         modes[:, 1:-1] = vectors.T * (1.0 / math.sqrt(h))
 
-    return NumericSpectrum(r0, grid_points, energies, modes)
+    return energies, modes
 
 
 def _interior_potential(potential, r0: float, grid_points: int) -> np.ndarray:

@@ -7,9 +7,9 @@ finite-difference levels), the relation |psi|^2 = exp(S/k_B), the
 constraint fixing the fiducial wavenumber, and the tau <-> T substitution
 tau = hbar/(k_B T), whose two maps return the dual as a float that must be
 a normal double (OverflowError otherwise), and the `spectrum` table rows
-(sphere_energies, interval_energies, box_modes). All of these are Python
-numbers, so this module uses no arrays; the level lists and the partition
-sums over them live beside the one spectral kernel, in spectra.
+(sphere_energies, interval_energies, box_modes). All of these take plain
+Python numbers, each checked where it is read, so this module uses no arrays;
+the level lists and their partition sums live beside the spectral kernel, in spectra.
 
 The fiducial entropy S0 may be the formal value -infinity; that limit is carried as
 an explicit IEEE -inf (never a large negative float) and short circuits the wavenumber
@@ -21,15 +21,14 @@ from __future__ import annotations
 import itertools
 import math
 
-from .specfun import DEFAULT_QUADRATURE, integrate, sine_integral
+from .specfun import integrate, sine_integral
 from .units import (
-    PI_RATIONAL, Frozen, InputError, UnitSystem, kinetic_prefactor, pi_over,
+    PI_RATIONAL, InputError, UnitSystem, kinetic_prefactor, pi_over,
     require_at_least, require_level_range, require_positive,
 )
 
 __all__ = [
     "NEGATIVE_INFINITE_ENTROPY",
-    "FundamentalEquation",
     "NoRealSolution",
     "ideal_gas_entropy",
     "entropy_expectation",
@@ -57,31 +56,20 @@ class NoRealSolution(Exception):
     """
 
 
-class FundamentalEquation(Frozen):
-    """Thermostatic reference state (S0, V0) of S(V) = S0 + k_B ln(V/V0).
-
-    s0 is either finite or NEGATIVE_INFINITE_ENTROPY.
-    """
-
-    __slots__ = ("s0", "v0")
-
-    def __init__(self, s0: float, v0: float) -> None:
-        super().__init__(s0, v0)
-        if math.isnan(self.s0) or self.s0 == math.inf:
-            raise InputError(f"s0 must be finite or -inf, got {self.s0!r}")
-        require_positive("v0", self.v0)
-
-    @property
-    def has_finite_entropy(self) -> bool:
-        return math.isfinite(self.s0)
+def _require_s0(s0: float) -> None:
+    if math.isnan(s0) or s0 == math.inf:
+        raise InputError(f"s0 must be finite or -inf, got {s0!r}")
 
 
-def ideal_gas_entropy(v: float, fe: FundamentalEquation, u: UnitSystem) -> float:
-    """S(V) = S0 + k_B ln(V/V0); returns -inf in the formal S0 = -inf limit."""
+def ideal_gas_entropy(v: float, s0: float, v0: float, u: UnitSystem) -> float:
+    """S(V) = S0 + k_B ln(V/V0) for the reference state (S0, V0): S0 finite or
+    NEGATIVE_INFINITE_ENTROPY, whose formal limit returns -inf, and V, V0 > 0."""
+    _require_s0(s0)
+    require_positive("v0", v0)
     require_positive("volume", v)
-    if not fe.has_finite_entropy:
+    if s0 == NEGATIVE_INFINITE_ENTROPY:
         return NEGATIVE_INFINITE_ENTROPY
-    return fe.s0 + u.k_boltzmann * math.log(v / fe.v0)
+    return s0 + u.k_boltzmann * math.log(v / v0)
 
 
 def _mode(n: int, r0: float, what: str) -> tuple[float, float]:
@@ -115,7 +103,7 @@ def free_difference_energies(
     """Lowest k_lowest levels 4 pref/h^2 sin^2(j pi / (2 (N - 1))) of the radial
     modes on N = grid_points nodes, h = r0/(N - 1): the closed-form eigenvalues of
     spectra.solve_radial_numeric with no potential. OverflowError if a level is
-    not finite (also when h^2 underflows to 0) or the lowest is not a normal
+    not finite (also when h^2 is not a normal double) or the lowest is not a normal
     double; InputError unless r0 > 0, grid_points >= 3, 1 <= k_lowest < grid_points - 1."""
     require_positive("r0", r0)
     require_at_least("grid_points", grid_points, 3)
@@ -124,7 +112,8 @@ def free_difference_energies(
             f"k_lowest must satisfy 1 <= k_lowest < grid_points - 1, got {k_lowest!r}"
         )
     pref, h = kinetic_prefactor(u), r0 / (grid_points - 1)
-    scale = 4.0 * (pref / (h * h)) if h * h else math.inf
+    # a subnormal h^2 has lost digits, so that pref/h^2 would be wrong: treat it as 0
+    scale = 4.0 * (pref / (h * h)) if h * h >= 2.0**-1022 else math.inf
     sines = map(math.sin, map(pi_over(grid_points - 1, 2), range(1, k_lowest + 1)))
     energies = tuple(scale * s * s for s in sines)
     require_level_range(
@@ -205,7 +194,7 @@ def _entropy_quadrature(n: int, r0: float, u: UnitSystem) -> float:
         psi = norm * math.sin(c * r) / r
         return rr * psi * psi * math.log(r / r0)
 
-    return 3.0 * u.k_boltzmann * integrate(integrand, 0.0, r0, DEFAULT_QUADRATURE)
+    return 3.0 * u.k_boltzmann * integrate(integrand, 0.0, r0)
 
 
 def entropy_expectation(n: int, r0: float, method: str, u: UnitSystem) -> float:
@@ -244,9 +233,7 @@ def boltzmann_weight_from_entropy(s: float, u: UnitSystem) -> float:
         raise OverflowError(f"exp({exponent:.6g}) exceeds the double-precision range") from None
 
 
-def solve_fiducial_wavenumber(
-    fe: FundamentalEquation, r0: float, branch: int, u: UnitSystem
-) -> float:
+def solve_fiducial_wavenumber(s0: float, r0: float, branch: int, u: UnitSystem) -> float:
     """Wavenumber c solving sin(c r0)/r0 = exp(S0/(2 k_B)), branch-th root.
 
     In the formal S0 = -inf limit the constraint degenerates to sin(c r0) = 0
@@ -255,31 +242,38 @@ def solve_fiducial_wavenumber(
     lobe of the sine, and (k, falling) = divmod(branch - 1, 2) names them.
     With y = r0 exp(S0/(2 k_B)) (NoRealSolution past 1), c r0 = 2 pi k + asin(y),
     2 pi k + pi - asin(y) when falling, or (4 branch - 3) pi / 2 at tangency (y
-    rounds to 1); each multiple of pi is rounded once.
+    rounds to 1); each multiple of pi is rounded once. InputError unless S0 is
+    finite or -inf, r0 > 0 and branch >= 1; OverflowError naming the inputs if
+    exp(S0/(2 k_B)) (at a subnormal r0), the root c or c r0 is not finite.
     """
+    _require_s0(s0)
     require_positive("r0", r0)
     require_at_least("branch", branch, 1)
 
-    if not fe.has_finite_entropy:
-        return pi_over(r0)(branch)
-
-    # compare in log space so oversized fiducial entropies cannot overflow
-    log_rhs = fe.s0 / (2.0 * u.k_boltzmann)
+    log_rhs = s0 / (2.0 * u.k_boltzmann)  # compared in log space, so no S0 overflows here
     if log_rhs > -math.log(r0):
         raise NoRealSolution(
             f"exp(S0/(2 k_B)) = exp({log_rhs:.6g}) exceeds 1/r0 = {1.0 / r0:.6g}; "
             "the sine factor is bounded by one"
         )
-    target = math.exp(log_rhs) * r0  # solve sin(x) = target with x = c * r0
-    if target >= 1.0:
-        # tangency (exact or by rounding): one root per period, at the maxima
-        return pi_over(r0, 2)(4 * branch - 3)
-
-    period, falling = divmod(branch - 1, 2)
-    x = math.asin(target)  # the root on the rising quarter, where sin goes 0 -> 1
-    if falling:  # sin goes 1 -> 0: reflect the rising root about the maximum
-        x = math.pi - x
-    return (pi_over(1)(2 * period) + x) / r0
+    try:  # log_rhs <= -ln r0, so exp overflows only at a subnormal r0
+        target = math.exp(log_rhs) * r0  # solve sin(x) = target with x = c * r0
+    except OverflowError:
+        raise OverflowError(f"exp(S0/(2 k_B)) overflows at s0={s0!r}, r0={r0!r}") from None
+    if s0 == NEGATIVE_INFINITE_ENTROPY:
+        c = pi_over(r0)(branch)
+    elif target >= 1.0:  # tangency (exact or by rounding): one root per period, at the maxima
+        c = pi_over(r0, 2)(4 * branch - 3)
+    else:
+        period, falling = divmod(branch - 1, 2)
+        x = math.asin(target)  # the root on the rising quarter, where sin goes 0 -> 1
+        if falling:  # sin goes 1 -> 0: reflect the rising root about the maximum
+            x = math.pi - x
+        c = (pi_over(1)(2 * period) + x) / r0
+    if not math.isfinite(c * r0):  # the constraint's sine takes c r0
+        raise OverflowError(f"the fiducial wavenumber c or c*r0 overflows at "
+                            f"branch={branch!r}, r0={r0!r}")
+    return c
 
 
 def _dual(name: str, value: float, u: UnitSystem) -> float:

@@ -8,10 +8,8 @@ import time
 import numpy as np
 
 from spectherm import (
-    FundamentalEquation,
     NEGATIVE_INFINITE_ENTROPY,
     NoRealSolution,
-    QuadratureSpec,
     Spectrum,
     box_modes,
     duality_map,
@@ -95,14 +93,14 @@ def test_criterion_02_metric_freeness():
 
 def test_criterion_03_radial_spectrum_convergence():
     start = time.perf_counter()
-    spectrum = solve_radial_numeric(1.0, 2000, 5, U)
+    energies, _ = solve_radial_numeric(1.0, 2000, 5, U)
     worst_rel = max(
-        abs(math.sqrt(spectrum.energies[n - 1]) - n * math.pi) / (n * math.pi)
+        abs(math.sqrt(energies[n - 1]) - n * math.pi) / (n * math.pi)
         for n in range(1, 6)
     )
     errors = []
     for grid_points in (251, 501, 1001, 2001):
-        ground = solve_radial_numeric(1.0, grid_points, 1, U).energies[0]
+        ground = solve_radial_numeric(1.0, grid_points, 1, U)[0][0]
         errors.append(abs(ground - math.pi**2))
     orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
     elapsed = time.perf_counter() - start
@@ -172,20 +170,19 @@ def test_criterion_05_weyl_volume_asymptotics():
 
 
 def test_criterion_06_fiducial_constraint():
-    fe_half = FundamentalEquation(s0=2.0 * math.log(0.5), v0=1.0)
-    root_gap = abs(solve_fiducial_wavenumber(fe_half, 1.0, 1, U) - math.pi / 6.0)
+    half = solve_fiducial_wavenumber(2.0 * math.log(0.5), 1.0, 1, U)
+    root_gap = abs(half - math.pi / 6.0)
 
-    fe_over = FundamentalEquation(s0=2.0 * math.log(1.5), v0=1.0)
     raised = False
     try:
-        solve_fiducial_wavenumber(fe_over, 1.0, 1, U)
+        solve_fiducial_wavenumber(2.0 * math.log(1.5), 1.0, 1, U)
     except NoRealSolution:
         raised = True
 
-    fe_inf = FundamentalEquation(s0=NEGATIVE_INFINITE_ENTROPY, v0=1.0)
     # the sine node branch pi / r0 correctly rounded: its 60-digit value rounded once
     sentinel_exact = all(
-        solve_fiducial_wavenumber(fe_inf, r0, branch, U) == float(wavenumber_mpmath(branch, r0))
+        solve_fiducial_wavenumber(NEGATIVE_INFINITE_ENTROPY, r0, branch, U)
+        == float(wavenumber_mpmath(branch, r0))
         for r0 in (1.0, 2.0)
         for branch in (1, 2, 3, 4)
     )
@@ -240,7 +237,6 @@ def test_criterion_08_sine_integral():
 
 
 def test_criterion_09_mode_orthonormality():
-    spec = QuadratureSpec(abs_tolerance=1e-10, max_subdivisions=60)
     gram = np.empty((5, 5))
     for i in range(5):
         for j in range(5):
@@ -251,7 +247,9 @@ def test_criterion_09_mode_orthonormality():
                     * radial_wavefunction(j + 1, 1.0, r)
                 )
 
-            gram[i, j] = integrate(integrand, 0.0, 1.0, spec)
+            gram[i, j] = integrate(
+                integrand, 0.0, 1.0, abs_tolerance=1e-10, max_subdivisions=60
+            )
     deviation = float(np.max(np.abs(gram - np.eye(5))))
     ok = deviation < 1e-8
     _report(9, "r^2-weighted Gram matrix", ok, f"max |G - I| = {deviation:.2e}")

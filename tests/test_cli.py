@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from spectherm import (
     NEGATIVE_INFINITE_ENTROPY,
-    FundamentalEquation,
     InputError,
     Spectrum,
     UnitSystem,
@@ -580,6 +579,27 @@ class TestFiducialCommand:
         assert run(["fiducial", "--s0", "-1.4", "--v0", "7"]) == 2
         assert "unrecognized arguments: --v0 7" in capsys.readouterr().err
 
+    # a root past the double range took sin(inf) ("math domain error"), an
+    # exp(S0/2) past it raised "math range error", and the -inf root printed
+    # the renderer's generic "a result is not finite: inf"
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["--r0", "1e-300", "--s0", "-1.4", "--branch", "10000000000"],
+             "the fiducial wavenumber c or c*r0 overflows at branch=10000000000, r0=1e-300"),
+            (["--r0", "1e-300", "--s0", "0", "--branch", "10000000000"],
+             "the fiducial wavenumber c or c*r0 overflows at branch=10000000000, r0=1e-300"),
+            (["--r0", "5e-324", "--s0", "1480"],
+             "exp(S0/(2 k_B)) overflows at s0=1480.0, r0=5e-324"),
+            (["--s0=-inf", "--r0", "1e-300", "--branch", "10000000000"],
+             "the fiducial wavenumber c or c*r0 overflows at branch=10000000000, r0=1e-300"),
+        ],
+    )
+    def test_overflow_is_a_named_error(self, argv, line):
+        code, out, err = run_captured(["fiducial", *argv])
+        assert (code, out, err) == (1, "", f"error: {line}\n")
+        assert not re.search(r"math \w+ error", err)
+
     def test_no_real_solution_is_computational_error(self, capsys):
         s0 = 2.0 * math.log(1.5)
         code = run(["fiducial", "--r0", "1", "--s0", str(s0)])
@@ -607,8 +627,8 @@ class TestFiducialCommand:
             return float(abs(mp.mpf(value) - exact)) / math.ulp(float(exact))
 
         node = wavenumber_mpmath(branch, r0)
-        sentinel = FundamentalEquation(NEGATIVE_INFINITE_ENTROPY, 1.0)
-        assert ulps(solve_fiducial_wavenumber(sentinel, r0, branch, u), node) <= 0.5
+        sentinel = solve_fiducial_wavenumber(NEGATIVE_INFINITE_ENTROPY, r0, branch, u)
+        assert ulps(sentinel, node) <= 0.5
         assert ulps(_mode(branch, r0, "the radial mode")[1], node) <= 0.5
 
         # exp(S0/2) r0 rounds to 1 at S0 = -2 ln r0 for r0 or for one a few ulp above
@@ -619,8 +639,7 @@ class TestFiducialCommand:
             tangent = math.nextafter(tangent, math.inf)
         else:
             raise AssertionError(f"no tangency within 64 ulp above r0={r0!r}")
-        at_maximum = FundamentalEquation(-2.0 * math.log(tangent), 1.0)
-        root = solve_fiducial_wavenumber(at_maximum, tangent, branch, u)
+        root = solve_fiducial_wavenumber(-2.0 * math.log(tangent), tangent, branch, u)
         assert ulps(root, wavenumber_mpmath(4 * branch - 3, 2 * tangent)) <= 0.5
 
         n = min(branch, 40)
@@ -680,8 +699,8 @@ class TestSpectrumCommand:
         u = UnitSystem(hbar, 1.0, mass)  # hbar^2/(2 mass) is normal
         free = list(free_difference_energies(r0, grid_points, k, u))
         if grid_points * k <= 10**6:  # the solver also builds its k x N modes
-            solved = solve_radial_numeric(r0, grid_points, k, u)
-            assert [e.hex() for e in free] == [e.hex() for e in solved.energies.tolist()]
+            solved, _ = solve_radial_numeric(r0, grid_points, k, u)
+            assert [e.hex() for e in free] == [e.hex() for e in solved.tolist()]
 
         argv = ["spectrum", "--kind", "numeric", "--r0", repr(r0), "--grid-points",
                 str(grid_points), "--k", str(k), "--hbar", repr(hbar), "--mass", repr(mass)]
@@ -705,11 +724,53 @@ class TestSpectrumCommand:
             # h^2 underflows to 0
             (["--r0", "1e-170", "--grid-points", "10", "--k", "2"], 1,
              "level energies overflow at r0=1e-170, grid_points=10, k_lowest=2"),
+            # h^2 is subnormal: pref/h^2 printed 101 ulp off, and 14 ulp at 3e-152
+            (["--hbar", "1e-5", "--r0", "1e-149", "--grid-points", "1000000", "--k", "1"], 1,
+             "level energies overflow at r0=1e-149, grid_points=1000000, k_lowest=1"),
+            (["--hbar", "1e-5", "--r0", "3e-152", "--grid-points", "1000", "--k", "1"], 1,
+             "level energies overflow at r0=3e-152, grid_points=1000, k_lowest=1"),
         ],
     )
     def test_numeric_error_lines(self, capsys, argv, code, line):
         assert run(["spectrum", "--kind", "numeric", *argv]) == code
         assert capsys.readouterr().err == f"error: {line}\n"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        log_r0=st.floats(min_value=-156.0, max_value=-138.0),
+        log_hbar=st.floats(min_value=-100.0, max_value=0.0),
+        log_grid=st.floats(min_value=0.5, max_value=6.3),
+        k=st.integers(min_value=1, max_value=5),
+    )
+    def test_numeric_levels_near_a_subnormal_h2_are_exact_or_refused(
+        self, log_r0, log_hbar, log_grid, k
+    ):
+        """h = r0/(N - 1) is drawn on both sides of h*h = 2**-1022.
+
+        Each run exits 1 with one error line, or prints levels within 10 ulp of
+        the 50-digit 4 pref/h^2 sin^2(j pi / (2 (N - 1))), taking the doubles
+        pref and h (the grid's spacing) as exact. The bound is the sum of the
+        roundings: h*h and pref/h^2 (one each), the angle and the sine (three,
+        libm's sine within 1 ulp) twice, and the two products, 10 units of
+        2**-53 relative, which is at most 10 ulp. A subnormal h*h has lost
+        digits: at the parent, 1e-149 with N = 1e6 printed a level 101 ulp off.
+        """
+        r0, hbar = 10.0**log_r0, 10.0**log_hbar
+        grid_points = max(3, int(10.0**log_grid))
+        k = min(k, grid_points - 2)
+        argv = ["spectrum", "--kind", "numeric", "--r0", repr(r0), "--hbar", repr(hbar),
+                "--grid-points", str(grid_points), "--k", str(k), "--format", "csv"]
+        code, out, err = run_captured(argv)
+        if code != 0:
+            assert code == 1 and one_error_line(err), err
+            return
+        pref, h = kinetic_prefactor(UnitSystem(hbar, 1.0, 0.5)), r0 / (grid_points - 1)
+        with mp.workdps(50):
+            for j, row in enumerate(out.splitlines()[1:], start=1):
+                energy = float(row.split(",")[1])
+                exact = 4 * mp.mpf(pref) / mp.mpf(h) ** 2 * mp.sin(
+                    j * mp.pi / (2 * (grid_points - 1))) ** 2
+                assert abs(mp.mpf(energy) - exact) <= 10 * math.ulp(float(exact)), (j, argv)
 
     def test_csv_round_trips_floats(self, capsys):
         code = run(["spectrum", "--kind", "radial", "--n-max", "2", "--format", "csv"])
@@ -998,6 +1059,8 @@ class TestExitCodesAndOutput:
             (["entropy", "--n", "3", "--r0", "1e155"],
              "quadrature did not converge: error bound nan exceeds tolerance 1.000e-10 "
              "(best estimate nan)"),
+            # 3 k_B times a negative expectation overflows: the renderer refuses -inf
+            (["entropy", "--n", "1", "--kb", "1e308"], "a result is not finite: -inf"),
         ],
     )
     def test_computational_failure_lines(self, capsys, argv, line):
@@ -1200,10 +1263,10 @@ class TestFreshProcess:
             "import sys\n"
             "from spectherm import natural_units, solve_radial_numeric\n"
             "before = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-            "levels = solve_radial_numeric(\n"
+            "energies, modes = solve_radial_numeric(\n"
             "    1.0, 50, 2, natural_units(), lambda r: r * r\n"
             ")\n"
-            "print(before, 'scipy.linalg' in sys.modules, len(levels.energies))",
+            "print(before, 'scipy.linalg' in sys.modules, len(energies))",
         )
         assert probe.returncode == 0, probe.stderr
         assert probe.stdout == "[] True 2\n"

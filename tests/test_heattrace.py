@@ -69,6 +69,10 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             Spectrum([1.0], [0])
 
+    def test_multiplicity_count_must_match(self):
+        with pytest.raises(InputError, match=r"^got 1 multiplicities for 2 energies$"):
+            Spectrum([1.0, 2.0], [1.0])
+
     def test_zero_energy_level_accepted(self, u):
         result = heat_trace(Spectrum([0.0], [2]), 3.0, u)
         assert result == 2.0

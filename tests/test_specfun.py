@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectherm import (
-    DEFAULT_QUADRATURE,
+    ABS_TOLERANCE,
+    InputError,
+    MAX_SUBDIVISIONS,
     QuadratureError,
-    QuadratureSpec,
     integrate,
     sine_integral,
 )
@@ -124,17 +125,16 @@ class TestIntegrate:
         def integrand(t):
             return math.sin(t) / t if t != 0.0 else 1.0
 
-        spec = QuadratureSpec(abs_tolerance=1e-12, max_subdivisions=60)
-        assert abs(integrate(integrand, 0.0, x, spec) - sine_integral(x)) < 2e-12
+        value = integrate(integrand, 0.0, x, abs_tolerance=1e-12, max_subdivisions=60)
+        assert abs(value - sine_integral(x)) < 2e-12
 
     def test_nonconvergence_reports_estimate_and_bound(self):
-        spec = QuadratureSpec(abs_tolerance=1e-10, max_subdivisions=8)
         with pytest.raises(QuadratureError) as excinfo:
-            integrate(lambda x: 1.0 / x, 0.0, 1.0, spec)
+            integrate(lambda x: 1.0 / x, 0.0, 1.0, abs_tolerance=1e-10, max_subdivisions=8)
         err = excinfo.value
-        assert err.error_bound > spec.abs_tolerance
+        assert err.error_bound > 1e-10
         assert math.isfinite(err.best_estimate)
-        assert err.abs_tolerance == spec.abs_tolerance
+        assert err.abs_tolerance == 1e-10
 
     # nan everywhere, and -inf on part of the interval, so that the panel
     # difference (-inf) - (-inf) is nan
@@ -155,13 +155,16 @@ class TestIntegrate:
         assert len(calls) <= 3 * 12  # the interval and its two halves, 12 nodes each
 
     def test_default_spec_values(self):
-        assert DEFAULT_QUADRATURE.abs_tolerance == 1e-10
-        assert DEFAULT_QUADRATURE.max_subdivisions == 60
+        assert (ABS_TOLERANCE, MAX_SUBDIVISIONS) == (1e-10, 60)
+        # integrate's defaults are these two constants
+        assert integrate(math.log, 0.0, 1.0) == integrate(
+            math.log, 0.0, 1.0, abs_tolerance=ABS_TOLERANCE, max_subdivisions=MAX_SUBDIVISIONS
+        )
 
     @pytest.mark.parametrize("tol,depth", [(0.0, 10), (-1.0, 10), (1e-10, 0)])
     def test_spec_validation(self, tol, depth):
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tolerance=tol, max_subdivisions=depth)
+        with pytest.raises(InputError, match="abs_tolerance|max_subdivisions"):
+            integrate(math.sin, 0.0, 1.0, abs_tolerance=tol, max_subdivisions=depth)
 
     def test_deterministic(self):
         def wiggle(x):

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from spectherm import (
     InputError,
-    QuadratureSpec,
     Spectrum,
     UnitSystem,
     ball_spectrum,
@@ -140,7 +139,7 @@ class TestRadialWavefunction:
             psi = radial_wavefunction(n, r0, r)
             return r * r * psi * psi
 
-        value = integrate(integrand, 0.0, r0, QuadratureSpec(1e-11, 60))
+        value = integrate(integrand, 0.0, r0, abs_tolerance=1e-11, max_subdivisions=60)
         assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_orthonormality_gram(self):
@@ -157,7 +156,7 @@ class TestRadialWavefunction:
                             * radial_wavefunction(j, r0, r)
                         )
 
-                    value = integrate(integrand, 0.0, r0, QuadratureSpec(1e-10, 60))
+                    value = integrate(integrand, 0.0, r0, abs_tolerance=1e-10, max_subdivisions=60)
                     expected = 1.0 if i == j else 0.0
                     assert abs(value - expected) < 1e-8
 
@@ -172,37 +171,37 @@ class TestRadialWavefunction:
         def integrand(r):
             return r * r * radial_wavefunction(1, 2.0, r) * radial_wavefunction(3, 2.0, r)
 
-        ours = integrate(integrand, 0.0, 2.0, QuadratureSpec(1e-11, 60))
+        ours = integrate(integrand, 0.0, 2.0, abs_tolerance=1e-11, max_subdivisions=60)
         assert ours == pytest.approx(radial_overlap_mpmath(1, 3, 2.0), abs=1e-10)
 
 
 class TestNumericSolver:
     def test_matches_discrete_eigenvalue_formula(self, u):
-        spectrum = solve_radial_numeric(1.0, 2000, 5, u)
+        energies, _ = solve_radial_numeric(1.0, 2000, 5, u)
         for k in range(1, 6):
             exact = dirichlet_tridiagonal_eigenvalue(k, 2000)
-            assert spectrum.energies[k - 1] == pytest.approx(exact, rel=1e-8)
+            assert energies[k - 1] == pytest.approx(exact, rel=1e-8)
 
     def test_converges_to_continuum_ground_energy(self, u):
-        spectrum = solve_radial_numeric(1.0, 2000, 1, u)
-        assert spectrum.energies[0] == pytest.approx(math.pi**2, rel=1e-4)
+        energies, _ = solve_radial_numeric(1.0, 2000, 1, u)
+        assert energies[0] == pytest.approx(math.pi**2, rel=1e-4)
 
     def test_five_lowest_match_analytic(self, u):
-        spectrum = solve_radial_numeric(1.0, 2000, 5, u)
-        for numeric, exact in zip(spectrum.energies, interval_spectrum(1.0, 5, u).energies):
+        energies, _ = solve_radial_numeric(1.0, 2000, 5, u)
+        for numeric, exact in zip(energies, interval_spectrum(1.0, 5, u).energies):
             assert abs(numeric - exact) / exact < 1e-4
 
     def test_energy_ratios(self, u):
-        spectrum = solve_radial_numeric(1.0, 2000, 5, u)
+        energies, _ = solve_radial_numeric(1.0, 2000, 5, u)
         for n in range(1, 6):
-            ratio = spectrum.energies[n - 1] / spectrum.energies[0]
+            ratio = energies[n - 1] / energies[0]
             assert ratio == pytest.approx(n**2, rel=1e-5)
 
     def test_second_order_convergence(self, u):
         errors = []
         for grid_points in (251, 501, 1001, 2001):
-            spectrum = solve_radial_numeric(1.0, grid_points, 1, u)
-            errors.append(abs(spectrum.energies[0] - math.pi**2))
+            energies, _ = solve_radial_numeric(1.0, grid_points, 1, u)
+            errors.append(abs(energies[0] - math.pi**2))
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.5 < coarse / fine < 4.5
 
@@ -211,33 +210,33 @@ class TestNumericSolver:
 
         u2 = UnitSystem(hbar=2.0, k_boltzmann=1.0, mass=1.0)
         r0 = 2.0
-        spectrum = solve_radial_numeric(r0, 1500, 1, u2)
+        energies, _ = solve_radial_numeric(r0, 1500, 1, u2)
         expected = kinetic_prefactor(u2) * (math.pi / r0) ** 2
-        assert spectrum.energies[0] == pytest.approx(expected, rel=1e-5)
+        assert energies[0] == pytest.approx(expected, rel=1e-5)
 
     def test_constant_potential_shifts_spectrum(self, u):
-        free = solve_radial_numeric(1.0, 600, 4, u)
-        shifted = solve_radial_numeric(1.0, 600, 4, u, potential=lambda r: 5.0)
-        assert np.allclose(shifted.energies - free.energies, 5.0, atol=1e-8)
+        free, _ = solve_radial_numeric(1.0, 600, 4, u)
+        shifted, _ = solve_radial_numeric(1.0, 600, 4, u, potential=lambda r: 5.0)
+        assert np.allclose(shifted - free, 5.0, atol=1e-8)
 
     def test_sampled_zero_potential_equals_free(self, u):
         free = solve_radial_numeric(1.0, 400, 3, u)
         sampled = solve_radial_numeric(1.0, 400, 3, u, potential=[0.0] * 400)
-        assert np.array_equal(free.energies, sampled.energies)
-        assert np.array_equal(free.modes, sampled.modes)
+        assert np.array_equal(free[0], sampled[0])
+        assert np.array_equal(free[1], sampled[1])
 
     @pytest.mark.parametrize(
         "well", [lambda r: r, lambda r: r * r, lambda r: 5.0 * r]
     )
     def test_confining_potential_keeps_ground_state_simple(self, u, well):
-        spectrum = solve_radial_numeric(1.0, 800, 6, u, potential=well)
-        assert hilbert_dim_min(Spectrum(spectrum.energies)) == 1
+        energies, _ = solve_radial_numeric(1.0, 800, 6, u, potential=well)
+        assert hilbert_dim_min(Spectrum(energies)) == 1
 
     def test_potential_ground_energy_matches_shooting_method(self, u):
         well = lambda r: r * r
-        spectrum = solve_radial_numeric(1.0, 3000, 1, u, potential=well)
+        energies, _ = solve_radial_numeric(1.0, 3000, 1, u, potential=well)
         reference = shooting_ground_energy(well, math.pi**2, math.pi**2 + 1.0)
-        assert spectrum.energies[0] == pytest.approx(reference, rel=1e-6)
+        assert energies[0] == pytest.approx(reference, rel=1e-6)
 
     # stebz squares the off-diagonal -pref/h^2, which overflows from about
     # 1.3e154 (r0 ~ 8e-77 here) although the Gershgorin bound is finite. A
@@ -246,48 +245,48 @@ class TestNumericSolver:
     @pytest.mark.parametrize("r0", [1e-60, 1e-77, 1e-100, 1e-150])
     def test_lapack_beyond_the_squared_off_diagonal_range(self, u, r0):
         free = free_difference_energies(r0, 10, 2, u)
-        solved = solve_radial_numeric(r0, 10, 2, u, lambda r: r)
-        assert solved.energies.tolist() == pytest.approx(free, rel=1e-14)
-        norms = np.sum(solved.modes**2, axis=1) * solved.spacing
+        energies, modes = solve_radial_numeric(r0, 10, 2, u, lambda r: r)
+        assert energies.tolist() == pytest.approx(free, rel=1e-14)
+        norms = np.sum(modes**2, axis=1) * (r0 / 9)
         assert norms.tolist() == pytest.approx([1.0, 1.0], rel=1e-12)
 
     def test_eigenpairs_satisfy_difference_equation(self, u):
         well = lambda r: 3.0 * r
-        spectrum = solve_radial_numeric(1.0, 400, 3, u, potential=well)
-        h = spectrum.spacing
-        r = spectrum.grid
+        energies, modes = solve_radial_numeric(1.0, 400, 3, u, potential=well)
+        h = 1.0 / 399
+        r = np.linspace(0.0, 1.0, 400)
         for k in range(3):
-            mode = spectrum.modes[k]
-            energy = spectrum.energies[k]
+            mode = modes[k]
+            energy = energies[k]
             interior = slice(1, -1)
             second_diff = (mode[:-2] - 2.0 * mode[1:-1] + mode[2:]) / (h * h)
             residual = -second_diff + well(r[interior]) * mode[interior] - energy * mode[interior]
             assert np.max(np.abs(residual)) < 1e-6 * abs(energy)
 
     def test_mode_vectors_normalized_and_pinned(self, u):
-        spectrum = solve_radial_numeric(1.0, 500, 3, u)
-        h = spectrum.spacing
+        _, modes = solve_radial_numeric(1.0, 500, 3, u)
+        h = 1.0 / 499
         for k in range(3):
-            mode = spectrum.modes[k]
+            mode = modes[k]
             assert mode[0] == 0.0 and mode[-1] == 0.0
             assert np.sum(mode**2) * h == pytest.approx(1.0, abs=1e-12)
             assert mode[1] > 0.0  # deterministic sign convention
 
     def test_ground_mode_shape_matches_sine(self, u):
-        spectrum = solve_radial_numeric(1.0, 500, 1, u)
-        r = spectrum.grid[1:-1]
+        _, modes = solve_radial_numeric(1.0, 500, 1, u)
+        r = np.linspace(0.0, 1.0, 500)[1:-1]
         expected = math.sqrt(2.0) * np.sin(math.pi * r)
-        assert np.max(np.abs(spectrum.modes[0][1:-1] - expected)) < 1e-4
+        assert np.max(np.abs(modes[0][1:-1] - expected)) < 1e-4
 
     def test_energies_ascending(self, u):
-        spectrum = solve_radial_numeric(1.0, 300, 8, u)
-        assert np.all(np.diff(spectrum.energies) > 0.0)
+        energies, _ = solve_radial_numeric(1.0, 300, 8, u)
+        assert np.all(np.diff(energies) > 0.0)
 
     def test_deterministic_across_calls(self, u):
         first = solve_radial_numeric(1.0, 700, 4, u)
         second = solve_radial_numeric(1.0, 700, 4, u)
-        assert np.array_equal(first.energies, second.energies)
-        assert np.array_equal(first.modes, second.modes)
+        assert np.array_equal(first[0], second[0])
+        assert np.array_equal(first[1], second[1])
 
     @pytest.mark.parametrize("grid_points, k_lowest", FREE_MATRIX_CASES)
     def test_free_energies_within_4_ulp_of_exact(self, u, grid_points, k_lowest):
@@ -302,17 +301,17 @@ class TestNumericSolver:
 
         u2 = UnitSystem(hbar=2.0, k_boltzmann=1.0, mass=0.7)
         pref = kinetic_prefactor(u2)
-        spectrum = solve_radial_numeric(3.3, 1234, 6, u2)
-        for j, energy in enumerate(spectrum.energies, start=1):
+        energies, _ = solve_radial_numeric(3.3, 1234, 6, u2)
+        for j, energy in enumerate(energies, start=1):
             exact = dirichlet_tridiagonal_eigenvalue_mpmath(j, 1234, r0=3.3, pref=pref)
             assert ulps_from(energy, exact) <= 4.0, j
 
     @pytest.mark.parametrize("c", [0.0, 5.0, -2.5])
     def test_constant_potentials_shift_the_closed_form_exactly(self, u, c):
-        free = solve_radial_numeric(1.0, 700, 6, u).energies
+        free, _ = solve_radial_numeric(1.0, 700, 6, u)
         for potential in (lambda r: c, [c] * 700):
-            shifted = solve_radial_numeric(1.0, 700, 6, u, potential=potential)
-            assert np.array_equal(shifted.energies, free + c)
+            shifted, _ = solve_radial_numeric(1.0, 700, 6, u, potential=potential)
+            assert np.array_equal(shifted, free + c)
 
     # a well a + b r + c r^2 as a callable and as samples on the full grid,
     # given as a list, a tuple and an ndarray
@@ -329,8 +328,8 @@ class TestNumericSolver:
             for p in (well, samples, tuple(samples), np.array(samples))
         ]
         for other in others:
-            assert np.array_equal(other.energies, first.energies)
-            assert np.array_equal(other.modes, first.modes)
+            assert np.array_equal(other[0], first[0])
+            assert np.array_equal(other[1], first[1])
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -341,13 +340,13 @@ class TestNumericSolver:
         free = solve_radial_numeric(r0, grid_points, k_lowest, natural_units())
         for potential in (lambda r: c, [c] * grid_points):
             shifted = solve_radial_numeric(r0, grid_points, k_lowest, natural_units(), potential)
-            assert np.array_equal(shifted.energies, free.energies + c)
-            assert np.array_equal(shifted.modes, free.modes)
+            assert np.array_equal(shifted[0], free[0] + c)
+            assert np.array_equal(shifted[1], free[1])
 
     def test_closed_form_modes_satisfy_difference_equation(self, u):
-        spectrum = solve_radial_numeric(1.0, 400, 3, u, potential=lambda r: 2.0)
-        h = spectrum.spacing
-        for mode, energy in zip(spectrum.modes, spectrum.energies):
+        energies, modes = solve_radial_numeric(1.0, 400, 3, u, potential=lambda r: 2.0)
+        h = 1.0 / 399
+        for mode, energy in zip(modes, energies):
             second_diff = (mode[:-2] - 2.0 * mode[1:-1] + mode[2:]) / (h * h)
             residual = -second_diff + 2.0 * mode[1:-1] - energy * mode[1:-1]
             assert np.max(np.abs(residual)) < 1e-9 * energy
@@ -646,5 +645,5 @@ def test_all_mode_families_have_nonnegative_energies(u):
     assert np.all(sphere_spectrum(6, u).energies >= 0.0)
     assert np.all(interval_spectrum(0.3, 6, u).energies >= 0.0)
     assert min(box_modes(1.5, 2, 4, u)[1]) >= 0.0
-    spectrum = solve_radial_numeric(1.0, 200, 5, natural_units())
-    assert np.all(spectrum.energies >= 0.0)
+    energies, _ = solve_radial_numeric(1.0, 200, 5, natural_units())
+    assert np.all(energies >= 0.0)

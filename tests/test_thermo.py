@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from spectherm import (
     NEGATIVE_INFINITE_ENTROPY,
-    FundamentalEquation,
+    InputError,
     NoRealSolution,
     Spectrum,
     UnitSystem,
@@ -40,54 +40,47 @@ def radial_levels(n_max, r0=1.0, u=None):
 
 
 class TestFundamentalEquation:
-    def test_finite_state(self):
-        fe = FundamentalEquation(s0=1.5, v0=2.0)
-        assert fe.has_finite_entropy
-
-    def test_sentinel_state(self):
-        fe = FundamentalEquation(s0=NEGATIVE_INFINITE_ENTROPY, v0=1.0)
-        assert not fe.has_finite_entropy
+    """The reference state (S0, V0) of S(V) = S0 + k_B ln(V/V0), checked by
+    each function that reads it, with one message."""
 
     @pytest.mark.parametrize("bad_s0", [math.nan, math.inf])
-    def test_bad_s0_rejected(self, bad_s0):
-        with pytest.raises(ValueError):
-            FundamentalEquation(s0=bad_s0, v0=1.0)
+    def test_bad_s0_rejected(self, u, bad_s0):
+        message = rf"^s0 must be finite or -inf, got {bad_s0!r}$"
+        with pytest.raises(InputError, match=message):
+            ideal_gas_entropy(1.0, bad_s0, 1.0, u)
+        with pytest.raises(InputError, match=message):
+            solve_fiducial_wavenumber(bad_s0, 1.0, 1, u)
 
-    def test_bad_v0_rejected(self):
-        with pytest.raises(ValueError):
-            FundamentalEquation(s0=0.0, v0=0.0)
+    def test_bad_v0_rejected(self, u):
+        with pytest.raises(InputError, match=r"^v0 must be positive and finite, got 0.0$"):
+            ideal_gas_entropy(1.0, 0.0, 0.0, u)
 
 
 class TestIdealGasEntropy:
     def test_fiducial_volume_returns_s0(self, u):
-        fe = FundamentalEquation(s0=3.25, v0=2.0)
-        assert ideal_gas_entropy(2.0, fe, u) == 3.25
+        assert ideal_gas_entropy(2.0, 3.25, 2.0, u) == 3.25
 
     def test_volume_e_fold_adds_one_kb(self, u):
-        fe = FundamentalEquation(s0=1.0, v0=1.0)
-        assert ideal_gas_entropy(math.e, fe, u) == pytest.approx(2.0, abs=1e-15)
+        assert ideal_gas_entropy(math.e, 1.0, 1.0, u) == pytest.approx(2.0, abs=1e-15)
 
     def test_doubling_adds_kb_log_two(self, u):
-        fe = FundamentalEquation(s0=0.7, v0=0.4)
         for v in (0.4, 1.0, 5.0):
-            delta = ideal_gas_entropy(2.0 * v, fe, u) - ideal_gas_entropy(v, fe, u)
+            delta = ideal_gas_entropy(2.0 * v, 0.7, 0.4, u) - ideal_gas_entropy(v, 0.7, 0.4, u)
             assert delta == pytest.approx(math.log(2.0), abs=1e-13)
 
     def test_sentinel_propagates(self, u):
-        fe = FundamentalEquation(s0=NEGATIVE_INFINITE_ENTROPY, v0=1.0)
-        assert ideal_gas_entropy(7.0, fe, u) == NEGATIVE_INFINITE_ENTROPY
+        s = ideal_gas_entropy(7.0, NEGATIVE_INFINITE_ENTROPY, 1.0, u)
+        assert s == NEGATIVE_INFINITE_ENTROPY
 
     def test_nonpositive_volume_rejected(self, u):
-        fe = FundamentalEquation(s0=0.0, v0=1.0)
         with pytest.raises(ValueError):
-            ideal_gas_entropy(0.0, fe, u)
+            ideal_gas_entropy(0.0, 0.0, 1.0, u)
 
     def test_kb_scales_entropy(self):
         from spectherm import UnitSystem
 
-        fe = FundamentalEquation(s0=0.0, v0=1.0)
         u2 = UnitSystem(hbar=1.0, k_boltzmann=2.0, mass=0.5)
-        assert ideal_gas_entropy(math.e, fe, u2) == pytest.approx(2.0, abs=1e-15)
+        assert ideal_gas_entropy(math.e, 0.0, 1.0, u2) == pytest.approx(2.0, abs=1e-15)
 
 
 class TestEntropyExpectation:
@@ -200,37 +193,37 @@ class TestBoltzmannWeight:
 
 class TestFiducialWavenumber:
     def test_half_amplitude_root_is_pi_over_six(self, u):
-        fe = FundamentalEquation(s0=2.0 * math.log(0.5), v0=1.0)
-        c = solve_fiducial_wavenumber(fe, 1.0, 1, u)
+        s0 = 2.0 * math.log(0.5)
+        c = solve_fiducial_wavenumber(s0, 1.0, 1, u)
         assert abs(c - math.pi / 6.0) < 1e-10
         assert c == pytest.approx(math.asin(0.5), abs=1e-12)
 
     def test_second_branch_is_reflected_root(self, u):
-        fe = FundamentalEquation(s0=2.0 * math.log(0.5), v0=1.0)
-        c = solve_fiducial_wavenumber(fe, 1.0, 2, u)
+        s0 = 2.0 * math.log(0.5)
+        c = solve_fiducial_wavenumber(s0, 1.0, 2, u)
         assert c == pytest.approx(math.pi - math.asin(0.5), abs=1e-12)
 
     def test_third_branch_shifts_by_full_period(self, u):
-        fe = FundamentalEquation(s0=2.0 * math.log(0.5), v0=1.0)
-        c = solve_fiducial_wavenumber(fe, 1.0, 3, u)
+        s0 = 2.0 * math.log(0.5)
+        c = solve_fiducial_wavenumber(s0, 1.0, 3, u)
         assert c == pytest.approx(2.0 * math.pi + math.asin(0.5), abs=1e-12)
 
     def test_no_real_solution(self, u):
-        fe = FundamentalEquation(s0=2.0 * math.log(1.5), v0=1.0)
+        s0 = 2.0 * math.log(1.5)
         with pytest.raises(NoRealSolution):
-            solve_fiducial_wavenumber(fe, 1.0, 1, u)
+            solve_fiducial_wavenumber(s0, 1.0, 1, u)
 
     def test_oversized_entropy_does_not_overflow(self, u):
-        fe = FundamentalEquation(s0=5000.0, v0=1.0)
+        s0 = 5000.0
         with pytest.raises(NoRealSolution):
-            solve_fiducial_wavenumber(fe, 1.0, 1, u)
+            solve_fiducial_wavenumber(s0, 1.0, 1, u)
 
     @pytest.mark.parametrize("r0", [1.0, 2.0])
     @pytest.mark.parametrize("branch", [1, 2, 3, 4, 5])
     def test_sentinel_gives_exact_sine_nodes(self, u, r0, branch):
-        fe = FundamentalEquation(s0=NEGATIVE_INFINITE_ENTROPY, v0=1.0)
+        s0 = NEGATIVE_INFINITE_ENTROPY
         # the sine node correctly rounded: its 60-digit value rounded once
-        assert solve_fiducial_wavenumber(fe, r0, branch, u) == float(wavenumber_mpmath(branch, r0))
+        assert solve_fiducial_wavenumber(s0, r0, branch, u) == float(wavenumber_mpmath(branch, r0))
 
     @pytest.mark.parametrize(
         "s0,r0,branch",
@@ -242,19 +235,18 @@ class TestFiducialWavenumber:
         ],
     )
     def test_constraint_residual(self, u, s0, r0, branch):
-        fe = FundamentalEquation(s0=s0, v0=1.0)
-        c = solve_fiducial_wavenumber(fe, r0, branch, u)
+        c = solve_fiducial_wavenumber(s0, r0, branch, u)
         assert math.sin(c * r0) / r0 == pytest.approx(
             math.exp(s0 / 2.0), abs=1e-12
         )
 
     def test_tangency_case(self, u):
         # exp(s0/2kB) = 1 with r0 = 1 puts the root at the sine maximum
-        fe = FundamentalEquation(s0=0.0, v0=1.0)
-        assert solve_fiducial_wavenumber(fe, 1.0, 1, u) == pytest.approx(
+        s0 = 0.0
+        assert solve_fiducial_wavenumber(s0, 1.0, 1, u) == pytest.approx(
             0.5 * math.pi, abs=1e-12
         )
-        assert solve_fiducial_wavenumber(fe, 1.0, 2, u) == pytest.approx(
+        assert solve_fiducial_wavenumber(s0, 1.0, 2, u) == pytest.approx(
             2.5 * math.pi, abs=1e-12
         )
 
@@ -269,10 +261,10 @@ class TestFiducialWavenumber:
     )
     def test_root_within_3_ulp_of_mpmath(self, r0, y, branch):
         u = natural_units()
-        fe = FundamentalEquation(s0=2.0 * math.log(y / r0), v0=1.0)
-        target = math.exp(fe.s0 / 2.0) * r0  # the sine value the solver forms
+        s0 = 2.0 * math.log(y / r0)
+        target = math.exp(s0 / 2.0) * r0  # the sine value the solver forms
         assume(target < 1.0)
-        c = solve_fiducial_wavenumber(fe, r0, branch, u)
+        c = solve_fiducial_wavenumber(s0, r0, branch, u)
         period, falling = divmod(branch - 1, 2)
         with mp.workdps(50):
             rising = mp.asin(mp.mpf(target))
@@ -282,20 +274,20 @@ class TestFiducialWavenumber:
     def test_deep_entropy_limit_approaches_sine_nodes(self, u):
         # as s0 drops, the k-th positive root slides toward (k-1) pi; the
         # sentinel indexing counts the quantized modes n pi instead
-        fe = FundamentalEquation(s0=-80.0, v0=1.0)
-        assert solve_fiducial_wavenumber(fe, 1.0, 2, u) == pytest.approx(
+        s0 = -80.0
+        assert solve_fiducial_wavenumber(s0, 1.0, 2, u) == pytest.approx(
             math.pi, rel=1e-9
         )
-        assert solve_fiducial_wavenumber(fe, 1.0, 3, u) == pytest.approx(
+        assert solve_fiducial_wavenumber(s0, 1.0, 3, u) == pytest.approx(
             2.0 * math.pi, rel=1e-9
         )
 
     def test_validation(self, u):
-        fe = FundamentalEquation(s0=-1.0, v0=1.0)
+        s0 = -1.0
         with pytest.raises(ValueError):
-            solve_fiducial_wavenumber(fe, 0.0, 1, u)
+            solve_fiducial_wavenumber(s0, 0.0, 1, u)
         with pytest.raises(ValueError):
-            solve_fiducial_wavenumber(fe, 1.0, 0, u)
+            solve_fiducial_wavenumber(s0, 1.0, 0, u)
 
 
 class TestDuality:

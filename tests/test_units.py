@@ -2,14 +2,10 @@ import copy
 import math
 import pickle
 
-import numpy as np
 import pytest
 
 from spectherm import (
-    FundamentalEquation,
     InputError,
-    NumericSpectrum,
-    QuadratureSpec,
     Spectrum,
     UnitSystem,
     kinetic_prefactor,
@@ -84,18 +80,13 @@ def test_unit_system_is_immutable():
 
 
 # The value classes: each with its fields, given positionally and by keyword,
-# its repr, and whether it compares by value (Spectrum and NumericSpectrum,
-# which hold arrays, compare by identity).
+# its repr, and whether it compares by value (Spectrum, which holds arrays,
+# compares by identity).
 VALUE_CLASSES = [
     (UnitSystem, dict(hbar=1.0, k_boltzmann=1.0, mass=0.5),
      "UnitSystem(hbar=1.0, k_boltzmann=1.0, mass=0.5)", True),
-    (QuadratureSpec, dict(abs_tolerance=1e-10, max_subdivisions=60),
-     "QuadratureSpec(abs_tolerance=1e-10, max_subdivisions=60)", True),
-    (FundamentalEquation, dict(s0=-1.5, v0=2.0), "FundamentalEquation(s0=-1.5, v0=2.0)", True),
     (Spectrum, dict(energies=[2.0, 1.0], multiplicities=[1.0, 3.0]),
      "Spectrum(energies=array([1., 2.]), multiplicities=array([3., 1.]))", False),
-    (NumericSpectrum, dict(r0=1.0, grid_points=3, energies=np.array([1.0]), modes=None),
-     "NumericSpectrum(r0=1.0, grid_points=3, energies=array([1.]), modes=None)", False),
 ]
 
 
