@@ -27,11 +27,9 @@ _OWNERS = {
         "box_spectrum",
         "heat_trace",
         "hilbert_dim_min",
-        "interval_spectrum",
         "qm_partition",
         "quasistatic_partition",
         "solve_radial_numeric",
-        "sphere_spectrum",
         "thermal_partition",
         "weyl_volume_estimate",
     ),

@@ -5,12 +5,12 @@ numpy: units, specfun, heattrace and thermo compute scalars and never load
 it. Analytic mode families, each a `Spectrum`: sorted energies with their
 multiplicities, as arrays:
 
-* sphere sectors l = 0..l_max, energies proportional to l(l+1) with the
-  usual 2l+1 degeneracy (sphere_spectrum);
-* radial modes on [0, r0] that are regular at the origin and vanish at r0,
-  which are sine modes of wavenumber n*pi/r0 divided by r
-  (interval_spectrum; thermo.radial_wavefunction evaluates them);
-* the ball, sphere sectors tensored with the radial tower (ball_spectrum);
+* the ball: sphere sectors l = 0..l_max, energies proportional to l(l+1)
+  with the usual 2l+1 degeneracy, tensored with the radial tower of modes
+  on [0, r0] that are regular at the origin and vanish at r0, sine modes of
+  wavenumber n*pi/r0 divided by r (ball_spectrum; thermo.sphere_energies and
+  interval_energies list the two factors, thermo.radial_wavefunction
+  evaluates a radial mode);
 * Cartesian box modes in d dimensions with vanishing boundary values,
   counted exactly on the integer key n_1^2 + ... + n_d^2 (box_spectrum);
   thermo.box_modes lists each mode's quantum numbers instead.
@@ -59,7 +59,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .heattrace import weyl_convergence_scan
 from .thermo import _level_scale, duality_map_from_temperature, free_difference_energies
 from .units import (
     Frozen,
@@ -73,8 +72,6 @@ from .units import (
 __all__ = [
     "Spectrum",
     "DEGENERACY_REL_TOLERANCE",
-    "sphere_spectrum",
-    "interval_spectrum",
     "ball_spectrum",
     "box_spectrum",
     "solve_radial_numeric",
@@ -135,32 +132,19 @@ class Spectrum(Frozen):
         return self.energies.size
 
 
-def sphere_spectrum(l_max: int, u: UnitSystem) -> Spectrum:
-    """Angular sectors l = 0..l_max with energies pref*l(l+1) and multiplicity 2l+1."""
-    pref = _level_scale(u, l_max)
-    l = np.arange(l_max + 1, dtype=np.float64)
-    return Spectrum(pref * (l * (l + 1.0)), 2.0 * l + 1.0)
-
-
-def interval_spectrum(length: float, n_max: int, u: UnitSystem) -> Spectrum:
-    """Dirichlet levels pref*(n*pi/length)^2, n = 1..n_max, each simple."""
-    scale = _level_scale(u, n_max, length)
-    n = np.arange(1, n_max + 1, dtype=np.float64)
-    return Spectrum(scale * (n * n))
-
-
 def ball_spectrum(r0: float, n_max: int, l_max: int, u: UnitSystem) -> Spectrum:
     """Angular sectors l = 0..l_max tensored with the radial tower n = 1..n_max.
 
     Level (l, n) has energy pref*l(l+1) + pref*(n*pi/r0)^2 and multiplicity
     2l+1; coinciding energies from different sectors stay separate levels.
     """
-    sphere = sphere_spectrum(l_max, u)
-    radial = interval_spectrum(r0, n_max, u).energies
-    require_level_range(float(sphere.energies[-1]) + float(radial[-1]),
+    pref, scale = _level_scale(u, l_max), _level_scale(u, n_max, r0)
+    require_level_range(pref * (l_max * (l_max + 1.0)) + scale * (n_max * n_max),
                         r0=r0, n_max=n_max, l_max=l_max)
-    energies = sphere.energies[:, None] + radial
-    multiplicities = np.broadcast_to(sphere.multiplicities[:, None], energies.shape)
+    l = np.arange(l_max + 1, dtype=np.float64)
+    n = np.arange(1, n_max + 1, dtype=np.float64)
+    energies = (pref * (l * (l + 1.0)))[:, None] + scale * (n * n)
+    multiplicities = np.broadcast_to((2.0 * l + 1.0)[:, None], energies.shape)
     return Spectrum(energies.ravel(), multiplicities.ravel())
 
 
@@ -323,6 +307,7 @@ def heat_trace(spectrum: Spectrum, t: float, u: UnitSystem) -> float:
 
 def weyl_volume_estimate(spectrum: Spectrum, t: float, d: int, u: UnitSystem) -> float:
     """Volume recovered from the trace: heat_trace * (4 pi t)^(d/2)."""
+    from .heattrace import weyl_convergence_scan  # deferred: no partition process needs it
     return weyl_convergence_scan(partial(heat_trace, spectrum, u=u), [t], d)[0].volume_estimate
 
 

@@ -84,7 +84,7 @@ def _mode(n: int, r0: float, what: str) -> tuple[float, float]:
 def radial_wavefunction(n: int, r0: float, r: float) -> float:
     """psi_n(r) = sqrt(2/r0) * sin(c_n r) / r, c_n = n*pi/r0, for r in (0, r0].
 
-    Mode n of spectra.interval_spectrum(r0, ...), normalized against the
+    Mode n of interval_energies(r0, ...), normalized against the
     r^2 weight on [0, r0]. The value at r = r0 is zero up to the rounding of
     the sine argument. InputError at an r0 too small for psi to be finite.
     """
@@ -156,14 +156,14 @@ def _level_scale(u: UnitSystem, n_max: int, length: float | None = None, d: int 
 
 def sphere_energies(l_max: int, u: UnitSystem) -> tuple[float, ...]:
     """Energies pref*l(l+1) of the angular sectors l = 0..l_max (multiplicity
-    2l+1), each one rounding of pref times the int l(l+1), as in spectra.sphere_spectrum."""
+    2l+1), each one rounding of pref times the int l(l+1), as in spectra.ball_spectrum."""
     pref = _level_scale(u, l_max)
     return tuple([pref * (l * (l + 1.0)) for l in range(l_max + 1)])
 
 
 def interval_energies(length: float, n_max: int, u: UnitSystem) -> tuple[float, ...]:
     """Dirichlet levels pref*(n*pi/length)^2, n = 1..n_max: the key-1 energy, rounded
-    once, times the int n^2, as in spectra.interval_spectrum and box_modes(length, 1, n_max)."""
+    once, times the int n^2, as in spectra.ball_spectrum and box_modes(length, 1, n_max)."""
     scale = _level_scale(u, n_max, length)
     return tuple([scale * (n * n) for n in range(1, n_max + 1)])
 
@@ -242,9 +242,11 @@ def solve_fiducial_wavenumber(s0: float, r0: float, branch: int, u: UnitSystem) 
     lobe of the sine, and (k, falling) = divmod(branch - 1, 2) names them.
     With y = r0 exp(S0/(2 k_B)) (NoRealSolution past 1), c r0 = 2 pi k + asin(y),
     2 pi k + pi - asin(y) when falling, or (4 branch - 3) pi / 2 at tangency (y
-    rounds to 1); each multiple of pi is rounded once. InputError unless S0 is
-    finite or -inf, r0 > 0 and branch >= 1; OverflowError naming the inputs if
-    exp(S0/(2 k_B)) (at a subnormal r0), the root c or c r0 is not finite.
+    rounds to 1); each multiple of pi is rounded once. Below y = 2**-26, where
+    asin(y)/y rounds to 1, the first root is c = exp(S0/(2 k_B)) itself, so a
+    subnormal y loses no digits. InputError unless S0 is finite or -inf, r0 > 0
+    and branch >= 1; OverflowError naming the inputs if exp(S0/(2 k_B)) (at a
+    subnormal r0), the root c or c r0 is not finite, or c is not a normal double.
     """
     _require_s0(s0)
     require_positive("r0", r0)
@@ -264,6 +266,8 @@ def solve_fiducial_wavenumber(s0: float, r0: float, branch: int, u: UnitSystem) 
         c = pi_over(r0)(branch)
     elif target >= 1.0:  # tangency (exact or by rounding): one root per period, at the maxima
         c = pi_over(r0, 2)(4 * branch - 3)
+    elif branch == 1 and target < 2.0**-26:  # asin(y) = y, and y may be subnormal
+        c = math.exp(log_rhs)
     else:
         period, falling = divmod(branch - 1, 2)
         x = math.asin(target)  # the root on the rising quarter, where sin goes 0 -> 1
@@ -273,6 +277,9 @@ def solve_fiducial_wavenumber(s0: float, r0: float, branch: int, u: UnitSystem) 
     if not math.isfinite(c * r0):  # the constraint's sine takes c r0
         raise OverflowError(f"the fiducial wavenumber c or c*r0 overflows at "
                             f"branch={branch!r}, r0={r0!r}")
+    if c < 2.0**-1022:  # subnormal or 0: the root has lost its digits
+        raise OverflowError(f"the fiducial wavenumber c is not a normal double at "
+                            f"s0={s0!r}, r0={r0!r}")
     return c
 
 

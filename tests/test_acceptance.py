@@ -17,7 +17,7 @@ from spectherm import (
     entropy_expectation,
     hilbert_dim_min,
     integrate,
-    interval_spectrum,
+    interval_energies,
     natural_units,
     qm_partition,
     quasistatic_partition,
@@ -25,7 +25,7 @@ from spectherm import (
     sine_integral,
     solve_fiducial_wavenumber,
     solve_radial_numeric,
-    sphere_spectrum,
+    sphere_energies,
     thermal_partition,
     weyl_volume_estimate,
 )
@@ -120,9 +120,8 @@ def test_criterion_03_radial_spectrum_convergence():
 
 
 def test_criterion_04_ground_space_dimensions():
-    ball = interval_spectrum(1.0, 8, U).energies
-    sectors = sphere_spectrum(4, U)
-    sphere = np.repeat(sectors.energies, sectors.multiplicities.astype(int))
+    ball = interval_energies(1.0, 8, U)
+    sphere = np.repeat(sphere_energies(4, U), [2 * l + 1 for l in range(5)])
     cube_excited = box_modes(1.0, 3, 3, U)[1][1:]
     dims = (
         hilbert_dim_min(Spectrum(ball)),
@@ -201,7 +200,7 @@ def test_criterion_07_duality_substitution():
     round_trip_exact = all(
         duality_map_from_temperature(duality_map(tau, U), U) == tau for tau in taus
     )
-    levels = interval_spectrum(1.0, 10, U)
+    levels = Spectrum(interval_energies(1.0, 10, U))
     bitwise = all(
         thermal_partition(levels, duality_map(tau, U), U)
         == qm_partition(levels, tau, U)

@@ -21,17 +21,16 @@ from spectherm import (
     InputError,
     Spectrum,
     UnitSystem,
+    ball_spectrum,
     box_modes,
     box_spectrum,
     free_difference_energies,
     interval_energies,
-    interval_spectrum,
     kinetic_prefactor,
     natural_units,
     solve_fiducial_wavenumber,
     solve_radial_numeric,
     sphere_energies,
-    sphere_spectrum,
 )
 from spectherm.cli import load_levels, run
 from spectherm.thermo import _mode
@@ -593,12 +592,28 @@ class TestFiducialCommand:
              "exp(S0/(2 k_B)) overflows at s0=1480.0, r0=5e-324"),
             (["--s0=-inf", "--r0", "1e-300", "--branch", "10000000000"],
              "the fiducial wavenumber c or c*r0 overflows at branch=10000000000, r0=1e-300"),
+            # exp(S0/2) underflows to 0 or to a subnormal: the root printed 0 or lost digits
+            (["--s0", "-1500", "--r0", "1"],
+             "the fiducial wavenumber c is not a normal double at s0=-1500.0, r0=1.0"),
+            (["--s0", "-1420", "--r0", "1"],
+             "the fiducial wavenumber c is not a normal double at s0=-1420.0, r0=1.0"),
         ],
     )
     def test_overflow_is_a_named_error(self, argv, line):
         code, out, err = run_captured(["fiducial", *argv])
         assert (code, out, err) == (1, "", f"error: {line}\n")
         assert not re.search(r"math \w+ error", err)
+
+    # y = r0 exp(S0/2) is subnormal: asin(y)/r0 printed 0, and then roots
+    # wrong from the 14th and the 12th digit, with exit 0
+    @pytest.mark.parametrize("r0, s0", [("5e-324", "-1.4"), ("1e-310", "-1.4"), ("1e-300", "-60")])
+    def test_first_root_at_a_tiny_y_is_exp_s0_over_2(self, capsys, r0, s0):
+        results = run_json(capsys, ["fiducial", "--r0", r0, "--s0", s0])["results"]
+        assert results["wavenumber"] == results["constraint_rhs"]
+        with mp.workdps(60):
+            x0 = mp.mpf(float(r0))
+            root = mp.asin(mp.exp(mp.mpf(float(s0)) / 2) * x0) / x0
+        assert abs(mp.mpf(results["wavenumber"]) - root) <= math.ulp(results["wavenumber"])
 
     def test_no_real_solution_is_computational_error(self, capsys):
         s0 = 2.0 * math.log(1.5)
@@ -818,18 +833,16 @@ class TestSpectrumCommand:
         assert (
             bits(row[2] for row in radial)
             == bits(interval_energies(length, n_max, u))
-            == bits(interval_spectrum(length, n_max, u).energies.tolist())
+            == bits(ball_spectrum(length, n_max, 0, u).energies.tolist())
         )
 
-        sphere = sphere_spectrum(l_max, u)
         angular = rows("--kind", "angular", "--l-max", str(l_max))
         assert [row[0] for row in angular] == list(range(l_max + 1))
         assert (
             bits(row[1] for row in angular)
             == bits(sphere_energies(l_max, u))
-            == bits(sphere.energies.tolist())
         )
-        assert [row[2] for row in angular] == sphere.multiplicities.tolist()
+        assert [row[2] for row in angular] == [2 * l + 1 for l in range(l_max + 1)]
 
         box = rows("--kind", "box", "--d", str(d), "--L", repr(length), "--n-max", str(box_n_max))
         numbers, energies = box_modes(length, d, box_n_max, u)
@@ -1233,6 +1246,13 @@ class TestFreshProcess:
         probe = run_python("-c", MODULE_PROBE, *argv)
         assert probe.returncode == 0, probe.stderr
         assert {"numpy", "spectherm.spectra"} <= set(probe.stderr.split())
+
+    @pytest.mark.parametrize("domain", ["ball", "cube"])
+    def test_partition_loads_no_heattrace(self, domain):
+        # spectra imports heattrace only inside weyl_volume_estimate
+        probe = run_python("-c", MODULE_PROBE, "partition", "--domain", domain)
+        assert probe.returncode == 0, probe.stderr
+        assert not {"decimal", "fractions", "spectherm.heattrace"} & set(probe.stderr.split())
 
     def test_public_names_are_the_objects_their_modules_define(self):
         import spectherm

@@ -19,7 +19,7 @@ from spectherm import (
     hilbert_dim_min,
     kinetic_prefactor,
     interval_heat_trace,
-    interval_spectrum,
+    interval_energies,
     natural_units,
     qm_partition,
     weyl_convergence_scan,
@@ -407,7 +407,7 @@ class TestSpectralSumKernel:
 
 
 def test_radial_levels_feed_heat_trace(u):
-    levels = interval_spectrum(1.0, 50, u)
+    levels = Spectrum(interval_energies(1.0, 50, u))
     result = heat_trace(levels, 0.1, u)
     assert result == pytest.approx(math.fsum(
         math.exp(-0.1 * energy) for energy in levels.energies.tolist()

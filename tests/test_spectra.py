@@ -21,12 +21,11 @@ from spectherm import (
     hilbert_dim_min,
     integrate,
     interval_energies,
-    interval_spectrum,
     kinetic_prefactor,
     natural_units,
     radial_wavefunction,
     solve_radial_numeric,
-    sphere_spectrum,
+    sphere_energies,
 )
 from spectherm.spectra import _lapack_lowest
 
@@ -71,53 +70,54 @@ def harmonic_polynomial_dimension(l: int) -> int:
 
 
 class TestAngularModes:
+    # the sector multiplicities are the ball's: with one radial mode, level l is sector l
     def test_l_zero_sector(self, u):
-        levels = sphere_spectrum(0, u)
-        assert len(levels) == 1
-        assert levels.energies[0] == 0.0
-        assert levels.multiplicities[0] == 1
+        assert sphere_energies(0, u) == (0.0,)
+        assert ball_spectrum(1.0, 1, 0, u).multiplicities.tolist() == [1.0]
 
     def test_l_one_energy(self, u):
-        assert sphere_spectrum(1, u).energies[1] == 2.0
+        assert sphere_energies(1, u)[1] == 2.0
 
     @pytest.mark.parametrize("l", [1, 2])
     def test_degeneracy_matches_harmonic_polynomial_count(self, u, l):
-        assert sphere_spectrum(l, u).multiplicities[l] == harmonic_polynomial_dimension(l)
+        assert ball_spectrum(1.0, 1, l, u).multiplicities[l] == harmonic_polynomial_dimension(l)
 
     def test_degeneracies_are_odd_integers(self, u):
-        levels = sphere_spectrum(6, u)
+        levels = ball_spectrum(1.0, 1, 6, u)
         assert levels.multiplicities.tolist() == [2 * l + 1 for l in range(7)]
 
     def test_energies_nonnegative_and_increasing(self, u):
-        energies = sphere_spectrum(8, u).energies
-        assert np.all(energies >= 0.0)
+        energies = sphere_energies(8, u)
+        assert np.all(np.array(energies) >= 0.0)
         assert np.all(np.diff(energies) > 0.0)
 
     def test_negative_l_max_rejected(self, u):
         with pytest.raises(ValueError):
-            sphere_spectrum(-1, u)
+            sphere_energies(-1, u)
+        with pytest.raises(ValueError):
+            ball_spectrum(1.0, 1, -1, u)
 
 
 class TestRadialModes:
     def test_ground_mode_unit_ball(self, u):
-        assert interval_spectrum(1.0, 1, u).energies[0] == math.pi**2
+        assert interval_energies(1.0, 1, u)[0] == math.pi**2
         # the mode function has wavenumber pi exactly
         assert radial_wavefunction(1, 1.0, 0.3) == math.sqrt(2.0) * math.sin(math.pi * 0.3) / 0.3
 
     def test_wavenumber_substitution(self, u):
-        energy = interval_spectrum(2.0, 3, u).energies[2]
+        energy = interval_energies(2.0, 3, u)[2]
         assert math.sqrt(energy) == pytest.approx(3.0 * math.pi / 2.0, rel=1e-15)
 
     def test_energy_ratios_are_squares(self, u):
-        energies = interval_spectrum(0.7, 6, u).energies
+        energies = interval_energies(0.7, 6, u)
         for n, energy in enumerate(energies, start=1):
             assert energy / energies[0] == pytest.approx(n**2, rel=1e-12)
 
     def test_validation(self, u):
         with pytest.raises(ValueError):
-            interval_spectrum(0.0, 3, u)
+            interval_energies(0.0, 3, u)
         with pytest.raises(ValueError):
-            interval_spectrum(1.0, 0, u)
+            interval_energies(1.0, 0, u)
 
 
 class TestRadialWavefunction:
@@ -188,7 +188,7 @@ class TestNumericSolver:
 
     def test_five_lowest_match_analytic(self, u):
         energies, _ = solve_radial_numeric(1.0, 2000, 5, u)
-        for numeric, exact in zip(energies, interval_spectrum(1.0, 5, u).energies):
+        for numeric, exact in zip(energies, interval_energies(1.0, 5, u)):
             assert abs(numeric - exact) / exact < 1e-4
 
     def test_energy_ratios(self, u):
@@ -408,11 +408,10 @@ class TestNumericSolver:
 
 class TestHilbertDimMin:
     def test_free_ball_ground_space(self, u):
-        assert hilbert_dim_min(interval_spectrum(1.0, 8, u)) == 1
+        assert hilbert_dim_min(Spectrum(interval_energies(1.0, 8, u))) == 1
 
     def test_sphere_kernel(self, u):
-        sphere = sphere_spectrum(4, u)
-        expanded = np.repeat(sphere.energies, sphere.multiplicities.astype(int))
+        expanded = np.repeat(sphere_energies(4, u), [2 * l + 1 for l in range(5)])
         assert hilbert_dim_min(Spectrum(expanded)) == 1
 
     def test_cube_first_excited_level(self, u):
@@ -472,8 +471,7 @@ class TestBoxModes:
 
     def test_one_dimensional_box_equals_radial_spectrum(self, u):
         _, box = box_modes(1.0, 1, 5, u)
-        radial = interval_spectrum(1.0, 5, u).energies
-        assert list(box) == radial.tolist()
+        assert box == interval_energies(1.0, 5, u)
 
     # Every builder forms a level as the one key-1 energy times the int n^2
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -488,9 +486,9 @@ class TestBoxModes:
     ):
         length = math.exp(log_length)
         u = UnitSystem(math.exp(log_hbar), 1.0, math.exp(log_mass))
-        levels = interval_spectrum(length, n_max, u).energies.tolist()
+        levels = list(interval_energies(length, n_max, u))
         assert box_spectrum(length, 1, n_max, u).energies.tolist() == levels
-        assert list(interval_energies(length, n_max, u)) == levels
+        assert ball_spectrum(length, n_max, 0, u).energies.tolist() == levels
         assert list(box_modes(length, 1, n_max, u)[1]) == levels
 
     def test_degenerate_levels_in_lexicographic_order(self, u):
@@ -549,14 +547,14 @@ class TestLevelOverflow:
     @pytest.mark.parametrize(
         "build, named",
         [
-            (lambda u: interval_spectrum(1e-200, 5, u), "length=1e-200, n_max=5"),
+            (lambda u: interval_energies(1e-200, 5, u), "length=1e-200, n_max=5"),
             (lambda u: ball_spectrum(1e-200, 5, 0, u), "length=1e-200, n_max=5"),
-            # the sectors overflow first, and sphere_spectrum names l_max
+            # the sectors overflow first, and their check names l_max
             (lambda u: ball_spectrum(1e10, 5, 10, UnitSystem(1e154, 1.0, 0.5)), "at l_max=10"),
             # neither the top sector nor the top radial level overflows, their sum does
             (lambda u: ball_spectrum(11.0, 5, 1, UnitSystem(1e154, 1.0, 1.0)),
              "r0=11.0, n_max=5, l_max=1"),
-            (lambda u: sphere_spectrum(3, UnitSystem(1.0, 1.0, 1e-308)), "at l_max=3"),
+            (lambda u: sphere_energies(3, UnitSystem(1.0, 1.0, 1e-308)), "at l_max=3"),
             (lambda u: box_modes(1e-200, 3, 4, u), "side=1e-200, n_max=4"),
             (lambda u: box_modes(1e-153, 3, 4, u), "side=1e-153, n_max=4"),
             (lambda u: solve_radial_numeric(1.0, 100000, 2, UnitSystem(1.0, 1.0, 1e-307)),
@@ -593,7 +591,7 @@ class TestLevelOverflow:
     def test_largest_finite_levels_accepted(self, u):
         side = math.pi * math.sqrt(48.0 / 1.7e308)
         assert box_modes(side, 3, 4, u)[1][-1] < math.inf
-        assert interval_spectrum(1e-150, 4, u).energies[-1] < math.inf
+        assert interval_energies(1e-150, 4, u)[-1] < math.inf
 
     # a key-1 energy below the normal range would merge or blur levels
     @pytest.mark.parametrize(
@@ -604,7 +602,7 @@ class TestLevelOverflow:
             (lambda u: box_modes(1e200, 2, 3, u), "side=1e+200, n_max=3"),
             # the radial tower's n = 1 level underflows first
             (lambda u: ball_spectrum(1e200, 4, 0, u), "length=1e+200, n_max=4"),
-            (lambda u: interval_spectrum(1e200, 3, u), "length=1e+200, n_max=3"),
+            (lambda u: interval_energies(1e200, 3, u), "length=1e+200, n_max=3"),
             # the solver's closed form: pref/h^2 is 0 (h^2 overflows) or subnormal
             (lambda u: solve_radial_numeric(1e160, 10, 2, u),
              "r0=1e+160, grid_points=10, k_lowest=2"),
@@ -625,7 +623,7 @@ class TestLevelOverflow:
         "build",
         [
             lambda v: ball_spectrum(1.0, 4, 2, v),
-            lambda v: interval_spectrum(1.0, 2, v),
+            lambda v: interval_energies(1.0, 2, v),
             lambda v: box_spectrum(1e-150, 3, 2, v),
         ],
         ids=["ball", "interval", "box"],
@@ -638,12 +636,12 @@ class TestLevelOverflow:
         side = math.pi / math.sqrt(2.0**-1022) / 2.0  # key-1 energy 2**-1020
         assert box_spectrum(side, 3, 2, u).energies[0] == 3 * 2.0**-1020
         assert ball_spectrum(side, 2, 0, u).energies[0] == 2.0**-1020
-        assert interval_spectrum(side, 2, u).energies[0] == 2.0**-1020
+        assert interval_energies(side, 2, u)[0] == 2.0**-1020
 
 
 def test_all_mode_families_have_nonnegative_energies(u):
-    assert np.all(sphere_spectrum(6, u).energies >= 0.0)
-    assert np.all(interval_spectrum(0.3, 6, u).energies >= 0.0)
+    assert min(sphere_energies(6, u)) >= 0.0
+    assert min(interval_energies(0.3, 6, u)) >= 0.0
     assert min(box_modes(1.5, 2, 4, u)[1]) >= 0.0
     energies, _ = solve_radial_numeric(1.0, 200, 5, natural_units())
     assert np.all(energies >= 0.0)

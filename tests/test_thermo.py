@@ -19,7 +19,7 @@ from spectherm import (
     entropy_from_density,
     hilbert_dim_min,
     ideal_gas_entropy,
-    interval_spectrum,
+    interval_energies,
     natural_units,
     integrate,
     qm_partition,
@@ -36,7 +36,7 @@ log_uniform = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
 
 
 def radial_levels(n_max, r0=1.0, u=None):
-    return interval_spectrum(r0, n_max, u or natural_units())
+    return Spectrum(interval_energies(r0, n_max, u or natural_units()))
 
 
 class TestFundamentalEquation:
