@@ -38,9 +38,9 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .specfun import ABS_TOLERANCE, MAX_SUBDIVISIONS, QuadratureError
+from .specfun import MAX_SUBDIVISIONS, QuadratureError
 from .thermo import (
-    NEGATIVE_INFINITE_ENTROPY, NoRealSolution, box_modes, duality_map,
+    ENTROPY_TOLERANCE, NEGATIVE_INFINITE_ENTROPY, NoRealSolution, box_modes, duality_map,
     duality_map_from_temperature, entropy_expectation, free_difference_energies,
     interval_energies, solve_fiducial_wavenumber, sphere_energies,
 )
@@ -230,7 +230,7 @@ def _cmd_entropy(args, u: UnitSystem):
     config = {
         "n": args.n,
         "r0": args.r0,
-        "abs_tolerance": ABS_TOLERANCE,
+        "abs_tolerance": ENTROPY_TOLERANCE,
         "max_subdivisions": MAX_SUBDIVISIONS,
     }
     closed = entropy_expectation(args.n, args.r0, "closed_form", u)

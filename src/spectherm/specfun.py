@@ -2,8 +2,8 @@
 
 Si(x) = int_0^x sin(t)/t dt is evaluated by a power series for small
 arguments and through the exponential integral of imaginary argument beyond,
-which keeps the absolute error near machine precision over the whole
-supported range (|x| <= 1e4 contractually, in practice much further).
+within 2.2 ulp of mpmath on [4, 1e16] (a property test allows 4), and pi/2
+past 2**60, where Si(x) rounds to it.
 
 The integrator is a deterministic adaptive panel scheme built on a fixed
 Gauss-Legendre rule. Panels never evaluate their endpoints, so integrable
@@ -177,9 +177,9 @@ _SERIES_CUTOFF = 4.0
 def sine_integral(x: float) -> float:
     """Si(x), the integral of sin(t)/t from 0 to x.
 
-    Odd in x. Absolute error stays below 1e-12 for |x| <= 1e4 (observed to
-    be at the last-bit level). The integrand's removable singularity at
-    t = 0 is absorbed by the series representation.
+    Odd in x. Within 2.2 ulp of mpmath on [4, 1e16] (observed over 3000
+    samples; a property test allows 4). The integrand's removable singularity
+    at t = 0 is absorbed by the series representation.
     """
     if not math.isfinite(x):
         raise InputError(f"sine_integral requires finite input, got {x!r}")

@@ -137,10 +137,14 @@ def ball_spectrum(r0: float, n_max: int, l_max: int, u: UnitSystem) -> Spectrum:
 
     Level (l, n) has energy pref*l(l+1) + pref*(n*pi/r0)^2 and multiplicity
     2l+1; coinciding energies from different sectors stay separate levels.
+    More than 2**53 levels raise InputError, before any array is built.
     """
     pref, scale = _level_scale(u, l_max), _level_scale(u, n_max, r0)
     require_level_range(pref * (l_max * (l_max + 1.0)) + scale * (n_max * n_max),
                         r0=r0, n_max=n_max, l_max=l_max)
+    if (l_max + 1) * n_max > 2**53:  # as for the box; np.arange is empty past 2**63
+        raise InputError(f"(l_max + 1)*n_max ball levels at l_max={l_max!r}, "
+                         f"n_max={n_max!r}: more than 2**53")
     l = np.arange(l_max + 1, dtype=np.float64)
     n = np.arange(1, n_max + 1, dtype=np.float64)
     energies = (pref * (l * (l + 1.0)))[:, None] + scale * (n * n)

@@ -47,6 +47,9 @@ __all__ = [
 # Formal fiducial-entropy limit; use this constant rather than an ad-hoc float.
 NEGATIVE_INFINITE_ENTROPY = float("-inf")
 
+# Absolute tolerance of the entropy quadrature, in units of k_B (the report's abs_tolerance).
+ENTROPY_TOLERANCE = 1e-13
+
 
 class NoRealSolution(Exception):
     """The fiducial constraint has no real wavenumber solution.
@@ -72,15 +75,6 @@ def ideal_gas_entropy(v: float, s0: float, v0: float, u: UnitSystem) -> float:
     return s0 + u.k_boltzmann * math.log(v / v0)
 
 
-def _mode(n: int, r0: float, what: str) -> tuple[float, float]:
-    # sqrt(2/r0) and c_n = n pi / r0 (rounded once) of radial_wavefunction, or InputError
-    norm, c = math.sqrt(2.0 / r0), pi_over(r0)(n)
-    if not (math.isfinite(norm) and math.isfinite(c)):
-        raise InputError(f"r0={r0!r} is too small for {what}: "
-                         f"sqrt(2/r0) or n*pi/r0 is not finite at n={n!r}")
-    return norm, c
-
-
 def radial_wavefunction(n: int, r0: float, r: float) -> float:
     """psi_n(r) = sqrt(2/r0) * sin(c_n r) / r, c_n = n*pi/r0, for r in (0, r0].
 
@@ -91,7 +85,10 @@ def radial_wavefunction(n: int, r0: float, r: float) -> float:
     if not (0.0 < r <= r0):
         raise InputError(f"r must lie in (0, {r0!r}], got {r!r}")
     require_positive("r0", r0)  # r0 = inf passes the check on r
-    norm, c = _mode(n, r0, "the radial mode")
+    norm, c = math.sqrt(2.0 / r0), pi_over(r0)(n)
+    if not (math.isfinite(norm) and math.isfinite(c)):
+        raise InputError(f"r0={r0!r} is too small for the radial mode: "
+                         f"sqrt(2/r0) or n*pi/r0 is not finite at n={n!r}")
     if math.isfinite(psi := norm * math.sin(c * r) / r):
         return psi
     raise InputError(f"r0={r0!r} is too small for the radial mode: psi({r!r}) is not finite")
@@ -183,18 +180,23 @@ def box_modes(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> tuple[
 
 
 def _entropy_quadrature(n: int, r0: float, u: UnitSystem) -> float:
-    # radial_wavefunction's arithmetic, with no range check (the nodes lie in (0, r0])
-    norm, c = _mode(n, r0, "the entropy quadrature")
+    # The n lobes of sin^2(n pi r/r0), each of width w = r0/n, folded onto one: at r = (k + x) w,
+    # sum_{k<n} ln(r/r0) = n ln(w/r0) + lgamma(n + x) - lgamma(x) (DLMF 5.2.5), so
+    # int_0^r0 (2/r0) sin^2(n pi r/r0) ln(r/r0) dr = (2 w/r0) int_0^1 sin^2(pi x) [...] dx,
+    # and the cost does not grow with n. r0 enters through w, so its cancellation is computed.
+    if n > 2**53:  # the n ln n terms' rounding grows as ln(n) eps: 3e-14 k_B here, 2.5e-13 at 1e200
+        raise InputError(f"n={n!r} is too large for the entropy quadrature: more than 2**53")
+    w = r0 / n
+    if w < 2.0**-1022:
+        raise InputError(f"w = r0/n is not a normal double at r0={r0!r}, n={n!r}")
+    scale, offset = 6.0 * (w / r0), n * math.log(w / r0)
 
-    def integrand(r: float) -> float:
-        rr = r * r  # subnormal or 0 at a tiny node: the weight would lose its digits
-        if rr < 2.0**-1022:
-            raise InputError(f"r0={r0!r} is too small for the entropy quadrature: "
-                             f"r*r is not a normal double at the node r={r!r}")
-        psi = norm * math.sin(c * r) / r
-        return rr * psi * psi * math.log(r / r0)
+    def integrand(x: float) -> float:
+        s = math.sin(math.pi * x)
+        return s * s * (offset + math.lgamma(n + x) - math.lgamma(x))
 
-    return 3.0 * u.k_boltzmann * integrate(integrand, 0.0, r0)
+    # the tolerance applies to the expectation in units of k_B, which is scale times the integral
+    return u.k_boltzmann * (scale * integrate(integrand, 0.0, 1.0, ENTROPY_TOLERANCE / scale))
 
 
 def entropy_expectation(n: int, r0: float, method: str, u: UnitSystem) -> float:
@@ -202,9 +204,12 @@ def entropy_expectation(n: int, r0: float, method: str, u: UnitSystem) -> float:
 
     method "closed_form" evaluates 3 k_B (Si(2 pi n)/(2 pi n) - 1); method
     "quadrature" integrates 3 k_B r^2 |psi_n|^2 ln(r/r0) over [0, r0]
-    numerically. The two agree to 1e-8 k_B, and neither depends on r0: the
-    fiducial radius cancels from the expectation. The quadrature rejects an r0
-    (InputError) at which r*r is not a normal double at a Gauss node, below about 2e-150.
+    numerically, with the n lobes of the mode folded onto one, so at a cost that
+    does not grow with n, to an estimated ENTROPY_TOLERANCE = 1e-13 k_B. The two
+    agree to 1e-8 k_B, and neither depends on r0: the fiducial radius cancels
+    from the expectation. The quadrature rejects (InputError) an r0 at which
+    w = r0/n is not a normal double, and an n above 2**53, past which the rounding
+    of its n ln n terms (about ln(n) eps) could exceed the tolerance.
     """
     require_at_least("n", n, 1)
     require_positive("r0", r0)

@@ -33,7 +33,7 @@ from spectherm import (
     sphere_energies,
 )
 from spectherm.cli import load_levels, run
-from spectherm.thermo import _mode
+from spectherm.units import pi_over
 
 from oracles import (
     CUBE_VOLUME_ESTIMATE_1E6,
@@ -271,7 +271,7 @@ class TestEntropyCommand:
         assert config["mass"] == 0.5
         assert config["n"] == 2
         assert config["r0"] == 0.5
-        assert config["abs_tolerance"] == 1e-10
+        assert config["abs_tolerance"] == 1e-13
         assert config["max_subdivisions"] == 60
 
     def test_kb_override_scales_result(self, capsys):
@@ -283,27 +283,36 @@ class TestEntropyCommand:
     def test_csv_rejected_for_scalar_report(self, capsys):
         assert run(["entropy", "--n", "1", "--format", "csv"]) == 2
 
-    # sqrt(2/r0) or n*pi/r0 overflows, or the nodes round to 0 (5e-324): the
-    # quadrature cannot form its integrand in doubles. Below about 2e-150, r*r
-    # is subnormal or 0 at the smallest Gauss nodes, where the weight r^2 psi^2
-    # loses its digits: 1e-200 printed 0, 1e-160 was 1.7e-3 off, and 1e-158
-    # ran for minutes.
+    # The quadrature folds the n lobes onto one, of width w = r0/n, and refuses an r0
+    # at which w is subnormal or 0, where it has lost its digits. Every other r0
+    # computes within the tolerance (None), also those at which r*r is subnormal.
     R0_TOO_SMALL = {
-        "5e-324": "sqrt(2/r0) or n*pi/r0 is not finite at n=3",
-        "1e-310": "sqrt(2/r0) or n*pi/r0 is not finite at n=3",
-        "2.2250738585072014e-308": "sqrt(2/r0) or n*pi/r0 is not finite at n=3",
-        "1e-158": "r*r is not a normal double at the node r=9.21968287664039e-161",
-        "1e-160": "r*r is not a normal double at the node r=9.219682876640409e-163",
-        "1e-200": "r*r is not a normal double at the node r=9.219682876640352e-203",
+        "5e-324": "w = r0/n is not a normal double at r0=5e-324, n=3",
+        "1e-310": "w = r0/n is not a normal double at r0=1e-310, n=3",
+        "2.2250738585072014e-308":
+            "w = r0/n is not a normal double at r0=2.2250738585072014e-308, n=3",
+        "1e-158": None,
+        "1e-160": None,
+        "1e-200": None,
     }
 
     @pytest.mark.parametrize("r0", list(R0_TOO_SMALL))
     def test_r0_too_small_for_the_quadrature(self, capsys, r0):
-        assert run(["entropy", "--n", "3", "--r0", r0]) == 2
-        assert capsys.readouterr() == ("", (
-            f"error: r0={r0} is too small for the entropy quadrature: "
-            f"{self.R0_TOO_SMALL[r0]}\n"
-        ))
+        code = run(["entropy", "--n", "3", "--r0", r0])
+        out, err = capsys.readouterr()
+        if self.R0_TOO_SMALL[r0] is not None:
+            assert (code, out, err) == (2, "", f"error: {self.R0_TOO_SMALL[r0]}\n")
+        else:
+            assert (code, err) == (0, "")
+            report = json.loads(out)
+            assert report["config"]["abs_tolerance"] == 1e-13
+            assert abs(report["results"]["quadrature"] - ENTROPY_EXPECTATION[3]) <= 1e-13
+
+    # r*r overflows here, but the folded quadrature never forms it
+    @pytest.mark.parametrize("r0", ["1e155", "1e300", "1.7976931348623157e308"])
+    def test_large_r0_computes_within_the_tolerance(self, capsys, r0):
+        results = run_json(capsys, ["entropy", "--n", "3", "--r0", r0])["results"]
+        assert abs(results["quadrature"] - ENTROPY_EXPECTATION[3]) <= 1e-13
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(1, 200), st.floats(-160.0, 100.0))
@@ -323,6 +332,12 @@ class TestEntropyCommand:
 
 
 class TestPartitionCommand:
+    def test_more_than_2_53_ball_levels_is_rejected_input(self, capsys):
+        # refused before np.arange, which is empty past 2**63
+        assert run(["partition", "--domain", "ball", "--l-max", "9223372036854775813"]) == 2
+        assert capsys.readouterr() == ("", "error: (l_max + 1)*n_max ball levels at "
+                                       "l_max=9223372036854775813, n_max=25: more than 2**53\n")
+
     def test_ball_at_zero_tau(self, capsys):
         report = run_json(capsys, ["partition", "--domain", "ball", "--r0", "1", "--tau", "0"])
         assert report["results"]["quasistatic"] == 1.0
@@ -630,11 +645,11 @@ class TestFiducialCommand:
     def test_wavenumbers_within_half_an_ulp_of_mpmath(self, log_r0, branch):
         """Every k pi / length, against its 60-digit value, with r0 taken as exact.
 
-        The S0 = -inf root and the mode's c_n are branch pi / r0, the tangency
-        root is (4 branch - 3) pi / (2 r0) and row n of the radial table is
-        n pi / r0. Each is one quotient of ints, rounded once, so within 0.5 ulp
-        (the 50-digit pi moves it by less than 1e-49 relative). The -inf root
-        and the table row print the same bytes.
+        The S0 = -inf root and pi_over(r0)(branch), radial_wavefunction's c_n, are
+        branch pi / r0, the tangency root is (4 branch - 3) pi / (2 r0) and row n
+        of the radial table is n pi / r0. Each is one quotient of ints, rounded
+        once, so within 0.5 ulp (the 50-digit pi moves it by less than 1e-49
+        relative). The -inf root and the table row print the same bytes.
         """
         r0, u = math.exp(log_r0), natural_units()
 
@@ -644,7 +659,7 @@ class TestFiducialCommand:
         node = wavenumber_mpmath(branch, r0)
         sentinel = solve_fiducial_wavenumber(NEGATIVE_INFINITE_ENTROPY, r0, branch, u)
         assert ulps(sentinel, node) <= 0.5
-        assert ulps(_mode(branch, r0, "the radial mode")[1], node) <= 0.5
+        assert ulps(pi_over(r0)(branch), node) <= 0.5
 
         # exp(S0/2) r0 rounds to 1 at S0 = -2 ln r0 for r0 or for one a few ulp above
         tangent = r0
@@ -1068,10 +1083,9 @@ class TestExitCodesAndOutput:
              "hbar/(k_B temperature) at temperature=0.3 is not a normal double"),
             (["partition", "--domain", "ball", "--tau", "0.3", "--kb", "5e-324"],
              "hbar/(k_B tau) at tau=0.3 is not a normal double"),
-            # r*r overflows, so every panel difference is nan
-            (["entropy", "--n", "3", "--r0", "1e155"],
-             "quadrature did not converge: error bound nan exceeds tolerance 1.000e-10 "
-             "(best estimate nan)"),
+            # the ball's radial tower overflows, and its check names the tower's inputs
+            (["partition", "--domain", "ball", "--r0", "1e-200"],
+             "level energies overflow at length=1e-200, n_max=25"),
             # 3 k_B times a negative expectation overflows: the renderer refuses -inf
             (["entropy", "--n", "1", "--kb", "1e308"], "a result is not finite: -inf"),
         ],

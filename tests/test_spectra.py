@@ -588,6 +588,19 @@ class TestLevelOverflow:
             f"level energies overflow at r0={r0!r}, grid_points=10, k_lowest=2"
         )
 
+    # (l_max + 1) n_max levels past 2**53, as for the box: refused before any array is
+    # built (np.arange is empty past 2**63; 2**27 x 2**26 would need 2**56 bytes)
+    @pytest.mark.parametrize(
+        "n_max, l_max",
+        [(25, 2**63 + 5), (2**26, 2**27), (1, 2**53), (2**53 + 1, 0)],
+    )
+    def test_more_than_2_53_ball_levels_is_rejected_input(self, u, n_max, l_max):
+        with pytest.raises(InputError) as excinfo:
+            ball_spectrum(1.0, n_max, l_max, u)
+        assert str(excinfo.value) == (
+            f"(l_max + 1)*n_max ball levels at l_max={l_max}, n_max={n_max}: more than 2**53"
+        )
+
     def test_largest_finite_levels_accepted(self, u):
         side = math.pi * math.sqrt(48.0 / 1.7e308)
         assert box_modes(side, 3, 4, u)[1][-1] < math.inf

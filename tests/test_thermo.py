@@ -1,10 +1,11 @@
 import math
 import warnings
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spectherm import (
     NEGATIVE_INFINITE_ENTROPY,
@@ -24,7 +25,6 @@ from spectherm import (
     integrate,
     qm_partition,
     quasistatic_partition,
-    radial_wavefunction,
     solve_fiducial_wavenumber,
     thermal_partition,
 )
@@ -106,17 +106,49 @@ class TestEntropyExpectation:
             value = entropy_expectation(n, r0, "quadrature", u)
             assert abs(value - reference) < 1e-8
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(n=st.integers(1, 2000), r0=log_uniform, kb=log_uniform)
-    def test_quadrature_integrates_the_radial_wavefunction_bit_for_bit(self, n, r0, kb):
-        u = UnitSystem(1.0, kb, 0.5)
+    # The bound, fixed before measuring, is the report's abs_tolerance, 1e-13 k_B; n
+    # reaches 1e12 and r0 the edges of the double range, at a bounded cost: at most
+    # 1000 integrand calls.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(log_n=st.floats(0.0, 12.0), log_r0=st.floats(-300.0, 300.0), kb=log_uniform)
+    @example(log_n=0.0, log_r0=-300.0, kb=1.0)
+    @example(log_n=math.log10(4999), log_r0=155.0, kb=2.0)
+    @example(log_n=math.log10(13117595275), log_r0=0.0, kb=1.0)
+    def test_quadrature_within_its_tolerance_of_mpmath(self, log_n, log_r0, kb):
+        n, r0, u = round(10.0**log_n), 10.0**log_r0, UnitSystem(1.0, kb, 0.5)
+        calls = 0
 
-        def integrand(r):
-            psi = radial_wavefunction(n, r0, r)
-            return r * r * psi * psi * math.log(r / r0)
+        def counting_integrate(f, a, b, *args):
+            def counted(x):
+                nonlocal calls
+                calls += 1
+                return f(x)
 
-        expected = 3.0 * kb * integrate(integrand, 0.0, r0)
-        assert entropy_expectation(n, r0, "quadrature", u).hex() == expected.hex()
+            return integrate(counted, a, b, *args)
+
+        with mock.patch("spectherm.thermo.integrate", counting_integrate):
+            try:
+                value = entropy_expectation(n, r0, "quadrature", u)
+            except InputError as exc:  # only where one lobe's width is not a normal double
+                assert r0 / n < 2.0**-1022, exc
+                assert str(exc) == f"w = r0/n is not a normal double at r0={r0!r}, n={n!r}"
+                return
+        assert 0 < calls <= 1000
+        with mp.workdps(40):
+            x = 2 * mp.pi * n
+            exact = 3 * mp.mpf(kb) * (mp.si(x) / x - 1)
+            assert abs(value - exact) <= 1e-13 * kb
+
+    def test_quadrature_takes_n_up_to_2_53(self, u):
+        with mp.workdps(40):
+            x = 2 * mp.pi * 2**53
+            exact = 3 * (mp.si(x) / x - 1)
+            assert abs(entropy_expectation(2**53, 1.0, "quadrature", u) - exact) <= 1e-13
+        with pytest.raises(InputError) as excinfo:
+            entropy_expectation(2**53 + 1, 1.0, "quadrature", u)
+        assert str(excinfo.value) == (
+            f"n={2**53 + 1} is too large for the entropy quadrature: more than 2**53"
+        )
 
     def test_closed_form_ignores_r0_exactly(self, u):
         assert entropy_expectation(2, 0.5, "closed_form", u) == entropy_expectation(
