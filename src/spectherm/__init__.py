@@ -21,10 +21,7 @@ _OWNERS = {
         "sine_integral",
     ),
     "spectra": (
-        "DEGENERACY_REL_TOLERANCE",
         "Spectrum",
-        "ball_spectrum",
-        "box_spectrum",
         "heat_trace",
         "hilbert_dim_min",
         "qm_partition",
@@ -34,6 +31,7 @@ _OWNERS = {
         "weyl_volume_estimate",
     ),
     "thermo": (
+        "DEGENERACY_REL_TOLERANCE",
         "NEGATIVE_INFINITE_ENTROPY",
         "NoRealSolution",
         "boltzmann_weight_from_entropy",

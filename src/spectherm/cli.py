@@ -15,11 +15,12 @@ it rejects, and load_levels for an unreadable or malformed level file.
 The front end itself checks only what no library call sees: that a
 custom domain names a level file, and that duality gets a value.
 
-Only the handlers that build a level list import spectra, and with it
-numpy: partition and a custom domain's level file (load_levels); every
-spectrum table takes its rows from thermo. Only weyl imports heattrace
-(and fractions), so entropy, fiducial, duality and spectrum load neither;
-csv output is joined by hand and imports no csv module.
+Only a custom domain's level file (load_levels) imports spectra, and with
+it numpy: every spectrum table takes its rows from thermo, and thermo sums
+the ball's and the cube's partition functions from their factors. Only weyl
+imports heattrace (and fractions), so entropy, fiducial, duality, spectrum
+and partition load neither; csv output is joined by hand and imports no
+csv module.
 
 Exit codes: 0 success, 1 computational failure (no real root, quadrature
 breakdown, overflow, out of memory), 2 rejected input (InputError, an
@@ -40,7 +41,8 @@ from typing import TYPE_CHECKING, Sequence
 
 from .specfun import MAX_SUBDIVISIONS, QuadratureError
 from .thermo import (
-    ENTROPY_TOLERANCE, NEGATIVE_INFINITE_ENTROPY, NoRealSolution, box_modes, duality_map,
+    DEGENERACY_REL_TOLERANCE, ENTROPY_TOLERANCE, NEGATIVE_INFINITE_ENTROPY, NoRealSolution,
+    _ball_partition, _cube_partition, box_modes, duality_map,
     duality_map_from_temperature, entropy_expectation, free_difference_energies,
     interval_energies, solve_fiducial_wavenumber, sphere_energies,
 )
@@ -260,42 +262,32 @@ def _cmd_fiducial(args, u: UnitSystem):
 
 
 def _cmd_partition(args, u: UnitSystem):
-    from . import spectra
-
     if args.domain == "ball":
-        levels = spectra.ball_spectrum(args.r0, args.n_max, args.l_max, u)
-        config = {
-            "domain": "ball",
-            "r0": args.r0,
-            "n_max": args.n_max,
-            "l_max": args.l_max,
-        }
+        config = {"domain": "ball", "r0": args.r0, "n_max": args.n_max, "l_max": args.l_max}
+        sums = _ball_partition(args.r0, args.n_max, args.l_max, args.tau, u)
     elif args.domain == "cube":
         d = args.d if args.d is not None else 3
-        levels = spectra.box_spectrum(args.L, d, args.n_max, u)
         config = {"domain": "cube", "L": args.L, "d": d, "n_max_per_axis": args.n_max}
+        sums = _cube_partition(args.L, d, args.n_max, args.tau, u)
     else:
+        from . import spectra
+
         levels = _custom_levels(args)
         config = {"domain": "custom", "levels": str(args.levels)}
+        dim_min = spectra.hilbert_dim_min(levels)
+        quasistatic = spectra.quasistatic_partition(levels, args.tau, u)
+        sums = [quasistatic, dim_min, len(levels), None, None]
+        if args.tau > 0.0:
+            # exp(-E_min tau / hbar) cancelled: finite and >= 1 where both sums underflow
+            shifted = spectra.Spectrum(levels.energies - levels.energies[0], levels.multiplicities)
+            sums[3:] = (spectra.qm_partition(levels, args.tau, u),
+                        spectra.qm_partition(shifted, args.tau, u) / dim_min)
 
     config["tau"] = args.tau
-    config["degeneracy_rel_tolerance"] = spectra.DEGENERACY_REL_TOLERANCE
-
-    dim_min = spectra.hilbert_dim_min(levels)
-    results: dict = {
-        "quasistatic": spectra.quasistatic_partition(levels, args.tau, u),
-        "dim_min": dim_min,
-        "level_count": len(levels),
-        "qm": None,
-        "qm_over_quasistatic": None,
-        "dual_temperature": None,
-    }
-    if args.tau > 0.0:
-        # exp(-E_min tau / hbar) cancelled: finite and >= 1 where both sums underflow
-        shifted = spectra.Spectrum(levels.energies - levels.energies[0], levels.multiplicities)
-        results["qm"] = spectra.qm_partition(levels, args.tau, u)
-        results["qm_over_quasistatic"] = spectra.qm_partition(shifted, args.tau, u) / dim_min
-        results["dual_temperature"] = duality_map(args.tau, u)
+    config["degeneracy_rel_tolerance"] = DEGENERACY_REL_TOLERANCE
+    keys = ("quasistatic", "dim_min", "level_count", "qm", "qm_over_quasistatic")
+    results = dict(zip(keys, sums))
+    results["dual_temperature"] = duality_map(args.tau, u) if args.tau > 0.0 else None
     return config, results
 
 

@@ -2,24 +2,9 @@
 
 This is the array side of the package, and the only module that imports
 numpy: units, specfun, heattrace and thermo compute scalars and never load
-it. Analytic mode families, each a `Spectrum`: sorted energies with their
-multiplicities, as arrays:
-
-* the ball: sphere sectors l = 0..l_max, energies proportional to l(l+1)
-  with the usual 2l+1 degeneracy, tensored with the radial tower of modes
-  on [0, r0] that are regular at the origin and vanish at r0, sine modes of
-  wavenumber n*pi/r0 divided by r (ball_spectrum; thermo.sphere_energies and
-  interval_energies list the two factors, thermo.radial_wavefunction
-  evaluates a radial mode);
-* Cartesian box modes in d dimensions with vanishing boundary values,
-  counted exactly on the integer key n_1^2 + ... + n_d^2 (box_spectrum);
-  thermo.box_modes lists each mode's quantum numbers instead.
-
-Each analytic level is thermo._level_scale's key-1 energy times an exact int
-key, the bits of thermo's tables. The builders check their top level first;
-they and the solver's closed form raise OverflowError, naming their inputs,
-when a level overflows or the lowest key's energy is not a normal double.
-One relative gap rule, in hilbert_dim_min, decides the lowest eigenspace.
+it. A level file (cli.load_levels) is a `Spectrum`: sorted energies with
+their multiplicities, as arrays, whose lowest eigenspace hilbert_dim_min
+counts by thermo's one degeneracy rule. The analytic families need no arrays.
 
 The heat trace at diffusion time t (heat_trace, weyl_volume_estimate) and
 the partition function at imaginary time tau (qm_partition,
@@ -59,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .thermo import _level_scale, duality_map_from_temperature, free_difference_energies
+from .thermo import _ground_dimension, duality_map_from_temperature, free_difference_energies
 from .units import (
     Frozen,
     InputError,
@@ -71,9 +56,6 @@ from .units import (
 
 __all__ = [
     "Spectrum",
-    "DEGENERACY_REL_TOLERANCE",
-    "ball_spectrum",
-    "box_spectrum",
     "solve_radial_numeric",
     "hilbert_dim_min",
     "heat_trace",
@@ -82,11 +64,6 @@ __all__ = [
     "thermal_partition",
     "quasistatic_partition",
 ]
-
-# Neighbouring energies E < E' are degenerate when E' - E is at most this
-# fraction of |E'|. Far below physical level spacings, far above accumulated
-# rounding, and unchanged when every energy is scaled by a change of units.
-DEGENERACY_REL_TOLERANCE = 1e-9
 
 
 class Spectrum(Frozen):
@@ -130,45 +107,6 @@ class Spectrum(Frozen):
 
     def __len__(self) -> int:
         return self.energies.size
-
-
-def ball_spectrum(r0: float, n_max: int, l_max: int, u: UnitSystem) -> Spectrum:
-    """Angular sectors l = 0..l_max tensored with the radial tower n = 1..n_max.
-
-    Level (l, n) has energy pref*l(l+1) + pref*(n*pi/r0)^2 and multiplicity
-    2l+1; coinciding energies from different sectors stay separate levels.
-    More than 2**53 levels raise InputError, before any array is built.
-    """
-    pref, scale = _level_scale(u, l_max), _level_scale(u, n_max, r0)
-    require_level_range(pref * (l_max * (l_max + 1.0)) + scale * (n_max * n_max),
-                        r0=r0, n_max=n_max, l_max=l_max)
-    if (l_max + 1) * n_max > 2**53:  # as for the box; np.arange is empty past 2**63
-        raise InputError(f"(l_max + 1)*n_max ball levels at l_max={l_max!r}, "
-                         f"n_max={n_max!r}: more than 2**53")
-    l = np.arange(l_max + 1, dtype=np.float64)
-    n = np.arange(1, n_max + 1, dtype=np.float64)
-    energies = (pref * (l * (l + 1.0)))[:, None] + scale * (n * n)
-    multiplicities = np.broadcast_to((2.0 * l + 1.0)[:, None], energies.shape)
-    return Spectrum(energies.ravel(), multiplicities.ravel())
-
-
-def box_spectrum(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> Spectrum:
-    """Box levels pref (pi/side)^2 K, one per integer key K = n_1^2 + ... + n_d^2.
-
-    A key's multiplicity is its number of tuples 1 <= n_i <= n_max_per_axis,
-    counted in int64 one axis at a time; more than 2**53 modes raise InputError.
-    """
-    scale = _level_scale(u, n_max_per_axis, side, d)
-    if n_max_per_axis == 1:  # the one mode 1x...x1, key d
-        return Spectrum([scale * d])
-    keys, counts = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
-    squares = np.arange(1, n_max_per_axis + 1, dtype=np.int64) ** 2
-    for _ in range(d):
-        keys, slots = np.unique(np.add.outer(keys, squares), return_inverse=True)
-        summed = np.zeros(keys.size, dtype=np.int64)
-        np.add.at(summed, slots.ravel(), np.repeat(counts, n_max_per_axis))
-        counts = summed
-    return Spectrum(scale * keys, counts)
 
 
 def solve_radial_numeric(
@@ -270,18 +208,12 @@ def _lapack_lowest(
 
 
 def hilbert_dim_min(spectrum: Spectrum) -> int:
-    """Dimension of the lowest-energy eigenspace of a spectrum.
-
-    Walks up from the lowest level while each next level E' is degenerate
-    with the one below, E' - E <= DEGENERACY_REL_TOLERANCE * |E'|, and sums
-    their multiplicities. The rule is relative only, so a change of units
-    cannot change the count, and the count never depends on how far the
-    spectrum extends.
-    """
-    energies = spectrum.energies
-    chained = np.diff(energies) <= DEGENERACY_REL_TOLERANCE * np.abs(energies[1:])
-    ground_levels = 1 + int(np.logical_and.accumulate(chained).sum())
-    return int(spectrum.multiplicities[:ground_levels].sum())
+    """Dimension of the lowest-energy eigenspace of a spectrum: the summed
+    multiplicity of the levels up to the first relative gap above
+    thermo.DEGENERACY_REL_TOLERANCE. A change of units cannot change it, and
+    neither can how far the spectrum extends."""
+    levels = zip(map(float, spectrum.energies), map(float, spectrum.multiplicities))
+    return int(_ground_dimension(levels))
 
 
 def _boltzmann_sum(spectrum: Spectrum, s: float) -> float:

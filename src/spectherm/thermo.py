@@ -6,10 +6,11 @@ form (radial_wavefunction evaluates the mode, free_difference_energies its
 finite-difference levels), the relation |psi|^2 = exp(S/k_B), the
 constraint fixing the fiducial wavenumber, and the tau <-> T substitution
 tau = hbar/(k_B T), whose two maps return the dual as a float that must be
-a normal double (OverflowError otherwise), and the `spectrum` table rows
-(sphere_energies, interval_energies, box_modes). All of these take plain
-Python numbers, each checked where it is read, so this module uses no arrays;
-the level lists and their partition sums live beside the spectral kernel, in spectra.
+a normal double (OverflowError otherwise), the `spectrum` table rows
+(sphere_energies, interval_energies, box_modes), the one degeneracy rule, and
+the ball's and the cube's partition sums, formed from their factors. All of
+these take plain Python numbers, each checked where it is read, so this module
+uses no arrays; a level file's sums live beside the spectral kernel, in spectra.
 
 The fiducial entropy S0 may be the formal value -infinity; that limit is carried as
 an explicit IEEE -inf (never a large negative float) and short circuits the wavenumber
@@ -18,8 +19,11 @@ constraint to the sine nodes n pi / r0, rounded once by units.pi_over like every
 
 from __future__ import annotations
 
+import functools
+import heapq
 import itertools
 import math
+import operator
 
 from .specfun import integrate, sine_integral
 from .units import (
@@ -28,6 +32,7 @@ from .units import (
 )
 
 __all__ = [
+    "DEGENERACY_REL_TOLERANCE",
     "NEGATIVE_INFINITE_ENTROPY",
     "NoRealSolution",
     "ideal_gas_entropy",
@@ -49,6 +54,11 @@ NEGATIVE_INFINITE_ENTROPY = float("-inf")
 
 # Absolute tolerance of the entropy quadrature, in units of k_B (the report's abs_tolerance).
 ENTROPY_TOLERANCE = 1e-13
+
+# Neighbouring energies E < E' are degenerate when E' - E is at most this
+# fraction of |E'|. Far below physical level spacings, far above accumulated
+# rounding, and unchanged when every energy is scaled by a change of units.
+DEGENERACY_REL_TOLERANCE = 1e-9
 
 
 class NoRealSolution(Exception):
@@ -153,14 +163,14 @@ def _level_scale(u: UnitSystem, n_max: int, length: float | None = None, d: int 
 
 def sphere_energies(l_max: int, u: UnitSystem) -> tuple[float, ...]:
     """Energies pref*l(l+1) of the angular sectors l = 0..l_max (multiplicity
-    2l+1), each one rounding of pref times the int l(l+1), as in spectra.ball_spectrum."""
+    2l+1), each one rounding of pref times the int l(l+1), as the ball's partition sums them."""
     pref = _level_scale(u, l_max)
     return tuple([pref * (l * (l + 1.0)) for l in range(l_max + 1)])
 
 
 def interval_energies(length: float, n_max: int, u: UnitSystem) -> tuple[float, ...]:
     """Dirichlet levels pref*(n*pi/length)^2, n = 1..n_max: the key-1 energy, rounded
-    once, times the int n^2, as in spectra.ball_spectrum and box_modes(length, 1, n_max)."""
+    once, times the int n^2, as in box_modes(length, 1, n_max) and the partition sums."""
     scale = _level_scale(u, n_max, length)
     return tuple([scale * (n * n) for n in range(1, n_max + 1)])
 
@@ -168,8 +178,8 @@ def interval_energies(length: float, n_max: int, u: UnitSystem) -> tuple[float, 
 def box_modes(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> tuple[tuple, tuple]:
     """Quantum-number tuples and energies pref (pi/side)^2 K of every Dirichlet mode of
     the d-dimensional box with quantum numbers <= n_max_per_axis, K = n_1^2 + ... + n_d^2
-    an exact int, so the bits of spectra.box_spectrum's levels. Sorted by K, ties in
-    lexicographic order of the quantum numbers; checked as box_spectrum is."""
+    an exact int, so the bits of the levels the cube's partition sums. Sorted by K, ties
+    in lexicographic order of the quantum numbers; InputError past 2**53 modes."""
     scale = _level_scale(u, n_max_per_axis, side, d)
     axis = range(1, n_max_per_axis + 1)
     keys = list(map(sum, itertools.product([n * n for n in axis], repeat=d)))
@@ -177,6 +187,98 @@ def box_modes(side: float, d: int, n_max_per_axis: int, u: UnitSystem) -> tuple[
     order = sorted(range(len(keys)), key=keys.__getitem__)
     numbers = list(itertools.product(axis, repeat=d))
     return tuple(map(numbers.__getitem__, order)), tuple([scale * keys[i] for i in order])
+
+
+def _ground_dimension(levels) -> int:
+    # The one degeneracy rule: walks (energy, multiplicity) pairs in ascending energy while
+    # each next E' is degenerate with the one below, E' - E <= DEGENERACY_REL_TOLERANCE |E'|,
+    # and sums their multiplicities. It reads no level past the first gap.
+    levels = iter(levels)
+    below, dim = next(levels)
+    for energy, m in levels:
+        if energy - below > DEGENERACY_REL_TOLERANCE * abs(energy):
+            break
+        below, dim = energy, dim + m
+    return dim
+
+
+def _factor_power(s: float, levels, d: int = 1) -> float:
+    # (sum of m exp(-s E) over (E, m) pairs in ascending E, the first E = 0)**d. A term near m
+    # is m + m expm1(-x), and the exact sum is hi + lo, so the power multiplies neither a
+    # term's rounding nor the sum's by d. The terms stop at the first exp that underflows to
+    # 0.0, as every later one does; E = 0 weighs m, also where s is inf.
+    parts = []
+    for e, m in levels:
+        x = s * e if e else 0.0
+        if x < 0.5:
+            parts += (m, m * math.expm1(-x))
+        elif term := m * math.exp(-x):
+            parts.append(term)
+        else:
+            break
+    hi = math.fsum(parts)  # at least 1, from E = 0
+    return hi**d + d * hi ** (d - 1) * math.fsum(parts + [-hi])
+
+
+def _ball_levels(pref: float, scale: float, n_max: int, l_max: int):
+    # The ball's levels (pref l(l+1) + scale n^2, 2l + 1) in ascending energy. Row n ascends
+    # in l, and enters the heap when level (0, n - 1) leaves it, so the walk follows the
+    # lowest levels in order, also where the sectors chain at a tiny r0.
+    def level(l: int, n: int):
+        return pref * (l * (l + 1.0)) + scale * (n * n), l, n
+
+    heap = [level(0, 1)]
+    while heap:
+        energy, l, n = heapq.heappop(heap)
+        yield energy, 2 * l + 1
+        if l < l_max:
+            heapq.heappush(heap, level(l + 1, n))
+        if l == 0 and n < n_max:
+            heapq.heappush(heap, level(0, n + 1))
+
+
+def _partition_sums(tau: float, u: UnitSystem, dim_min: int, level_count: int, e_min, shifted):
+    # (quasistatic, dim_min, level_count, qm, qm_over_quasistatic) at s = tau/hbar, from
+    # dim_min exp(-s E_min) and shifted(s), the sum over the levels less E_min: at least 1,
+    # so the ratio does not underflow. qm and the ratio are None at tau = 0.
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise InputError(f"tau must be >= 0 and finite, got {tau!r}")
+    ground = math.exp(-(tau / u.hbar) * e_min)
+    if tau == 0.0:
+        return dim_min * ground, dim_min, level_count, None, None
+    z = shifted(tau / u.hbar)
+    return dim_min * ground, dim_min, level_count, ground * z, z / dim_min
+
+
+def _ball_partition(r0: float, n_max: int, l_max: int, tau: float, u: UnitSystem) -> tuple:
+    # _partition_sums of the sectors l <= l_max tensored with the radial tower n <= n_max:
+    # the sectors' sum times the tower's, each key times its key-1 energy. Checked as the
+    # tables are, and InputError past 2**53 levels.
+    pref, scale = _level_scale(u, l_max), _level_scale(u, n_max, r0)
+    require_level_range(pref * (l_max * (l_max + 1.0)) + scale * (n_max * n_max),
+                        r0=r0, n_max=n_max, l_max=l_max)
+    if (l_max + 1) * n_max > 2**53:  # as for the box: the counts would not be exact
+        raise InputError(f"(l_max + 1)*n_max ball levels at l_max={l_max!r}, "
+                         f"n_max={n_max!r}: more than 2**53")
+    dim_min = _ground_dimension(_ball_levels(pref, scale, n_max, l_max))
+    sectors = ((pref * (l * (l + 1.0)), 2 * l + 1) for l in range(l_max + 1))
+    tower = ((scale * (n * n - 1), 1) for n in range(1, n_max + 1))
+    return _partition_sums(tau, u, dim_min, (l_max + 1) * n_max, scale,
+                           lambda s: _factor_power(s, sectors) * _factor_power(s, tower))
+
+
+def _cube_partition(side: float, d: int, n_max: int, tau: float, u: UnitSystem) -> tuple:
+    # _partition_sums of the d-cube's levels, one per key K = n_1^2 + ... + n_d^2 with
+    # quantum numbers <= n_max: the interval's sum to the power d. Checked as box_modes is.
+    scale = _level_scale(u, n_max, side, d)
+    keys = 1  # bit K - d is set for each key K, once d > 1 axes with n_max > 1 are added
+    for _ in range(d if d > 1 and n_max > 1 else 0):
+        keys = functools.reduce(operator.or_, (keys << (n * n - 1) for n in range(1, n_max + 1)))
+    # the lowest key d is simple; the next, d + 3, has d modes (none at n_max = 1)
+    dim_min = _ground_dimension([(scale * d, 1), (scale * (d + 3), d)][:n_max])
+    tower = ((scale * (n * n - 1), 1) for n in range(1, n_max + 1))
+    return _partition_sums(tau, u, dim_min, keys.bit_count() if d > 1 else n_max, scale * d,
+                           lambda s: _factor_power(s, tower, d))
 
 
 def _entropy_quadrature(n: int, r0: float, u: UnitSystem) -> float:
@@ -215,6 +317,8 @@ def entropy_expectation(n: int, r0: float, method: str, u: UnitSystem) -> float:
     require_positive("r0", r0)
     if method == "closed_form":
         x = pi_over(1)(2 * n)
+        if math.isinf(x):
+            raise InputError(f"n={n!r} is too large for the closed form: 2 pi n is not finite")
         return 3.0 * u.k_boltzmann * (sine_integral(x) / x - 1.0)
     if method == "quadrature":
         return _entropy_quadrature(n, r0, u)

@@ -21,9 +21,7 @@ from spectherm import (
     InputError,
     Spectrum,
     UnitSystem,
-    ball_spectrum,
     box_modes,
-    box_spectrum,
     free_difference_energies,
     interval_energies,
     kinetic_prefactor,
@@ -33,6 +31,7 @@ from spectherm import (
     sphere_energies,
 )
 from spectherm.cli import load_levels, run
+from spectherm.thermo import _ball_levels, _cube_partition, _level_scale
 from spectherm.units import pi_over
 
 from oracles import (
@@ -324,6 +323,14 @@ class TestEntropyCommand:
         else:
             assert code == 2 and one_error_line(err), err
 
+    def test_n_past_the_closed_form_range_is_rejected_input(self, capsys):
+        # 2 pi n rounds to inf: the line names n, where it named only Si's input inf
+        n = str(10**308)
+        assert run(["entropy", "--n", n]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: n={n} is too large for the closed form: 2 pi n is not finite\n"
+        )
+
     def test_result_does_not_depend_on_hbar(self, capsys):
         # hbar^2/(2 mass) underflows here, but the entropy never uses it
         tiny = run_json(capsys, ["entropy", "--n", "2", "--hbar", "1e-200"])
@@ -333,10 +340,18 @@ class TestEntropyCommand:
 
 class TestPartitionCommand:
     def test_more_than_2_53_ball_levels_is_rejected_input(self, capsys):
-        # refused before np.arange, which is empty past 2**63
+        # refused before any sum, as for the box
         assert run(["partition", "--domain", "ball", "--l-max", "9223372036854775813"]) == 2
         assert capsys.readouterr() == ("", "error: (l_max + 1)*n_max ball levels at "
                                        "l_max=9223372036854775813, n_max=25: more than 2**53\n")
+
+    def test_ball_of_2_5e10_levels_builds_no_list(self, capsys):
+        # the sums stop where their terms underflow, and the ground walk at the first gap
+        results = run_json(
+            capsys, ["partition", "--domain", "ball", "--l-max", "1000000000", "--tau", "1"]
+        )["results"]
+        assert (results["dim_min"], results["level_count"]) == (1, 25_000_000_025)
+        assert results["quasistatic"] == math.exp(-math.pi**2)
 
     def test_ball_at_zero_tau(self, capsys):
         report = run_json(capsys, ["partition", "--domain", "ball", "--r0", "1", "--tau", "0"])
@@ -810,10 +825,10 @@ class TestSpectrumCommand:
         wavenumber = float(lines[1].split(",")[1])
         assert wavenumber == math.pi
 
-    # The tables take their rows from thermo's stdlib functions, the level
-    # lists from spectra's numpy ones: each level is the same key-1 energy
-    # times the same int key, so the same bits. A box mode's energy is its
-    # key's level energy, and each level appears as often as its multiplicity.
+    # The tables take their rows from thermo's stdlib functions, and so do the
+    # ball's and the cube's partition sums: each level is the same key-1 energy
+    # times the same int key, so the same bits. The ball's level walk at
+    # l_max = 0 is the radial table, and the cube counts the box table's keys.
     # The wavenumber n pi / r0 is rounded once, so it is the 60-digit value
     # rounded to a double.
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -845,10 +860,11 @@ class TestSpectrumCommand:
         assert bits(row[1] for row in radial) == bits(
             wavenumber_mpmath(n, length) for n in range(1, n_max + 1)
         )
+        scales = _level_scale(u, 0), _level_scale(u, n_max, length)
         assert (
             bits(row[2] for row in radial)
             == bits(interval_energies(length, n_max, u))
-            == bits(ball_spectrum(length, n_max, 0, u).energies.tolist())
+            == bits(e for e, _ in _ball_levels(*scales, n_max, 0))
         )
 
         angular = rows("--kind", "angular", "--l-max", str(l_max))
@@ -863,12 +879,7 @@ class TestSpectrumCommand:
         numbers, energies = box_modes(length, d, box_n_max, u)
         assert [row[0] for row in box] == ["x".join(map(str, q)) for q in numbers]
         assert bits(row[1] for row in box) == bits(energies)
-        levels = box_spectrum(length, d, box_n_max, u)
-        expanded = [
-            e for e, m in zip(levels.energies.tolist(), levels.multiplicities.tolist())
-            for _ in range(int(m))
-        ]
-        assert bits(energies) == bits(expanded)
+        assert _cube_partition(length, d, box_n_max, 0.0, u)[2] == len(set(energies))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -1156,8 +1167,8 @@ class TestExitCodesAndOutput:
             calls.append(args)
             raise AssertionError("computed a report whose format is refused")
 
-        # where the handlers look each name up: cli reaches spectra only inside them
-        for name in ("spectra.box_spectrum", "cli.entropy_expectation",
+        # where the handlers look each name up
+        for name in ("cli._cube_partition", "cli.entropy_expectation",
                      "cli.solve_fiducial_wavenumber"):
             monkeypatch.setattr(f"spectherm.{name}", refuse)
         assert run(argv) == 2
@@ -1170,10 +1181,12 @@ class TestExitCodesAndOutput:
         assert "0.33333333333333331" in payload
 
 
-# The argvs of the benchmark workloads that need no arrays: startup's eight,
+# The argvs of the benchmark workloads that need no arrays: startup's ten,
 # the entropy and fiducial forms of solver's, and the free numeric spectrum;
 # then every spectrum table, whose rows come from thermo, in json and csv.
 SCALAR_ARGVS = [
+    ["partition", "--domain", "ball", "--r0", "1", "--tau", "0"],
+    ["partition", "--domain", "cube", "--n-max", "4", "--tau", "0.5"],
     ["entropy", "--n", "1", "--r0", "1"],
     ["entropy", "--n", "3", "--r0", "0.5", "--kb", "2"],
     ["fiducial", "--r0", "1", "--s0", "-inf", "--branch", "2"],
@@ -1248,13 +1261,13 @@ class TestFreshProcess:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["partition", "--domain", "ball"],
+            ["partition", "--domain", "custom", "--levels", "levels.txt"],
             ["weyl", "--domain", "custom", "--levels", "levels.txt", "--t", "1"],
         ],
         ids=" ".join,
     )
     def test_array_subcommand_loads_numpy(self, tmp_path, argv):
-        # the probe's positive control: the handlers that build a level list
+        # the probe's positive control: the handlers that read a level file
         (tmp_path / "levels.txt").write_text("1,1\n")
         argv = [str(tmp_path / a) if a == "levels.txt" else a for a in argv]
         probe = run_python("-c", MODULE_PROBE, *argv)
@@ -1263,7 +1276,7 @@ class TestFreshProcess:
 
     @pytest.mark.parametrize("domain", ["ball", "cube"])
     def test_partition_loads_no_heattrace(self, domain):
-        # spectra imports heattrace only inside weyl_volume_estimate
+        # thermo sums the ball and the cube, and imports neither heattrace nor fractions
         probe = run_python("-c", MODULE_PROBE, "partition", "--domain", domain)
         assert probe.returncode == 0, probe.stderr
         assert not {"decimal", "fractions", "spectherm.heattrace"} & set(probe.stderr.split())

@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import warnings
+from collections import Counter
 from functools import partial
 
 import mpmath as mp
@@ -14,7 +15,6 @@ from spectherm import (
     Spectrum,
     UnitSystem,
     box_modes,
-    box_spectrum,
     heat_trace,
     hilbert_dim_min,
     kinetic_prefactor,
@@ -25,6 +25,7 @@ from spectherm import (
     weyl_convergence_scan,
     weyl_volume_estimate,
 )
+from spectherm.thermo import _cube_partition
 
 from oracles import (
     CUBE_VOLUME_ESTIMATE_1E6,
@@ -281,8 +282,11 @@ class TestWeylConvergenceScan:
 
 
 class TestLevelHelpers:
-    # box_spectrum against the pure-Python Counter convolution; 15**8 and
-    # 2**33 modes exceed 2**31
+    # The cube's partition against the pure-Python Counter convolution: it counts the
+    # keys exactly, and its ground term carries the bits of scale * d, scale the 60-digit
+    # key-1 energy rounded once; where box_modes lists every mode (up to 10**5 of them),
+    # each key's level appears as often as the oracle counts. 15**8 and 2**33 modes
+    # exceed 2**31.
     BOX_GRID = [(1, 1), (1, 500), (3, 1), (2, 7), (3, 4), (3, 40), (4, 12), (5, 6),
                 (8, 15), (33, 2)]
     BOX_UNITS = [
@@ -297,35 +301,47 @@ class TestLevelHelpers:
         side, u = self.BOX_UNITS[units]
         scale = float(key_one_energy_mpmath(kinetic_prefactor(u), side))
         keys, counts = zip(*cube_levels(d, n_max))
-        levels = box_spectrum(side, d, n_max, u)
-        assert levels.energies.tolist() == [scale * key for key in keys]
-        assert levels.multiplicities.tolist() == list(counts)
+        assert _cube_partition(side, d, n_max, 0.0, u) == (1.0, 1, len(keys), None, None)
+        tau = 0.5 * u.hbar / (scale * d)  # the ground exponent s * E_min is 0.5
+        assert _cube_partition(side, d, n_max, tau, u)[0] == math.exp(-(tau / u.hbar) * (scale * d))
+        if n_max**d <= 10**5:
+            modes = Counter(box_modes(side, d, n_max, u)[1])
+            assert sorted(modes.items()) == [(scale * key, n) for key, n in zip(keys, counts)]
 
     def test_box_spectrum_clusters_ties(self, u):
-        levels = box_spectrum(1.0, 3, 2, u)
-        assert levels.multiplicities.tolist() == [1, 3, 3, 1]
-        assert levels.energies.tolist() == [math.pi**2 * k for k in (3, 6, 9, 12)]
+        modes = Counter(box_modes(1.0, 3, 2, u)[1])
+        assert modes == {math.pi**2 * k: n for k, n in zip((3, 6, 9, 12), (1, 3, 3, 1))}
+        assert _cube_partition(1.0, 3, 2, 0.0, u)[1:3] == (1, 4)
 
     def test_box_spectrum_expands_to_box_modes(self, u):
-        # one level per key: expanding the levels gives back every mode energy
+        # the factored sums against the 50-digit sum over every mode box_modes lists,
+        # within eps (8 sum(t x) + 4 Z) for terms t = exp(-x), x = s E
         for side, d, n_max in [(1.0, 3, 5), (0.3, 2, 9), (2.0, 4, 3)]:
-            levels = box_spectrum(side, d, n_max, u)
-            expanded = np.repeat(levels.energies, levels.multiplicities.astype(int))
-            _, energies = box_modes(side, d, n_max, u)
-            assert expanded.tolist() == list(energies)
+            energies = box_modes(side, d, n_max, u)[1]
+            for tau in (1e-3, 0.05, 2.0):
+                quasistatic, dim_min, count, qm, ratio = _cube_partition(side, d, n_max, tau, u)
+                assert (dim_min, count) == (1, len(set(energies)))
+                with mp.workdps(50):
+                    xs = [mp.mpf(tau) * mp.mpf(e) for e in energies]
+                    terms = [mp.exp(-x) for x in xs]
+                    z, zx = mp.fsum(terms), mp.fsum(t * x for t, x in zip(terms, xs))
+                    ground, x0 = terms[0], xs[0]
+                    for got, want, wx in [(quasistatic, ground, ground * x0), (qm, z, zx),
+                                          (ratio, z / ground, (zx - z * x0) / ground)]:
+                        assert abs(got - want) <= EPS * (8 * wx + 4 * want), (side, d, tau)
 
     def test_box_spectrum_counts_exactly_up_to_2_to_the_53(self, u):
-        levels = box_spectrum(1.0, 53, 2, u)
-        assert levels.multiplicities.tolist() == [math.comb(53, k) for k in range(54)]
-        assert math.fsum(levels.multiplicities) == 2.0**53
+        # 54 keys 53 + 3k, k of the 53 axes at n = 2: comb(53, k) modes each, 2**53 in all
+        assert _cube_partition(1.0, 53, 2, 0.0, u)[1:3] == (1, 54)
+        assert _cube_partition(1.0, 53, 2, 1e-300, u)[4] == 2.0**53
         for d, n_max in [(54, 2), (40, 5), (10**9, 2), (2, 94906267)]:
             with pytest.raises(InputError, match=rf"{n_max}\*\*{d} box modes"):
-                box_spectrum(1.0, d, n_max, u)
+                _cube_partition(1.0, d, n_max, 0.0, u)
 
     def test_box_spectrum_rejects_an_empty_box(self, u):
         for side, d, n_max in [(0.0, 3, 2), (1.0, 0, 2), (1.0, 3, 0)]:
             with pytest.raises(InputError):
-                box_spectrum(side, d, n_max, u)
+                _cube_partition(side, d, n_max, 0.0, u)
 
     def test_dim_min_respects_relative_gaps(self):
         assert hilbert_dim_min(Spectrum([1.0, 1.0 + 5e-10, 2.0], [2, 1, 1])) == 3

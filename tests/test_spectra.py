@@ -14,9 +14,7 @@ from spectherm import (
     InputError,
     Spectrum,
     UnitSystem,
-    ball_spectrum,
     box_modes,
-    box_spectrum,
     free_difference_energies,
     hilbert_dim_min,
     integrate,
@@ -28,6 +26,7 @@ from spectherm import (
     sphere_energies,
 )
 from spectherm.spectra import _lapack_lowest
+from spectherm.thermo import _ball_levels, _ball_partition, _cube_partition, _level_scale
 
 from oracles import (
     dirichlet_tridiagonal_eigenvalue,
@@ -48,6 +47,13 @@ FREE_MATRIX_CASES = [(500, 5), (2000, 5), (20000, 50), (100000, 50)]
 def ulps_from(value: float, exact) -> float:
     """Distance of a double from an mpmath value, in units of the last place."""
     return float(abs(mp.mpf(float(value)) - exact)) / math.ulp(float(exact))
+
+
+def ball_levels(r0: float, n_max: int, l_max: int, u: UnitSystem) -> tuple[tuple, tuple]:
+    """(energies, multiplicities) of every level of the ball, in the order of thermo's
+    ground-space walk: ascending energy."""
+    pref, scale = _level_scale(u, l_max), _level_scale(u, n_max, r0)
+    return tuple(zip(*_ball_levels(pref, scale, n_max, l_max)))
 
 
 def harmonic_polynomial_dimension(l: int) -> int:
@@ -73,18 +79,17 @@ class TestAngularModes:
     # the sector multiplicities are the ball's: with one radial mode, level l is sector l
     def test_l_zero_sector(self, u):
         assert sphere_energies(0, u) == (0.0,)
-        assert ball_spectrum(1.0, 1, 0, u).multiplicities.tolist() == [1.0]
+        assert ball_levels(1.0, 1, 0, u)[1] == (1,)
 
     def test_l_one_energy(self, u):
         assert sphere_energies(1, u)[1] == 2.0
 
     @pytest.mark.parametrize("l", [1, 2])
     def test_degeneracy_matches_harmonic_polynomial_count(self, u, l):
-        assert ball_spectrum(1.0, 1, l, u).multiplicities[l] == harmonic_polynomial_dimension(l)
+        assert ball_levels(1.0, 1, l, u)[1][l] == harmonic_polynomial_dimension(l)
 
     def test_degeneracies_are_odd_integers(self, u):
-        levels = ball_spectrum(1.0, 1, 6, u)
-        assert levels.multiplicities.tolist() == [2 * l + 1 for l in range(7)]
+        assert ball_levels(1.0, 1, 6, u)[1] == tuple(2 * l + 1 for l in range(7))
 
     def test_energies_nonnegative_and_increasing(self, u):
         energies = sphere_energies(8, u)
@@ -95,7 +100,7 @@ class TestAngularModes:
         with pytest.raises(ValueError):
             sphere_energies(-1, u)
         with pytest.raises(ValueError):
-            ball_spectrum(1.0, 1, -1, u)
+            _ball_partition(1.0, 1, -1, 0.0, u)
 
 
 class TestRadialModes:
@@ -487,8 +492,7 @@ class TestBoxModes:
         length = math.exp(log_length)
         u = UnitSystem(math.exp(log_hbar), 1.0, math.exp(log_mass))
         levels = list(interval_energies(length, n_max, u))
-        assert box_spectrum(length, 1, n_max, u).energies.tolist() == levels
-        assert ball_spectrum(length, n_max, 0, u).energies.tolist() == levels
+        assert list(ball_levels(length, n_max, 0, u)[0]) == levels
         assert list(box_modes(length, 1, n_max, u)[1]) == levels
 
     def test_degenerate_levels_in_lexicographic_order(self, u):
@@ -526,9 +530,10 @@ class TestBoxModes:
         numbers, energies = box_modes(1.0, 100_000, 1, u)
         assert numbers == ((1,) * 100_000,)
         assert energies == (math.pi**2 * 100_000,)
-        levels = box_spectrum(1.0, 10**6, 1, u)
-        assert levels.energies.tolist() == [math.pi**2 * 10**6]
-        assert levels.multiplicities.tolist() == [1.0]
+        # one level, key 10**6: the partition's ground term carries its bits
+        assert _cube_partition(1.0, 10**6, 1, 0.0, u) == (1.0, 1, 1, None, None)
+        ground = math.exp(-1e-7 * (math.pi**2 * 10**6))
+        assert _cube_partition(1.0, 10**6, 1, 1e-7, u) == (ground, 1, 1, ground, 1.0)
 
     def test_validation(self, u):
         with pytest.raises(ValueError):
@@ -548,11 +553,12 @@ class TestLevelOverflow:
         "build, named",
         [
             (lambda u: interval_energies(1e-200, 5, u), "length=1e-200, n_max=5"),
-            (lambda u: ball_spectrum(1e-200, 5, 0, u), "length=1e-200, n_max=5"),
+            (lambda u: _ball_partition(1e-200, 5, 0, 1.0, u), "length=1e-200, n_max=5"),
             # the sectors overflow first, and their check names l_max
-            (lambda u: ball_spectrum(1e10, 5, 10, UnitSystem(1e154, 1.0, 0.5)), "at l_max=10"),
+            (lambda u: _ball_partition(1e10, 5, 10, 1.0, UnitSystem(1e154, 1.0, 0.5)),
+             "at l_max=10"),
             # neither the top sector nor the top radial level overflows, their sum does
-            (lambda u: ball_spectrum(11.0, 5, 1, UnitSystem(1e154, 1.0, 1.0)),
+            (lambda u: _ball_partition(11.0, 5, 1, 1.0, UnitSystem(1e154, 1.0, 1.0)),
              "r0=11.0, n_max=5, l_max=1"),
             (lambda u: sphere_energies(3, UnitSystem(1.0, 1.0, 1e-308)), "at l_max=3"),
             (lambda u: box_modes(1e-200, 3, 4, u), "side=1e-200, n_max=4"),
@@ -588,15 +594,14 @@ class TestLevelOverflow:
             f"level energies overflow at r0={r0!r}, grid_points=10, k_lowest=2"
         )
 
-    # (l_max + 1) n_max levels past 2**53, as for the box: refused before any array is
-    # built (np.arange is empty past 2**63; 2**27 x 2**26 would need 2**56 bytes)
+    # (l_max + 1) n_max levels past 2**53, as for the box: refused before any sum
     @pytest.mark.parametrize(
         "n_max, l_max",
         [(25, 2**63 + 5), (2**26, 2**27), (1, 2**53), (2**53 + 1, 0)],
     )
     def test_more_than_2_53_ball_levels_is_rejected_input(self, u, n_max, l_max):
         with pytest.raises(InputError) as excinfo:
-            ball_spectrum(1.0, n_max, l_max, u)
+            _ball_partition(1.0, n_max, l_max, 1.0, u)
         assert str(excinfo.value) == (
             f"(l_max + 1)*n_max ball levels at l_max={l_max}, n_max={n_max}: more than 2**53"
         )
@@ -610,11 +615,11 @@ class TestLevelOverflow:
     @pytest.mark.parametrize(
         "build, named",
         [
-            (lambda u: box_spectrum(1e200, 3, 4, u), "side=1e+200, n_max=4"),
-            (lambda u: box_spectrum(1e155, 3, 1, u), "side=1e+155, n_max=1"),
+            (lambda u: _cube_partition(1e200, 3, 4, 1.0, u), "side=1e+200, n_max=4"),
+            (lambda u: _cube_partition(1e155, 3, 1, 1.0, u), "side=1e+155, n_max=1"),
             (lambda u: box_modes(1e200, 2, 3, u), "side=1e+200, n_max=3"),
             # the radial tower's n = 1 level underflows first
-            (lambda u: ball_spectrum(1e200, 4, 0, u), "length=1e+200, n_max=4"),
+            (lambda u: _ball_partition(1e200, 4, 0, 1.0, u), "length=1e+200, n_max=4"),
             (lambda u: interval_energies(1e200, 3, u), "length=1e+200, n_max=3"),
             # the solver's closed form: pref/h^2 is 0 (h^2 overflows) or subnormal
             (lambda u: solve_radial_numeric(1e160, 10, 2, u),
@@ -635,9 +640,9 @@ class TestLevelOverflow:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda v: ball_spectrum(1.0, 4, 2, v),
+            lambda v: _ball_partition(1.0, 4, 2, 1.0, v),
             lambda v: interval_energies(1.0, 2, v),
-            lambda v: box_spectrum(1e-150, 3, 2, v),
+            lambda v: _cube_partition(1e-150, 3, 2, 1.0, v),
         ],
         ids=["ball", "interval", "box"],
     )
@@ -647,8 +652,9 @@ class TestLevelOverflow:
 
     def test_smallest_normal_key_energy_accepted(self, u):
         side = math.pi / math.sqrt(2.0**-1022) / 2.0  # key-1 energy 2**-1020
-        assert box_spectrum(side, 3, 2, u).energies[0] == 3 * 2.0**-1020
-        assert ball_spectrum(side, 2, 0, u).energies[0] == 2.0**-1020
+        # the cube's ground level 3 * 2**-1020, through its term at tau = 2**1018
+        assert _cube_partition(side, 3, 2, 2.0**1018, u)[0] == math.exp(-0.75)
+        assert ball_levels(side, 2, 0, u)[0][0] == 2.0**-1020
         assert interval_energies(side, 2, u)[0] == 2.0**-1020
 
 

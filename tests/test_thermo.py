@@ -14,6 +14,7 @@ from spectherm import (
     Spectrum,
     UnitSystem,
     boltzmann_weight_from_entropy,
+    box_modes,
     duality_map,
     duality_map_from_temperature,
     entropy_expectation,
@@ -26,10 +27,15 @@ from spectherm import (
     qm_partition,
     quasistatic_partition,
     solve_fiducial_wavenumber,
+    sphere_energies,
     thermal_partition,
 )
 
-from oracles import ENTROPY_EXPECTATION, entropy_expectation_mpmath, wavenumber_mpmath
+from spectherm.thermo import _ball_partition, _cube_partition, _level_scale
+
+from oracles import (
+    ENTROPY_EXPECTATION, cube_levels, entropy_expectation_mpmath, wavenumber_mpmath,
+)
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 log_uniform = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
@@ -148,6 +154,15 @@ class TestEntropyExpectation:
             entropy_expectation(2**53 + 1, 1.0, "quadrature", u)
         assert str(excinfo.value) == (
             f"n={2**53 + 1} is too large for the entropy quadrature: more than 2**53"
+        )
+
+    def test_closed_form_names_an_n_past_the_double_range(self, u):
+        # 2 pi n rounds to inf past n of about 2.86e307, where Si's own check spoke
+        assert entropy_expectation(10**307, 1.0, "closed_form", u) == -3.0
+        with pytest.raises(InputError) as excinfo:
+            entropy_expectation(10**308, 1.0, "closed_form", u)
+        assert str(excinfo.value) == (
+            f"n={10**308} is too large for the closed form: 2 pi n is not finite"
         )
 
     def test_closed_form_ignores_r0_exactly(self, u):
@@ -515,6 +530,114 @@ class TestQuasistaticPartition:
             quasistatic_partition(Spectrum([], []), 0.0, u)
         with pytest.raises(ValueError):
             quasistatic_partition(Spectrum([0.0], [1]), -1.0, u)
+
+
+def within_budget(got: float, terms, xs, scale=1) -> bool:
+    """|got - Z| <= eps (8 sum(t x) + 4 Z), Z = scale * sum(t), at 50 digits."""
+    z, zx = scale * mp.fsum(terms), scale * mp.fsum(t * x for t, x in zip(terms, xs))
+    return abs(got - z) <= 2.0**-52 * (8 * zx + 4 * z)
+
+
+class TestFactoredPartition:
+    # The ball's and the cube's sums from their factors, against the sums over every
+    # level, at 50 digits from the double inputs. The bound eps (8 sum(t x) + 4 Z) for
+    # terms t = m exp(-x) is the benchmark's: a few roundings of each exponent x and of
+    # each term, and the sum's. The ground exponent x_0 = s E_min is drawn from 1e-8 to
+    # 700, so that every result is a normal double.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        hbar=log_uniform,
+        mass=log_uniform,
+        log_length=st.floats(min_value=-2.0, max_value=2.0),
+        log_x0=st.floats(min_value=-8.0, max_value=math.log10(700.0)),
+        cube=st.booleans(),
+        extent=st.integers(min_value=1, max_value=4),
+        l_max=st.integers(min_value=0, max_value=20),
+        n_max=st.integers(min_value=1, max_value=30),
+    )
+    def test_sums_within_their_budget_of_mpmath(
+        self, hbar, mass, log_length, log_x0, cube, extent, l_max, n_max
+    ):
+        u, length = UnitSystem(hbar, 1.0, mass), 10.0**log_length
+        scale = _level_scale(u, n_max, length)
+        if cube:  # extent is d
+            tau = 10.0**log_x0 * hbar / (scale * extent)
+            quasistatic, dim_min, _, qm, ratio = _cube_partition(length, extent, n_max, tau, u)
+            levels = cube_levels(extent, n_max)
+        else:
+            tau = 10.0**log_x0 * hbar / scale
+            quasistatic, dim_min, _, qm, ratio = _ball_partition(length, n_max, l_max, tau, u)
+        with mp.workdps(50):
+            pref = mp.mpf(hbar) ** 2 / (2 * mp.mpf(mass))
+            key_one, s = pref * (mp.pi / mp.mpf(length)) ** 2, mp.mpf(tau) / mp.mpf(hbar)
+            if cube:
+                levels = [(key_one * key, m) for key, m in levels]
+            else:
+                levels = [(pref * l * (l + 1) + key_one * n * n, 2 * l + 1)
+                          for l in range(l_max + 1) for n in range(1, n_max + 1)]
+            x0 = s * min(e for e, _ in levels)
+            xs = [s * e for e, _ in levels]
+            terms = [m * mp.exp(-x) for x, (_, m) in zip(xs, levels)]
+            shifted = [t * mp.exp(x0) for t in terms]
+            assert within_budget(quasistatic, [dim_min * mp.exp(-x0)], [x0])
+            assert within_budget(qm, terms, xs)
+            assert within_budget(ratio, shifted, [x - x0 for x in xs], mp.mpf(1) / dim_min)
+
+    # Many axes: the d-th power must not multiply the rounding of a term or of the
+    # interval's sum by d. The reference factors as the sum does: Z = B^d, and
+    # sum(t x) = d B^(d-1) sum_n(t_n x_n), exactly.
+    @pytest.mark.parametrize("d, n_max", [(8, 15), (20, 6), (53, 2), (1000, 1), (10**6, 1)])
+    @pytest.mark.parametrize("x0", [1e-8, 1e-3, 0.5, 50.0])
+    def test_many_axes_within_their_budget_of_mpmath(self, u, d, n_max, x0):
+        tau = x0 / (_level_scale(u, n_max, 1.0) * d)
+        quasistatic, _, _, qm, ratio = _cube_partition(1.0, d, n_max, tau, u)
+        with mp.workdps(60):
+            a = mp.mpf(tau) * mp.pi**2
+            assert within_budget(quasistatic, [mp.exp(-a * d)], [a * d])
+            for got, shift in [(qm, 0), (ratio, 1)]:
+                xs = [a * (n * n - shift) for n in range(1, n_max + 1)]
+                b = mp.fsum(mp.exp(-x) for x in xs)
+                sum_tx = d * b ** (d - 1) * mp.fsum(mp.exp(-x) * x for x in xs)
+                assert abs(got - b**d) <= 2.0**-52 * (8 * sum_tx + 4 * b**d), shift
+
+    # The ground dimension and the level count against the full level list, built from
+    # the tables and counted by hilbert_dim_min. At r0 below about 1e-4 the lowest
+    # sectors chain: their relative gaps fall under the degeneracy tolerance.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        hbar=log_uniform,
+        mass=log_uniform,
+        log_length=st.floats(min_value=-6.0, max_value=2.0),
+        cube=st.booleans(),
+        d=st.integers(min_value=1, max_value=4),
+        l_max=st.integers(min_value=0, max_value=100),
+        n_max=st.integers(min_value=1, max_value=30),
+    )
+    def test_counts_match_the_full_level_list(
+        self, hbar, mass, log_length, cube, d, l_max, n_max
+    ):
+        u, length = UnitSystem(hbar, 1.0, mass), 10.0**log_length
+        if cube:
+            scale = interval_energies(length, 1, u)[0]
+            keys, counts = zip(*cube_levels(d, n_max))
+            levels = Spectrum([scale * key for key in keys], counts)
+            got = _cube_partition(length, d, n_max, 0.0, u)
+        else:
+            tower = interval_energies(length, n_max, u)
+            energies = [e + en for e in sphere_energies(l_max, u) for en in tower]
+            counts = [2 * l + 1 for l in range(l_max + 1) for _ in tower]
+            levels = Spectrum(energies, counts)
+            got = _ball_partition(length, n_max, l_max, 0.0, u)
+        assert got[:3] == (float(hilbert_dim_min(levels)), hilbert_dim_min(levels), len(levels))
+
+    def test_chained_sectors_of_a_tiny_ball(self, u):
+        # every sector l <= 100 of the lowest radial level chains: 101**2 states in 303 levels
+        assert _ball_partition(1e-6, 3, 100, 0.0, u) == (10201.0, 10201, 303, None, None)
+        assert _ball_partition(1e-6, 3, 100, 1e-12, u)[1:3] == (10201, 303)
+
+    def test_cube_counts_the_keys_box_modes_lists(self, u):
+        for d, n_max in [(1, 7), (2, 5), (3, 4), (5, 3)]:
+            assert _cube_partition(1.0, d, n_max, 0.0, u)[2] == len(set(box_modes(1.0, d, n_max, u)[1]))
 
 
 def test_negative_infinite_entropy_constant():
