@@ -229,31 +229,18 @@ def _cmd_weyl(args, u: UnitSystem):
 
 
 def _cmd_entropy(args, u: UnitSystem):
-    config = {
-        "n": args.n,
-        "r0": args.r0,
-        "abs_tolerance": ENTROPY_TOLERANCE,
-        "max_subdivisions": MAX_SUBDIVISIONS,
-    }
+    config = {"n": args.n, "r0": args.r0, "abs_tolerance": ENTROPY_TOLERANCE,
+              "max_subdivisions": MAX_SUBDIVISIONS}
     closed = entropy_expectation(args.n, args.r0, "closed_form", u)
     quad = entropy_expectation(args.n, args.r0, "quadrature", u)
-    results = {
-        "closed_form": closed,
-        "quadrature": quad,
-        "difference": closed - quad,
-    }
-    return config, results
+    return config, {"closed_form": closed, "quadrature": quad, "difference": closed - quad}
 
 
 def _cmd_fiducial(args, u: UnitSystem):
     c = solve_fiducial_wavenumber(args.s0, args.r0, args.branch, u)
     limit = args.s0 == NEGATIVE_INFINITE_ENTROPY
-    config = {
-        "r0": args.r0,
-        "s0": None if limit else args.s0,
-        "s0_is_negative_infinity": limit,
-        "branch": args.branch,
-    }
+    config = {"r0": args.r0, "s0": None if limit else args.s0,
+              "s0_is_negative_infinity": limit, "branch": args.branch}
     results: dict = {"wavenumber": c, "branch": args.branch}
     if not limit:
         results["constraint_lhs"] = math.sin(c * args.r0) / args.r0
@@ -292,8 +279,7 @@ def _cmd_partition(args, u: UnitSystem):
 
 
 def _cmd_duality(args, u: UnitSystem):
-    taus = args.tau or []
-    temperatures = args.temperature or []
+    taus, temperatures = args.tau or [], args.temperature or []
     if not taus and not temperatures:
         raise InputError("provide at least one --tau or --temperature")
     config = {"tau": list(taus), "temperature": list(temperatures)}
@@ -392,11 +378,8 @@ def run(argv: Sequence[str]) -> int:
             payload = _render_csv(results["columns"], results["rows"])
         else:
             units_config = {"hbar": args.hbar, "k_boltzmann": args.kb, "mass": args.mass}
-            report = {
-                "subcommand": args.subcommand,
-                "config": {**units_config, **config},
-                "results": results,
-            }
+            report = {"subcommand": args.subcommand, "config": {**units_config, **config},
+                      "results": results}
             payload = _render_json(report)
         if args.out is not None:
             Path(args.out).write_text(payload, encoding="utf-8")

@@ -84,14 +84,11 @@ class Spectrum(Frozen):
         energies = np.array(energies, dtype=np.float64)
         if energies.ndim != 1 or energies.size == 0:
             raise InputError("energies must be a nonempty one-dimensional sequence")
-        if multiplicities is None:
-            multiplicities = np.ones_like(energies)
-        else:
-            multiplicities = np.array(multiplicities, dtype=np.float64)
+        multiplicities = (np.ones_like(energies) if multiplicities is None
+                          else np.array(multiplicities, dtype=np.float64))
         if multiplicities.shape != energies.shape:
-            raise InputError(
-                f"got {multiplicities.size} multiplicities for {energies.size} energies"
-            )
+            raise InputError(f"got {multiplicities.size} multiplicities "
+                             f"for {energies.size} energies")
         if not np.all(np.isfinite(energies)):
             raise InputError("energies must be finite")
         if not np.all(
@@ -208,10 +205,9 @@ def _lapack_lowest(
 
 
 def hilbert_dim_min(spectrum: Spectrum) -> int:
-    """Dimension of the lowest-energy eigenspace of a spectrum: the summed
-    multiplicity of the levels up to the first relative gap above
-    thermo.DEGENERACY_REL_TOLERANCE. A change of units cannot change it, and
-    neither can how far the spectrum extends."""
+    """Dimension of the lowest-energy eigenspace of a spectrum: the summed multiplicity of
+    the levels up to the first relative gap above thermo.DEGENERACY_REL_TOLERANCE. A change
+    of units cannot change it, and neither can how far the spectrum extends."""
     levels = zip(map(float, spectrum.energies), map(float, spectrum.multiplicities))
     return int(_ground_dimension(levels))
 

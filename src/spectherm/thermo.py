@@ -224,36 +224,34 @@ def _ball_levels(pref: float, scale: float, n_max: int, l_max: int):
     # The ball's levels (pref l(l+1) + scale n^2, 2l + 1) in ascending energy. Row n ascends
     # in l, and enters the heap when level (0, n - 1) leaves it, so the walk follows the
     # lowest levels in order, also where the sectors chain at a tiny r0.
-    def level(l: int, n: int):
-        return pref * (l * (l + 1.0)) + scale * (n * n), l, n
-
-    heap = [level(0, 1)]
+    heap = [(scale, 0, 1)]
     while heap:
         energy, l, n = heapq.heappop(heap)
         yield energy, 2 * l + 1
         if l < l_max:
-            heapq.heappush(heap, level(l + 1, n))
+            heapq.heappush(heap, (pref * ((l + 1) * (l + 2.0)) + scale * (n * n), l + 1, n))
         if l == 0 and n < n_max:
-            heapq.heappush(heap, level(0, n + 1))
+            heapq.heappush(heap, (scale * ((n + 1) * (n + 1)), 0, n + 1))
 
 
-def _partition_sums(tau: float, u: UnitSystem, dim_min: int, level_count: int, e_min, shifted):
-    # (quasistatic, dim_min, level_count, qm, qm_over_quasistatic) at s = tau/hbar, from
-    # dim_min exp(-s E_min) and shifted(s), the sum over the levels less E_min: at least 1,
-    # so the ratio does not underflow. qm and the ratio are None at tau = 0.
+def _partition_sums(tau, u: UnitSystem, scale, n_max, dim_min, count, d=1, sectors=((0.0, 1),)):
+    # (quasistatic, dim_min, count, qm, qm_over_quasistatic) at s = tau/hbar of the sectors
+    # tensored with d towers scale n^2, n <= n_max. E_min = d scale, and the sum over the levels
+    # less E_min, A(s) B(s)**d, is at least 1: the ratio does not underflow. None at tau = 0.
     if not (math.isfinite(tau) and tau >= 0.0):
         raise InputError(f"tau must be >= 0 and finite, got {tau!r}")
-    ground = math.exp(-(tau / u.hbar) * e_min)
+    s = tau / u.hbar
+    ground = math.exp(-s * (scale * d))
     if tau == 0.0:
-        return dim_min * ground, dim_min, level_count, None, None
-    z = shifted(tau / u.hbar)
-    return dim_min * ground, dim_min, level_count, ground * z, z / dim_min
+        return dim_min * ground, dim_min, count, None, None
+    tower = ((scale * (n * n - 1), 1) for n in range(1, n_max + 1))
+    z = _factor_power(s, sectors) * _factor_power(s, tower, d)
+    return dim_min * ground, dim_min, count, ground * z, z / dim_min
 
 
 def _ball_partition(r0: float, n_max: int, l_max: int, tau: float, u: UnitSystem) -> tuple:
-    # _partition_sums of the sectors l <= l_max tensored with the radial tower n <= n_max:
-    # the sectors' sum times the tower's, each key times its key-1 energy. Checked as the
-    # tables are, and InputError past 2**53 levels.
+    # _partition_sums of the sectors l <= l_max tensored with the radial tower n <= n_max.
+    # Checked as the tables are, and InputError past 2**53 levels.
     pref, scale = _level_scale(u, l_max), _level_scale(u, n_max, r0)
     require_level_range(pref * (l_max * (l_max + 1.0)) + scale * (n_max * n_max),
                         r0=r0, n_max=n_max, l_max=l_max)
@@ -262,9 +260,7 @@ def _ball_partition(r0: float, n_max: int, l_max: int, tau: float, u: UnitSystem
                          f"n_max={n_max!r}: more than 2**53")
     dim_min = _ground_dimension(_ball_levels(pref, scale, n_max, l_max))
     sectors = ((pref * (l * (l + 1.0)), 2 * l + 1) for l in range(l_max + 1))
-    tower = ((scale * (n * n - 1), 1) for n in range(1, n_max + 1))
-    return _partition_sums(tau, u, dim_min, (l_max + 1) * n_max, scale,
-                           lambda s: _factor_power(s, sectors) * _factor_power(s, tower))
+    return _partition_sums(tau, u, scale, n_max, dim_min, (l_max + 1) * n_max, 1, sectors)
 
 
 def _cube_partition(side: float, d: int, n_max: int, tau: float, u: UnitSystem) -> tuple:
@@ -276,9 +272,7 @@ def _cube_partition(side: float, d: int, n_max: int, tau: float, u: UnitSystem) 
         keys = functools.reduce(operator.or_, (keys << (n * n - 1) for n in range(1, n_max + 1)))
     # the lowest key d is simple; the next, d + 3, has d modes (none at n_max = 1)
     dim_min = _ground_dimension([(scale * d, 1), (scale * (d + 3), d)][:n_max])
-    tower = ((scale * (n * n - 1), 1) for n in range(1, n_max + 1))
-    return _partition_sums(tau, u, dim_min, keys.bit_count() if d > 1 else n_max, scale * d,
-                           lambda s: _factor_power(s, tower, d))
+    return _partition_sums(tau, u, scale, n_max, dim_min, keys.bit_count() if d > 1 else n_max, d)
 
 
 def _entropy_quadrature(n: int, r0: float, u: UnitSystem) -> float:
