@@ -2,9 +2,8 @@
 and the thermostatic dual picture built on them.
 
 The public names load lazily (PEP 562): `import spectherm` imports no
-submodule, and a name imports only the module that defines it. So the
-scalar computations (units, specfun, heattrace, thermo) never load numpy;
-only the names of `spectra`, the level lists and the sums over them, do.
+submodule, and a name imports only the module that defines it. Only
+solve_radial_numeric imports numpy (and scipy, for a nonconstant potential).
 """
 
 from importlib import import_module

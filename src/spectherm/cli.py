@@ -15,12 +15,11 @@ it rejects, and load_levels for an unreadable or malformed level file.
 The front end itself checks only what no library call sees: that a
 custom domain names a level file, and that duality gets a value.
 
-Only a custom domain's level file (load_levels) imports spectra, and with
-it numpy: every spectrum table takes its rows from thermo, and thermo sums
-the ball's and the cube's partition functions from their factors. Only weyl
-imports heattrace (and fractions), so entropy, fiducial, duality, spectrum
-and partition load neither; csv output is joined by hand and imports no
-csv module.
+No subcommand imports numpy. Only a custom domain's level file (load_levels)
+imports spectra: every spectrum table takes its rows from thermo, and thermo
+sums the ball's and the cube's partition functions from their factors. Only
+weyl imports heattrace (and fractions), so entropy, fiducial, duality,
+spectrum and partition load neither; csv output is joined by hand.
 
 Exit codes: 0 success, 1 computational failure (no real root, quadrature
 breakdown, overflow, out of memory), 2 rejected input (InputError, an
@@ -34,8 +33,8 @@ import json
 import math
 import os
 import sys
-import warnings
 from functools import partial
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -59,65 +58,65 @@ _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 def load_levels(path: str | Path) -> Spectrum:
     """Parse an energy,multiplicity level file (one pair per line, # comments).
 
-    One np.loadtxt call parses the file in C and `Spectrum` checks it. Only
-    if that fails is the text read in Python: the parse is retried once on
-    the lines with more than blanks before any comment (np.loadtxt reads a
-    line of blanks as a row), then halves of those lines are parsed to find
-    the first bad one. Every failure raises InputError.
+    Chunks of lines drop comments and blank lines, and float() parses their
+    columns, which `Spectrum` checks. If that fails, a pass over the lines
+    names the first that fails alone. Every failure raises InputError.
     """
-    # np.loadtxt fetches a path with a URL's scheme and host, reads a
-    # missing file's compressed sibling and decompresses by suffix. An
-    # absolute path that exists and has no such suffix is opened as it is.
-    file = os.path.abspath(path)
-    if not os.path.exists(file):
-        raise InputError(f"cannot read levels file {path}: no such file")
-    if file.endswith(_COMPRESSED_SUFFIXES):
-        raise InputError(f"cannot read levels file {path}: compressed files are not read")
-    try:
-        return _parse_levels(file)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read levels file {path}: {exc}") from exc
-    except ValueError as exc:
-        error = exc
-    lines = enumerate(Path(file).read_text(encoding="utf-8").split("\n"), start=1)
-    rows = [(lineno, line) for lineno, line in lines if line.split("#", 1)[0].strip()]
-    if not rows:
-        raise InputError(f"{path}: {error}") from error
-    try:
-        return _parse_levels([line for _, line in rows])
-    except ValueError:  # each row parses to one row of the table, so a set of rows
-        lo, hi = 0, len(rows)  # fails exactly when one fails alone: rows[lo:hi] always does
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            _parse_levels([line for _, line in rows[lo:mid]])
-            lo = mid
-        except ValueError:
-            hi = mid
-    lineno, line = rows[lo]
-    try:
-        _parse_levels([line])
-    except ValueError as bad:
-        error = bad
-    reason = str(error).split(" at row ")[0]  # loadtxt's row is not the line
-    raise InputError(f"{path}:{lineno}: {reason}, in line {line!r}") from error
-
-
-def _parse_levels(source) -> Spectrum:
-    import numpy as np
-
     from .spectra import Spectrum
 
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        table = np.loadtxt(
-            source, delimiter=",", comments="#", dtype=np.float64, ndmin=2, encoding="utf-8"
-        )
-    if table.size == 0:
-        raise InputError("no levels found")
-    if table.shape[1] != 2:
-        raise InputError(f"expected 'energy,multiplicity', got {table.shape[1]} columns")
-    return Spectrum(table[:, 0], table[:, 1])
+    if str(path).endswith(_COMPRESSED_SUFFIXES):
+        raise InputError(f"cannot read levels file {path}: compressed files are not read")
+    try:
+        with open(path, encoding="utf-8") as text:  # universal newlines: a lone CR ends a line
+            return Spectrum(*_columns(text))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read levels file {path}: {exc}") from exc
+    except ValueError:  # _columns takes every file whose lines each pass _check_row
+        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
+            row = line.partition("#")[0]
+            try:
+                if row.strip():
+                    _check_row(row)
+            except ValueError as error:
+                raise InputError(f"{path}:{lineno}: {error}, in line {line!r}") from None
+    raise InputError(f"{path}: no levels found")
+
+
+def _columns(text) -> tuple[Sequence[float], Sequence[float]]:
+    # Both columns; ValueError at a row that is not two ASCII numbers (no "_") around a comma.
+    from array import array  # deferred, so that only a level file loads it
+
+    energies, multiplicities = array("d"), array("d")
+    while lines := text.readlines(1 << 16):
+        if "#" in "".join(lines):
+            lines = [line.partition("#")[0] for line in lines]
+        rows = list(filter(None, map(str.strip, lines)))
+        fields = ",".join(rows)
+        if not fields.isascii() or any(map(fields.__contains__, "\x1c\x1d\x1e\x1f")):
+            fields = ",".join(map(str.strip, fields.split(",")))  # blanks float() keeps
+        if not fields.isascii() or "_" in fields or set(map(str.count, rows, repeat(","))) - {1}:
+            raise ValueError("not two ASCII numbers around one comma")
+        values = array("d", map(float, fields.split(",") if rows else ()))
+        energies.extend(values[0::2])
+        multiplicities.extend(values[1::2])
+    return energies, multiplicities
+
+
+def _check_row(row: str) -> None:
+    # np.loadtxt's or Spectrum's message if the row fails alone: blanks (str.strip's) may
+    # surround a number, and only ASCII and no "_" may be in it.
+    from .spectra import Spectrum
+
+    level = []
+    for field in row.split(","):
+        core = field.strip()
+        try:
+            level.append(float(core if core.isascii() and "_" not in core else "?"))
+        except ValueError:
+            raise ValueError(f"could not convert string {repr(field)[:100]} to float64") from None
+    if len(level) != 2:
+        raise InputError(f"expected 'energy,multiplicity', got {len(level)} columns")
+    Spectrum(*zip(level))  # the checks of one level
 
 
 # ----------------------------- serialization -------------------------------
@@ -266,7 +265,8 @@ def _cmd_partition(args, u: UnitSystem):
         sums = [quasistatic, dim_min, len(levels), None, None]
         if args.tau > 0.0:
             # exp(-E_min tau / hbar) cancelled: finite and >= 1 where both sums underflow
-            shifted = spectra.Spectrum(levels.energies - levels.energies[0], levels.multiplicities)
+            shift = map(float.__sub__, levels.energies, repeat(levels.energies[0]))
+            shifted = spectra.Spectrum(shift, levels.multiplicities)
             sums[3:] = (spectra.qm_partition(levels, args.tau, u),
                         spectra.qm_partition(shifted, args.tau, u) / dim_min)
 
@@ -392,7 +392,7 @@ def run(argv: Sequence[str]) -> int:
     except (NoRealSolution, QuadratureError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:  # numpy's names the allocation; a bare one says nothing
+    except MemoryError as exc:  # one the interpreter raises carries no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 

@@ -1,20 +1,18 @@
 """Level lists of the kinetic operator and every sum over them.
 
-This is the array side of the package, and the only module that imports
-numpy: units, specfun, heattrace and thermo compute scalars and never load
-it. A level file (cli.load_levels) is a `Spectrum`: sorted energies with
-their multiplicities, as arrays, whose lowest eigenspace hilbert_dim_min
-counts by thermo's one degeneracy rule. The analytic families need no arrays.
+A level file (cli.load_levels) is a `Spectrum`: sorted energies with their
+multiplicities, whose lowest eigenspace hilbert_dim_min counts by thermo's
+one degeneracy rule. The analytic families need no level list.
 
 The heat trace at diffusion time t (heat_trace, weyl_volume_estimate) and
 the partition function at imaginary time tau (qm_partition,
 thermal_partition, quasistatic_partition) are the same sum of
 m * exp(-s * E), with s = t/(hbar^2/2m) or s = tau/hbar. One kernel
-evaluates it for all of them: every term of the finite spectrum is summed
-exactly by math.fsum (Shewchuk's algorithm) and rounded once, so the result
-does not depend on the order of the levels and nothing is truncated: terms
-that underflowed to exactly 0.0 are skipped, which cannot change an fsum,
-and every nonzero term, subnormal ones too, is summed.
+evaluates it for all of them with math.exp: every term of the finite
+spectrum is summed exactly by math.fsum (Shewchuk's algorithm) and rounded
+once, so the result does not depend on the order of the levels and nothing
+is truncated: the terms after the first that underflows to exactly 0.0 are
+0.0 too, and every nonzero term, subnormal ones too, is summed.
 
 A finite-difference solver covers the radial problem with an arbitrary
 radial potential, given as a callable U(r) or as samples on the grid.
@@ -32,17 +30,18 @@ off-diagonal): the lowest eigenvalues by bisection with Sturm counts
 (stebz), bit-stable across runs but only resolved to a width of
 EPS * |T|_1 ~ 4 * 2**-52 * pref / h^2 (9e-7 of the lowest level at 1e5 grid
 points; lower digits move with the index range solved), and the
-eigenvectors by inverse iteration (stein). scipy is imported only when
-LAPACK is called, not when this module is.
+eigenvectors by inverse iteration (stein). Only the solver imports numpy,
+and scipy only when LAPACK is called; neither is imported with this module.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from functools import partial
-from typing import Callable, Sequence
-
-import numpy as np
+from itertools import repeat, takewhile
+from operator import ge, mul
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .thermo import _ground_dimension, duality_map_from_temperature, free_difference_energies
 from .units import (
@@ -53,6 +52,9 @@ from .units import (
     require_level_range,
     require_positive,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Spectrum",
@@ -67,43 +69,42 @@ __all__ = [
 
 
 class Spectrum(Frozen):
-    """Energy levels with their multiplicities, as two sorted float64 arrays.
+    """Energy levels with their multiplicities, as two sorted float64 columns.
 
     Energies must be finite and multiplicities positive integers; omitted
     multiplicities default to one per listed energy. Multiplicities are
     stored as float64, so counts beyond the int64 range (1e30, say) stay
-    representable. Construction sorts the levels by energy and makes both
-    arrays read-only, so a Spectrum is validated once and never changes.
-    len() is the number of levels, and a Spectrum equals only itself.
+    representable. Construction sorts the levels by energy, then by
+    multiplicity, and keeps each column as a read-only memoryview of an
+    array('d') (it has .tolist() and .tobytes(), and np.asarray reads it),
+    so a Spectrum is validated once and never changes. len() is the number
+    of levels, and a Spectrum equals only itself.
     """
 
     __slots__ = ("energies", "multiplicities")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, energies, multiplicities=None) -> None:
-        energies = np.array(energies, dtype=np.float64)
-        if energies.ndim != 1 or energies.size == 0:
+        energies = array("d", energies)  # TypeError unless a flat sequence of numbers
+        count = len(energies)
+        multiplicities = array("d", [1.0] * count if multiplicities is None else multiplicities)
+        if not count:
             raise InputError("energies must be a nonempty one-dimensional sequence")
-        multiplicities = (np.ones_like(energies) if multiplicities is None
-                          else np.array(multiplicities, dtype=np.float64))
-        if multiplicities.shape != energies.shape:
-            raise InputError(f"got {multiplicities.size} multiplicities "
-                             f"for {energies.size} energies")
-        if not np.all(np.isfinite(energies)):
+        if len(multiplicities) != count:
+            raise InputError(f"got {len(multiplicities)} multiplicities for {count} energies")
+        if not all(map(math.isfinite, energies)):
             raise InputError("energies must be finite")
-        if not np.all(
-            np.isfinite(multiplicities)
-            & (multiplicities >= 1.0)
-            & (multiplicities == np.floor(multiplicities))
-        ):
+        if not (all(map(float.is_integer, multiplicities)) and min(multiplicities) >= 1.0):
             raise InputError("each multiplicity must be a positive integer")
-        order = np.lexsort((multiplicities, energies))
-        energies, multiplicities = energies[order], multiplicities[order]
-        energies.flags.writeable = multiplicities.flags.writeable = False
-        super().__init__(energies, multiplicities)
+        if any(map(ge, energies, energies[1:])):  # not strictly ascending: sort the pairs
+            energies, multiplicities = map(array, "dd", zip(*sorted(zip(energies, multiplicities))))
+        super().__init__(memoryview(energies).toreadonly(), memoryview(multiplicities).toreadonly())
 
     def __len__(self) -> int:
-        return self.energies.size
+        return len(self.energies)
+
+    def _values(self) -> tuple:  # for pickle and repr: a memoryview's list
+        return self.energies.tolist(), self.multiplicities.tolist()
 
 
 def solve_radial_numeric(
@@ -131,13 +132,18 @@ def solve_radial_numeric(
     thermo.free_difference_energies, or if a shifted energy or the
     Gershgorin bound 4 pref/h^2 + max|U| is not finite.
     """
+    import numpy as np
     free = free_difference_energies(r0, grid_points, k_lowest, u)
     named = {"r0": r0, "grid_points": grid_points, "k_lowest": k_lowest}
     u_interior = None if potential is None else _interior_potential(potential, r0, grid_points)
     if u_interior is None or np.all(u_interior == u_interior[0]):
         energies = np.array(free) + (0.0 if u_interior is None else float(u_interior[0]))
         require_level_range(energies[-1], **named)
-        modes = _free_modes(r0, grid_points, k_lowest)
+        # eigenvector j of tridiag(-1, 2, -1) is sin(j pi i / (N - 1)) at node i, positive at
+        # i = 1; sqrt(2 / r0) makes sum(u^2) * h = 1, and the endpoints are zero
+        ji = np.arange(1.0, k_lowest + 1.0)[:, None] * np.arange(float(grid_points))
+        modes = math.sqrt(2.0 / r0) * np.sin(ji * (math.pi / (grid_points - 1)))
+        modes[:, 0] = modes[:, -1] = 0.0
     else:
         h = r0 / (grid_points - 1)
         inv_h2 = kinetic_prefactor(u) / (h * h)
@@ -157,6 +163,7 @@ def solve_radial_numeric(
 
 def _interior_potential(potential, r0: float, grid_points: int) -> np.ndarray:
     # U at the interior nodes, from a callable or from samples on the full grid
+    import numpy as np
     grid = np.linspace(0.0, r0, grid_points)
     if callable(potential):
         values = np.zeros(grid_points)
@@ -173,17 +180,6 @@ def _interior_potential(potential, r0: float, grid_points: int) -> np.ndarray:
     return values[1:-1]
 
 
-def _free_modes(r0: float, grid_points: int, k_lowest: int) -> np.ndarray:
-    # Eigenvector j of tridiag(-1, 2, -1) is sin(j pi i / (N - 1)) at node i;
-    # sqrt(2 / r0) makes sum(u^2) * h = 1, and every first interior value
-    # is positive. The endpoints are zero by the boundary condition.
-    j = np.arange(1, k_lowest + 1, dtype=np.float64)[:, None]
-    i = np.arange(grid_points, dtype=np.float64)
-    modes = math.sqrt(2.0 / r0) * np.sin(j * i * (math.pi / (grid_points - 1)))
-    modes[:, 0] = modes[:, -1] = 0.0
-    return modes
-
-
 def _lapack_lowest(
     diagonal: np.ndarray, off_diagonal: np.ndarray, k_lowest: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -191,6 +187,7 @@ def _lapack_lowest(
     # stebz (bisection with Sturm counts), and unit eigenvector columns by stein.
     # Deferred: scipy.linalg is most of the package's import time, and only
     # a nonconstant potential needs it.
+    import numpy as np
     from scipy.linalg import eigh_tridiagonal
 
     energies, vectors = eigh_tridiagonal(
@@ -208,18 +205,22 @@ def hilbert_dim_min(spectrum: Spectrum) -> int:
     """Dimension of the lowest-energy eigenspace of a spectrum: the summed multiplicity of
     the levels up to the first relative gap above thermo.DEGENERACY_REL_TOLERANCE. A change
     of units cannot change it, and neither can how far the spectrum extends."""
-    levels = zip(map(float, spectrum.energies), map(float, spectrum.multiplicities))
-    return int(_ground_dimension(levels))
+    return int(_ground_dimension(zip(spectrum.energies, spectrum.multiplicities)))
 
 
 def _boltzmann_sum(spectrum: Spectrum, s: float) -> float:
-    """Sum of multiplicity * exp(-s * energy) over every level, rounded once."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = spectrum.multiplicities * np.exp(-s * spectrum.energies)
-    if math.isinf(s):  # s overflowed: inf * 0 gave nan, but a zero level weighs exp(0) = 1
-        zero = spectrum.energies == 0.0
-        terms[zero] = spectrum.multiplicities[zero]
-    total = math.fsum(terms[terms != 0.0].tolist())
+    """Sum of multiplicity * exp(-s * energy) over every level, rounded once. The levels
+    ascend, so it stops at the first weight that underflows to 0.0, as every later one does."""
+    energies, multiplicities = spectrum.energies, spectrum.multiplicities
+    try:
+        if math.isinf(s):  # s * 0 is nan, but a zero level weighs exp(0) = 1
+            zero = [m for e, m in zip(energies, multiplicities) if e == 0.0]
+            total = math.inf if energies[0] < 0.0 else math.fsum(zero)
+        else:
+            weights = takewhile(bool, map(math.exp, map(mul, repeat(-s), energies)))
+            total = math.fsum(map(mul, multiplicities, weights))
+    except OverflowError:  # a weight or the sum left the double range
+        total = math.inf
     if not math.isfinite(total):
         raise OverflowError(f"spectral sum at s={s!r} exceeds the double-precision range")
     return total
@@ -233,7 +234,7 @@ def heat_trace(spectrum: Spectrum, t: float, u: UnitSystem) -> float:
     """
     require_positive("t", t)
     if spectrum.energies[0] < 0.0:
-        raise InputError(f"energies must be >= 0, got {float(spectrum.energies[0])!r}")
+        raise InputError(f"energies must be >= 0, got {spectrum.energies[0]!r}")
     return _boltzmann_sum(spectrum, t / kinetic_prefactor(u))
 
 
@@ -272,7 +273,7 @@ def quasistatic_partition(spectrum: Spectrum, tau: float, u: UnitSystem) -> floa
     """
     if not (math.isfinite(tau) and tau >= 0.0):
         raise InputError(f"tau must be >= 0 and finite, got {tau!r}")
-    e_min = float(spectrum.energies[0])
+    e_min = spectrum.energies[0]
     ground = Spectrum([e_min], [hilbert_dim_min(spectrum)])
     try:
         return _boltzmann_sum(ground, tau / u.hbar)

@@ -92,7 +92,7 @@ class Frozen:
         return type(self), self._values()
 
     def __repr__(self) -> str:
-        shown = (f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        shown = (f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
         return f"{type(self).__qualname__}({', '.join(shown)})"
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spectherm import (
     NEGATIVE_INFINITE_ENTROPY,
@@ -86,7 +86,116 @@ def run_json(capsys, argv):
     return json.loads(captured.out)
 
 
+def loadtxt_levels(text):
+    """A level file's text as the numpy parser read it: np.loadtxt on the lines with content
+    (blanks and comments are dropped), then Spectrum's checks. Returns the sorted columns'
+    bytes, or (lineno, line, reason) for the first line that fails alone, or None if no
+    line has content."""
+    import numpy as np
+
+    def table(lines):
+        return np.loadtxt(lines, delimiter=",", comments="#", dtype=np.float64, ndmin=2)
+
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    rows = [(n, line) for n, line in enumerate(lines, start=1) if line.split("#", 1)[0].strip()]
+    for lineno, line in rows:
+        try:
+            (energy, *rest), = table([line]).tolist()
+        except ValueError as exc:
+            return lineno, line, str(exc).split(" at row ")[0]
+        if len(rest) != 1:
+            return lineno, line, f"expected 'energy,multiplicity', got {len(rest) + 1} columns"
+        if not math.isfinite(energy):
+            return lineno, line, "energies must be finite"
+        if not (math.isfinite(rest[0]) and rest[0] >= 1.0 and rest[0] == math.floor(rest[0])):
+            return lineno, line, "each multiplicity must be a positive integer"
+    if rows:
+        levels = table([line for _, line in rows])
+        levels = levels[np.lexsort((levels[:, 1], levels[:, 0]))]
+        return levels[:, 0].tobytes(), levels[:, 1].tobytes()
+    return None
+
+
+ENERGIES = ["0", "-0.0", "0.5", ".5", "1.", "+1", "-3", "1e3", "1E-320", "2.5e-3", "7"]
+COUNTS = ["1", "3", "2.0", "1e3", "+1", "1.", "1000000000000000000000000000000"]
+FIELDS = ENERGIES + COUNTS + ["1e999", "inf", "-inf", "Infinity", "nan", "NaN", "1_000", "0",
+                              "\u0663", "1\u0663", "x", "", "0x10", "1 2", "1\x0b2", "1\x002"]
+BLANKS = ["", " ", "\t", "\x0c", "\x0b", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+
+
+def padded(fields):
+    blank = st.sampled_from(BLANKS)
+    return st.builds("".join, st.tuples(blank, st.sampled_from(fields), blank))
+
+
+def level_line(*columns):
+    return st.builds(
+        lambda indent, fields, comment: indent + ",".join(fields) + comment,
+        st.sampled_from(["", "  ", "\t"]),
+        st.tuples(*columns) if columns else st.lists(padded(FIELDS), min_size=1, max_size=3),
+        st.sampled_from(["", "# c", "  # inline, 1", "#", "#\u00e9"]),
+    )
+
+
+# rows that parse, and blank and comment lines; the test adds up to two rows of any fields
+good_or_blank = st.one_of(
+    level_line(padded(ENERGIES), padded(COUNTS)),
+    st.sampled_from(["", " ", "\t \x0c", "# comment", "  # indented", "\xa0", "\x85"]),
+)
+
+
 class TestLoadLevels:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @example(lines=["1\u0663,1"], odd=[], newline="\n", last=True)  # float() reads 13
+    @example(lines=["0,1", "5", "1,2,3"], odd=[], newline="\n", last=True)  # 4 fields, 3 rows
+    @example(lines=["2,1_000"], odd=[], newline="\r\n", last=False)  # float() reads 1000
+    @example(lines=["\x1c2,1", " 1 , 3 # c"], odd=[], newline="\r", last=False)  # float() refuses
+    @given(
+        lines=st.lists(good_or_blank, max_size=12),
+        odd=st.lists(st.tuples(st.integers(min_value=0, max_value=12), level_line()), max_size=2),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        last=st.booleans(),
+    )
+    def test_parser_matches_the_loadtxt_semantics(self, tmp_path_factory, lines, odd, newline, last):
+        # same files accepted, same bits, same first bad line and message
+        for at, line in odd:
+            lines = lines[:at] + [line] + lines[at:]
+        text = newline.join(lines) + (newline if last else "")
+        path = tmp_path_factory.mktemp("levels") / "levels.txt"
+        path.write_bytes(text.encode("utf-8"))
+        expected = loadtxt_levels(text)
+        if expected is None or len(expected) == 3:
+            lineno, line, reason = expected or (None, None, "no levels found")
+            where = f"{path}" if lineno is None else f"{path}:{lineno}"
+            tail = "" if lineno is None else f", in line {line!r}"
+            with pytest.raises(InputError) as raised:
+                load_levels(path)
+            assert str(raised.value) == f"{where}: {reason}{tail}"
+        else:
+            levels = load_levels(path)
+            assert (levels.energies.tobytes(), levels.multiplicities.tobytes()) == expected
+
+    @pytest.mark.parametrize("bad", [None, 2, 9000, 39000])
+    def test_chunks_read_as_one_text(self, tmp_path, bad):
+        # about 0.8 MB, 12 chunks of 64 KB; a non-ASCII comment, a blank line and an
+        # inline comment sit in later chunks, and the bad row in the first, a middle or the last
+        lines = [f"{(j * 0.37) % 50.0!r},{1 + j % 3}" for j in range(40000)]
+        lines[12345] = "# r\u00e9sum\u00e9"
+        lines[20000] = "   "
+        lines[30000] += "  # inline"
+        if bad is not None:
+            lines[bad - 1] = "1,2,3"
+        text = "\n".join(lines) + "\n"
+        path = tmp_path / "levels.txt"
+        path.write_text(text, encoding="utf-8")
+        expected = loadtxt_levels(text)
+        if bad is None:
+            levels = load_levels(path)
+            assert (levels.energies.tobytes(), levels.multiplicities.tobytes()) == expected
+        else:
+            with pytest.raises(InputError, match=rf":{bad}: .*got 3 columns, in line '1,2,3'$"):
+                load_levels(path)
+
     def test_basic_file(self, tmp_path):
         path = tmp_path / "levels.txt"
         path.write_text("0,1\n1,2\n")
@@ -1236,6 +1345,9 @@ class TestFreshProcess:
             "first = loaded()\n"
             "import spectherm.cli\n"
             "from spectherm import duality_map, entropy_expectation, interval_heat_trace\n"
+            "from spectherm import Spectrum, heat_trace, natural_units, qm_partition\n"
+            "levels = Spectrum([0.0, 1.0], [2, 1])\n"
+            "heat_trace(levels, 1.0, natural_units()), qm_partition(levels, 1.0, natural_units())\n"
             "print(first, loaded())",
         )
         assert probe.returncode == 0, probe.stderr
@@ -1266,13 +1378,14 @@ class TestFreshProcess:
         ],
         ids=" ".join,
     )
-    def test_array_subcommand_loads_numpy(self, tmp_path, argv):
-        # the probe's positive control: the handlers that read a level file
+    def test_level_file_subcommand_loads_no_numpy(self, tmp_path, argv):
+        # the handlers that read a level file parse and sum it with the standard library
         (tmp_path / "levels.txt").write_text("1,1\n")
         argv = [str(tmp_path / a) if a == "levels.txt" else a for a in argv]
         probe = run_python("-c", MODULE_PROBE, *argv)
         assert probe.returncode == 0, probe.stderr
-        assert {"numpy", "spectherm.spectra"} <= set(probe.stderr.split())
+        loaded = set(probe.stderr.split())
+        assert "spectherm.spectra" in loaded and "numpy" not in loaded
 
     @pytest.mark.parametrize("domain", ["ball", "cube"])
     def test_partition_loads_no_heattrace(self, domain):

@@ -22,6 +22,7 @@ from spectherm import (
     interval_energies,
     natural_units,
     qm_partition,
+    quasistatic_partition,
     weyl_convergence_scan,
     weyl_volume_estimate,
 )
@@ -74,6 +75,16 @@ class TestSpectrum:
         with pytest.raises(InputError, match=r"^got 1 multiplicities for 2 energies$"):
             Spectrum([1.0, 2.0], [1.0])
 
+    def test_numpy_arrays_in_and_out(self):
+        # any sequence of numbers goes in; np.asarray reads a column without a copy
+        levels = Spectrum(np.array([2.0, 1.0]), np.array([1, 3]))
+        energies = np.asarray(levels.energies)
+        assert energies.tolist() == [1.0, 2.0] and not energies.flags.writeable
+        assert np.shares_memory(energies, np.asarray(levels.energies))
+        assert levels.multiplicities.tobytes() == np.array([3.0, 1.0]).tobytes()
+        with pytest.raises(TypeError):
+            levels.energies[0] = 0.0
+
     def test_zero_energy_level_accepted(self, u):
         result = heat_trace(Spectrum([0.0], [2]), 3.0, u)
         assert result == 2.0
@@ -100,7 +111,7 @@ class TestHeatTrace:
         u2 = UnitSystem(hbar=2.0, k_boltzmann=1.0, mass=1.0)
         levels_natural = interval_levels(50)
         levels_scaled = Spectrum(
-            levels_natural.energies * 2.0, levels_natural.multiplicities
+            [e * 2.0 for e in levels_natural.energies], levels_natural.multiplicities
         )
         a = heat_trace(levels_natural, 0.05, natural_units())
         b = heat_trace(levels_scaled, 0.05, u2)
@@ -196,7 +207,7 @@ class TestWeylVolumeEstimate:
         # lambda -> lambda/s^2 with t -> t s^2 rescales the estimate by s^d
         s = 2.5
         levels = interval_levels(200)
-        scaled = Spectrum(levels.energies / s**2, levels.multiplicities)
+        scaled = Spectrum([e / s**2 for e in levels.energies], levels.multiplicities)
         t = 1e-3
         base = weyl_volume_estimate(levels, t, 1, u)
         stretched = weyl_volume_estimate(scaled, t * s**2, 1, u)
@@ -351,6 +362,23 @@ class TestLevelHelpers:
         assert hilbert_dim_min(Spectrum([0.0, 0.0, 1e-300])) == 2
 
 
+def boltzmann_sum_budget(levels, s):
+    """The sum of m exp(-s E) over the double (E, m) at 60 digits, and the kernel's budget:
+    2 eps of the sum (math.exp is within an ulp, each product and the sum within half of
+    one), eps/2 |s E| of each term (the rounded exponent), and 2**-1074 per unit of the
+    multiplicity of each term whose weight is subnormal or underflows."""
+    with mp.workdps(60):
+        terms, budget = [], mp.mpf(0)
+        for e, m in levels:
+            x = mp.mpf(s) * e if e else mp.mpf(0)  # s = inf: a zero level still weighs 1
+            weight = mp.exp(-x)
+            terms.append(m * weight)
+            budget += EPS / 2 * m * weight * abs(x) if weight else 0
+            budget += 2.0**-1074 * m if weight < 2.0**-1022 else 0
+        total = mp.fsum(terms)
+        return total, budget + 2 * EPS * total
+
+
 class TestSpectralSumKernel:
     @PROPERTY
     @given(levels=level_lists, s=scales, data=st.data())
@@ -375,6 +403,34 @@ class TestSpectralSumKernel:
         )
         assert abs(heat_trace(spectrum, s, U) - reference) <= 2 * EPS * reference
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        exponents=st.lists(st.floats(min_value=-660.0, max_value=800.0), min_size=1, max_size=30),
+        multiplicities=st.lists(st.integers(min_value=1, max_value=10**30), min_size=33, max_size=33),
+        s=st.floats(min_value=1e-3, max_value=1e3),
+        zeros=st.integers(min_value=0, max_value=3),
+        infinite=st.booleans(),
+    )
+    def test_sums_within_their_rounding_budget_of_mpmath(
+        self, exponents, multiplicities, s, zeros, infinite
+    ):
+        energies = [x / s for x in exponents] + [0.0] * zeros
+        spectrum = Spectrum(energies, multiplicities[: len(energies)])
+        # in these units tau/hbar and t/(hbar^2/2m) overflow to s = inf
+        u, arg = (UnitSystem(1e-150, 1.0, 0.5), 1e300) if infinite else (U, s)
+        levels = list(zip(spectrum.energies, spectrum.multiplicities))
+        cases = [(qm_partition, levels),
+                 (quasistatic_partition, [(levels[0][0], hilbert_dim_min(spectrum))])]
+        if levels[0][0] >= 0.0:
+            cases.append((heat_trace, levels))
+        for function, summed in cases:
+            exact, budget = boltzmann_sum_budget(summed, math.inf if infinite else s)
+            if exact > sys.float_info.max:
+                with pytest.raises(OverflowError):
+                    function(spectrum, arg, u)
+            else:
+                assert abs(mp.mpf(function(spectrum, arg, u)) - exact) <= budget, function
+
     def test_huge_multiplicity_behind_a_gap_is_summed(self, u):
         # the last term is 1e30 * exp(-101), about 1.4e-14 of the total
         spectrum = Spectrum([0.0, 1.0, 100.0, 101.0], [1, 1, 1, 10**30])
@@ -398,7 +454,7 @@ class TestSpectralSumKernel:
     def test_underflowed_levels_change_no_bit(self, levels, s, padding):
         # s * E > 746 makes exp(-s * E) exactly 0.0, whatever the multiplicity
         pad = [(x / s, m) for x, m in padding]
-        assert np.all(np.exp(-s * np.array([e for e, _ in pad])) == 0.0)
+        assert all(math.exp(-s * e) == 0.0 for e, _ in pad)
         base, padded = Spectrum(*zip(*levels)), Spectrum(*zip(*(levels + pad)))
         assert heat_trace(padded, s, U) == heat_trace(base, s, U)
         assert qm_partition(padded, s, U) == qm_partition(base, s, U)
@@ -407,19 +463,19 @@ class TestSpectralSumKernel:
         # t/pref = 1e10/1e-300 overflows to s = inf, where only E = 0 keeps a weight
         u = UnitSystem(1e-150, 1.0, 0.5)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # inf * 0 must not reach numpy as nan
+            warnings.simplefilter("error")  # inf * 0 must not become a nan term
             assert heat_trace(Spectrum([0.0, 1.0]), 1e10, u) == 1.0
             assert heat_trace(Spectrum([0.0, 1.0], [4, 1]), 1e10, u) == 4.0
             assert heat_trace(Spectrum([1.0]), 1e10, u) == 0.0
 
     def test_subnormal_terms_are_all_summed(self, u):
-        energies = np.linspace(740.0, 744.0, 9)
-        multiplicities = np.arange(1.0, 10.0)
-        terms = multiplicities * np.exp(-energies)
-        assert np.all((terms > 0.0) & (terms < np.finfo(np.float64).tiny))
+        energies = [740.0 + k / 2 for k in range(9)]
+        multiplicities = [k + 1.0 for k in range(9)]
+        terms = [m * math.exp(-e) for e, m in zip(energies, multiplicities)]
+        assert all(0.0 < term < sys.float_info.min for term in terms)
         spectrum = Spectrum(energies, multiplicities)
-        assert heat_trace(spectrum, 1.0, u) == math.fsum(terms.tolist()) > 0.0
-        assert qm_partition(spectrum, 1.0, u) == math.fsum(terms.tolist())
+        assert heat_trace(spectrum, 1.0, u) == math.fsum(terms) > 0.0
+        assert qm_partition(spectrum, 1.0, u) == math.fsum(terms)
 
 
 def test_radial_levels_feed_heat_trace(u):

@@ -449,7 +449,7 @@ class TestHilbertDimMin:
     def test_unchanged_when_energies_scale_by_a_power_of_two(self, levels, k):
         energies, multiplicities = zip(*levels)
         spectrum = Spectrum(energies, multiplicities)
-        scaled = Spectrum(spectrum.energies * 2.0**k, spectrum.multiplicities)
+        scaled = Spectrum([e * 2.0**k for e in spectrum.energies], spectrum.multiplicities)
         assert hilbert_dim_min(scaled) == hilbert_dim_min(spectrum)
 
 

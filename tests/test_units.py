@@ -80,13 +80,13 @@ def test_unit_system_is_immutable():
 
 
 # The value classes: each with its fields, given positionally and by keyword,
-# its repr, and whether it compares by value (Spectrum, which holds arrays,
+# its repr, and whether it compares by value (Spectrum, which holds memoryviews,
 # compares by identity).
 VALUE_CLASSES = [
     (UnitSystem, dict(hbar=1.0, k_boltzmann=1.0, mass=0.5),
      "UnitSystem(hbar=1.0, k_boltzmann=1.0, mass=0.5)", True),
     (Spectrum, dict(energies=[2.0, 1.0], multiplicities=[1.0, 3.0]),
-     "Spectrum(energies=array([1., 2.]), multiplicities=array([3., 1.]))", False),
+     "Spectrum(energies=[1.0, 2.0], multiplicities=[3.0, 1.0])", False),
 ]
 
 
