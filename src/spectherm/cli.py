@@ -17,7 +17,7 @@ custom domain names a level file, and that duality gets a value.
 
 No subcommand imports numpy. Only a custom domain's level file (load_levels)
 imports spectra: every spectrum table takes its rows from thermo, and thermo
-sums the ball's and the cube's partition functions from their factors. Only
+sums every partition function, a level file's too, with its one kernel. Only
 weyl imports heattrace (and fractions), so entropy, fiducial, duality,
 spectrum and partition load neither; csv output is joined by hand.
 
@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Sequence
 from .specfun import MAX_SUBDIVISIONS, QuadratureError
 from .thermo import (
     DEGENERACY_REL_TOLERANCE, ENTROPY_TOLERANCE, NEGATIVE_INFINITE_ENTROPY, NoRealSolution,
-    _ball_partition, _cube_partition, box_modes, duality_map,
+    _ball_partition, _cube_partition, _custom_partition, box_modes, duality_map,
     duality_map_from_temperature, entropy_expectation, free_difference_energies,
     interval_energies, solve_fiducial_wavenumber, sphere_energies,
 )
@@ -256,19 +256,8 @@ def _cmd_partition(args, u: UnitSystem):
         config = {"domain": "cube", "L": args.L, "d": d, "n_max_per_axis": args.n_max}
         sums = _cube_partition(args.L, d, args.n_max, args.tau, u)
     else:
-        from . import spectra
-
-        levels = _custom_levels(args)
         config = {"domain": "custom", "levels": str(args.levels)}
-        dim_min = spectra.hilbert_dim_min(levels)
-        quasistatic = spectra.quasistatic_partition(levels, args.tau, u)
-        sums = [quasistatic, dim_min, len(levels), None, None]
-        if args.tau > 0.0:
-            # exp(-E_min tau / hbar) cancelled: finite and >= 1 where both sums underflow
-            shift = map(float.__sub__, levels.energies, repeat(levels.energies[0]))
-            shifted = spectra.Spectrum(shift, levels.multiplicities)
-            sums[3:] = (spectra.qm_partition(levels, args.tau, u),
-                        spectra.qm_partition(shifted, args.tau, u) / dim_min)
+        sums = _custom_partition(_custom_levels(args), args.tau, u, args.levels)
 
     config["tau"] = args.tau
     config["degeneracy_rel_tolerance"] = DEGENERACY_REL_TOLERANCE

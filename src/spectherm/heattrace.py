@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import count, takewhile
+from itertools import count
 from typing import Callable, NamedTuple, Sequence
 
+from .thermo import _exp_sum
 from .units import PI_RATIONAL, InputError, require_at_least, require_normal, require_positive
 
 _PI = Fraction(*PI_RATIONAL)
@@ -31,11 +32,6 @@ class WeylScanRow(NamedTuple):
     volume_estimate: float
 
 
-def _gaussians(scale: float) -> list[float]:
-    """exp(-scale k^2) for k = 1, 2, ..., up to the first that underflows to 0.0."""
-    return list(takewhile(bool, (math.exp(-k * k * scale) for k in count(1))))
-
-
 def interval_heat_trace(length: float, t: float) -> float:
     """sum_{n>=1} exp(-t (n pi/length)^2), the Dirichlet interval trace, untruncated.
 
@@ -43,20 +39,20 @@ def interval_heat_trace(length: float, t: float) -> float:
     86). Below that it is (c (1 + 2 S) - 1)/2 with c = length/sqrt(pi t),
     where S sums every nonzero exp(-k^2 length^2/t) (at most 2): Jacobi's
     theta inversion, DLMF 20.7.32. a and c^2 are exact rationals rounded
-    once, c carries a Newton correction, and each side goes through fsum.
+    once, c carries a Newton correction, and each side is one thermo._exp_sum.
     """
     require_positive("length", length)
     require_normal("t", t)
     a = Fraction(t) * _PI**2 / Fraction(length) ** 2
-    if a >= Fraction(1, 10):
-        return math.fsum(_gaussians(float(min(a, 746))))  # float(a) may overflow; exp(-746) == 0
+    if a >= Fraction(1, 10):  # float(a) may overflow; exp(-746) == 0
+        return _exp_sum(float(min(a, 746)), ((k * k, 1) for k in count(1)))
     e = (a.denominator.bit_length() - a.numerator.bit_length()) // 2
     s = _PI / a / Fraction(4) ** e  # c^2 / 4^e, near 1
     root = math.sqrt(s)
     c = math.ldexp(root, e)  # OverflowError if the trace does not fit a double
     c_low = math.ldexp(float((s - Fraction(root) ** 2) / (2 * Fraction(root))), e)
-    dual = _gaussians(length / t * length)  # exp(-k^2 length^2/t)
-    return 0.5 * math.fsum([c, c_low, -1.0] + [2.0 * c * q for q in dual])
+    dual = ((k * k, 2.0 * c) for k in count(1))  # 2 c exp(-k^2 length^2/t)
+    return 0.5 * _exp_sum(length / t * length, dual, [c, c_low, -1.0])
 
 
 def _times_weyl_power(a: float, t: float, p: Fraction) -> float:

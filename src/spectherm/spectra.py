@@ -7,12 +7,8 @@ one degeneracy rule. The analytic families need no level list.
 The heat trace at diffusion time t (heat_trace, weyl_volume_estimate) and
 the partition function at imaginary time tau (qm_partition,
 thermal_partition, quasistatic_partition) are the same sum of
-m * exp(-s * E), with s = t/(hbar^2/2m) or s = tau/hbar. One kernel
-evaluates it for all of them with math.exp: every term of the finite
-spectrum is summed exactly by math.fsum (Shewchuk's algorithm) and rounded
-once, so the result does not depend on the order of the levels and nothing
-is truncated: the terms after the first that underflows to exactly 0.0 are
-0.0 too, and every nonzero term, subnormal ones too, is summed.
+m * exp(-s * E), with s = t/(hbar^2/2m) or s = tau/hbar, which thermo's one
+kernel (_exp_sum) sums exactly and rounds once, with nothing truncated.
 
 A finite-difference solver covers the radial problem with an arbitrary
 radial potential, given as a callable U(r) or as samples on the grid.
@@ -39,11 +35,13 @@ from __future__ import annotations
 import math
 from array import array
 from functools import partial
-from itertools import repeat, takewhile
-from operator import ge, mul
+from operator import eq, ge
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .thermo import _ground_dimension, duality_map_from_temperature, free_difference_energies
+from .thermo import (
+    _exp_sum, _ground_dimension, _partition_sums, duality_map_from_temperature,
+    free_difference_energies,
+)
 from .units import (
     Frozen,
     InputError,
@@ -78,7 +76,8 @@ class Spectrum(Frozen):
     multiplicity, and keeps each column as a read-only memoryview of an
     array('d') (it has .tolist() and .tobytes(), and np.asarray reads it),
     so a Spectrum is validated once and never changes. len() is the number
-    of levels, and a Spectrum equals only itself.
+    of levels, iterating yields (energy, multiplicity) pairs, and a Spectrum
+    equals only itself.
     """
 
     __slots__ = ("energies", "multiplicities")
@@ -96,12 +95,21 @@ class Spectrum(Frozen):
             raise InputError("energies must be finite")
         if not (all(map(float.is_integer, multiplicities)) and min(multiplicities) >= 1.0):
             raise InputError("each multiplicity must be a positive integer")
-        if any(map(ge, energies, energies[1:])):  # not strictly ascending: sort the pairs
-            energies, multiplicities = map(array, "dd", zip(*sorted(zip(energies, multiplicities))))
+        if any(map(ge, energies, energies[1:])):  # not strictly ascending: sort stably
+            order = sorted(range(count), key=energies.__getitem__)
+            ordered = array("d", map(energies.__getitem__, order))
+            if any(map(eq, ordered, ordered[1:])):  # equal energies ascend in multiplicity
+                order = sorted(sorted(range(count), key=multiplicities.__getitem__),
+                               key=energies.__getitem__)
+                ordered = array("d", map(energies.__getitem__, order))
+            energies, multiplicities = ordered, array("d", map(multiplicities.__getitem__, order))
         super().__init__(memoryview(energies).toreadonly(), memoryview(multiplicities).toreadonly())
 
     def __len__(self) -> int:
         return len(self.energies)
+
+    def __iter__(self):  # the (energy, multiplicity) pairs, in ascending energy
+        return zip(self.energies, self.multiplicities)
 
     def _values(self) -> tuple:  # for pickle and repr: a memoryview's list
         return self.energies.tolist(), self.multiplicities.tolist()
@@ -205,25 +213,7 @@ def hilbert_dim_min(spectrum: Spectrum) -> int:
     """Dimension of the lowest-energy eigenspace of a spectrum: the summed multiplicity of
     the levels up to the first relative gap above thermo.DEGENERACY_REL_TOLERANCE. A change
     of units cannot change it, and neither can how far the spectrum extends."""
-    return int(_ground_dimension(zip(spectrum.energies, spectrum.multiplicities)))
-
-
-def _boltzmann_sum(spectrum: Spectrum, s: float) -> float:
-    """Sum of multiplicity * exp(-s * energy) over every level, rounded once. The levels
-    ascend, so it stops at the first weight that underflows to 0.0, as every later one does."""
-    energies, multiplicities = spectrum.energies, spectrum.multiplicities
-    try:
-        if math.isinf(s):  # s * 0 is nan, but a zero level weighs exp(0) = 1
-            zero = [m for e, m in zip(energies, multiplicities) if e == 0.0]
-            total = math.inf if energies[0] < 0.0 else math.fsum(zero)
-        else:
-            weights = takewhile(bool, map(math.exp, map(mul, repeat(-s), energies)))
-            total = math.fsum(map(mul, multiplicities, weights))
-    except OverflowError:  # a weight or the sum left the double range
-        total = math.inf
-    if not math.isfinite(total):
-        raise OverflowError(f"spectral sum at s={s!r} exceeds the double-precision range")
-    return total
+    return int(_ground_dimension(spectrum))
 
 
 def heat_trace(spectrum: Spectrum, t: float, u: UnitSystem) -> float:
@@ -235,7 +225,7 @@ def heat_trace(spectrum: Spectrum, t: float, u: UnitSystem) -> float:
     require_positive("t", t)
     if spectrum.energies[0] < 0.0:
         raise InputError(f"energies must be >= 0, got {spectrum.energies[0]!r}")
-    return _boltzmann_sum(spectrum, t / kinetic_prefactor(u))
+    return _exp_sum(t / kinetic_prefactor(u), spectrum)
 
 
 def weyl_volume_estimate(spectrum: Spectrum, t: float, d: int, u: UnitSystem) -> float:
@@ -251,7 +241,7 @@ def qm_partition(spectrum: Spectrum, tau: float, u: UnitSystem) -> float:
     kernel, so in natural units it equals heat_trace at t = tau bit for bit.
     """
     require_positive("tau", tau)
-    return _boltzmann_sum(spectrum, tau / u.hbar)
+    return _exp_sum(tau / u.hbar, spectrum)
 
 
 def thermal_partition(spectrum: Spectrum, temperature: float, u: UnitSystem) -> float:
@@ -267,18 +257,8 @@ def quasistatic_partition(spectrum: Spectrum, tau: float, u: UnitSystem) -> floa
     """Ground-level contribution: dim(lowest eigenspace) * exp(-E_min tau / hbar).
 
     The eigenspace counts the levels degenerate with the minimum under the
-    default tolerance. The term goes through qm_partition's kernel as a
-    one-level spectrum: at tau = 0 it is that dimension exactly, and on a
-    one-level spectrum it equals qm_partition bit for bit.
+    default tolerance. The term goes through qm_partition's kernel as one
+    level: at tau = 0 it is that dimension exactly, and on a one-level
+    spectrum it equals qm_partition bit for bit.
     """
-    if not (math.isfinite(tau) and tau >= 0.0):
-        raise InputError(f"tau must be >= 0 and finite, got {tau!r}")
-    e_min = spectrum.energies[0]
-    ground = Spectrum([e_min], [hilbert_dim_min(spectrum)])
-    try:
-        return _boltzmann_sum(ground, tau / u.hbar)
-    except OverflowError:
-        raise OverflowError(
-            f"quasistatic partition at tau={tau!r} with E_min={e_min!r} "
-            "exceeds the double-precision range"
-        ) from None
+    return _partition_sums(tau, u, spectrum.energies[0], hilbert_dim_min(spectrum))[0]

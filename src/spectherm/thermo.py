@@ -7,10 +7,10 @@ finite-difference levels), the relation |psi|^2 = exp(S/k_B), the
 constraint fixing the fiducial wavenumber, and the tau <-> T substitution
 tau = hbar/(k_B T), whose two maps return the dual as a float that must be
 a normal double (OverflowError otherwise), the `spectrum` table rows
-(sphere_energies, interval_energies, box_modes), the one degeneracy rule, and
-the ball's and the cube's partition sums, formed from their factors. All of
-these take plain Python numbers, each checked where it is read, so this module
-uses no arrays; a level file's sums live beside the spectral kernel, in spectra.
+(sphere_energies, interval_energies, box_modes), the one degeneracy rule, the
+package's one sum of m exp(-s E) over levels, and the partition sums of the
+ball, the cube and a level file. All of these take plain Python numbers, each
+checked where it is read, so this module uses no arrays.
 
 The fiducial entropy S0 may be the formal value -infinity; that limit is carried as
 an explicit IEEE -inf (never a large negative float) and short circuits the wavenumber
@@ -202,22 +202,40 @@ def _ground_dimension(levels) -> int:
     return dim
 
 
-def _factor_power(s: float, levels, d: int = 1) -> float:
-    # (sum of m exp(-s E) over (E, m) pairs in ascending E, the first E = 0)**d. A term near m
-    # is m + m expm1(-x), and the exact sum is hi + lo, so the power multiplies neither a
-    # term's rounding nor the sum's by d. The terms stop at the first exp that underflows to
-    # 0.0, as every later one does; E = 0 weighs m, also where s is inf.
-    parts = []
-    for e, m in levels:
-        x = s * e if e else 0.0
-        if x < 0.5:
-            parts += (m, m * math.expm1(-x))
-        elif term := m * math.exp(-x):
-            parts.append(term)
-        else:
-            break
-    hi = math.fsum(parts)  # at least 1, from E = 0
-    return hi**d + d * hi ** (d - 1) * math.fsum(parts + [-hi])
+def _exp_sum(s: float, levels, parts: list | None = None) -> float:
+    # The package's one sum of m exp(-s E), over (E, m) pairs in ascending E, rounded once by
+    # fsum. A term with x = s E < 0.5 is m + m expm1(-x), so it keeps the digits of x. The
+    # terms stop at the first weight that underflows to 0.0, as every later one does; E = 0
+    # weighs m, also where s is inf. A list given as parts keeps the terms, and what it held
+    # is summed with them. OverflowError naming s unless the sum is a finite double.
+    def terms(exp=math.exp, expm1=math.expm1, minus_s=-s):
+        for e, m in levels:
+            x = minus_s * e if e else 0.0
+            if x > -0.5:
+                yield m
+                yield m * expm1(x)
+            elif weight := exp(x):
+                yield m * weight
+            else:
+                return
+
+    try:  # expm1 or the partial sums may leave the double range
+        if parts is not None:
+            parts += terms()
+        total = math.fsum(terms() if parts is None else parts)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise OverflowError(f"spectral sum at s={s!r} exceeds the double-precision range")
+    return total
+
+
+def _factor_power(s: float, levels, d: int) -> float:
+    # _exp_sum(s, levels)**d from its exact sum hi + lo, so that the power multiplies
+    # neither a term's rounding nor the sum's by d; hi alone at d = 1.
+    parts = None if d == 1 else []
+    hi = _exp_sum(s, levels, parts)
+    return hi if d == 1 else hi**d + d * hi ** (d - 1) * math.fsum(parts + [-hi])
 
 
 def _ball_levels(pref: float, scale: float, n_max: int, l_max: int):
@@ -234,19 +252,26 @@ def _ball_levels(pref: float, scale: float, n_max: int, l_max: int):
             heapq.heappush(heap, (scale * ((n + 1) * (n + 1)), 0, n + 1))
 
 
-def _partition_sums(tau, u: UnitSystem, scale, n_max, dim_min, count, d=1, sectors=((0.0, 1),)):
-    # (quasistatic, dim_min, count, qm, qm_over_quasistatic) at s = tau/hbar of the sectors
-    # tensored with d towers scale n^2, n <= n_max. E_min = d scale, and the sum over the levels
-    # less E_min, A(s) B(s)**d, is at least 1: the ratio does not underflow. None at tau = 0.
+def _partition_sums(tau, u: UnitSystem, e_min, dim_min, count=None, factors=(), levels=None):
+    # (quasistatic, dim_min, count, qm, qm_over_quasistatic) at s = tau/hbar; with no factors,
+    # or at tau = 0, the last two are None. The sum over the levels less E_min, at least
+    # dim_min, is the product of the factors' sums over their (pairs, power), and qm is
+    # exp(-s E_min) times it. Below E_min = 0 the shift would add eps |s E_min| to the rounding
+    # of every exponent, so there qm sums the levels themselves.
     if not (math.isfinite(tau) and tau >= 0.0):
         raise InputError(f"tau must be >= 0 and finite, got {tau!r}")
     s = tau / u.hbar
-    ground = math.exp(-s * (scale * d))
-    if tau == 0.0:
-        return dim_min * ground, dim_min, count, None, None
-    tower = ((scale * (n * n - 1), 1) for n in range(1, n_max + 1))
-    z = _factor_power(s, sectors) * _factor_power(s, tower, d)
-    return dim_min * ground, dim_min, count, ground * z, z / dim_min
+    try:
+        quasistatic = _exp_sum(s, [(e_min, dim_min)])
+    except OverflowError:
+        raise OverflowError(f"quasistatic partition at tau={tau!r} with E_min={e_min!r} "
+                            "exceeds the double-precision range") from None
+    if tau == 0.0 or not factors:
+        return quasistatic, dim_min, count, None, None
+    z = math.prod(_factor_power(s, pairs, d) for pairs, d in factors)
+    ground = math.exp(-s * e_min) if e_min > 0.0 else 1.0  # s E_min is nan at s = inf, E_min = 0
+    qm = ground * z if e_min >= 0.0 else _exp_sum(s, levels)
+    return quasistatic, dim_min, count, qm, z / dim_min
 
 
 def _ball_partition(r0: float, n_max: int, l_max: int, tau: float, u: UnitSystem) -> tuple:
@@ -260,7 +285,8 @@ def _ball_partition(r0: float, n_max: int, l_max: int, tau: float, u: UnitSystem
                          f"n_max={n_max!r}: more than 2**53")
     dim_min = _ground_dimension(_ball_levels(pref, scale, n_max, l_max))
     sectors = ((pref * (l * (l + 1.0)), 2 * l + 1) for l in range(l_max + 1))
-    return _partition_sums(tau, u, scale, n_max, dim_min, (l_max + 1) * n_max, 1, sectors)
+    tower = ((scale * (n * n - 1), 1) for n in range(1, n_max + 1))
+    return _partition_sums(tau, u, scale, dim_min, (l_max + 1) * n_max, [(sectors, 1), (tower, 1)])
 
 
 def _cube_partition(side: float, d: int, n_max: int, tau: float, u: UnitSystem) -> tuple:
@@ -272,7 +298,20 @@ def _cube_partition(side: float, d: int, n_max: int, tau: float, u: UnitSystem) 
         keys = functools.reduce(operator.or_, (keys << (n * n - 1) for n in range(1, n_max + 1)))
     # the lowest key d is simple; the next, d + 3, has d modes (none at n_max = 1)
     dim_min = _ground_dimension([(scale * d, 1), (scale * (d + 3), d)][:n_max])
-    return _partition_sums(tau, u, scale, n_max, dim_min, keys.bit_count() if d > 1 else n_max, d)
+    tower = ((scale * (n * n - 1), 1) for n in range(1, n_max + 1))
+    count = keys.bit_count() if d > 1 else n_max
+    return _partition_sums(tau, u, scale * d, dim_min, count, [(tower, d)])
+
+
+def _custom_partition(levels, tau: float, u: UnitSystem, source) -> tuple:
+    # _partition_sums of a level file's Spectrum: one walk for dim_min, exact below 2**53
+    # (InputError naming source otherwise), and one for the levels less E_min.
+    if not (dim_min := _ground_dimension(levels)) < 2**53:
+        raise InputError(f"{source}: the ground multiplicities sum to {dim_min!r}, "
+                         "2**53 or more, so dim_min would not be exact")
+    energies, e_min = levels.energies, levels.energies[0]
+    shifted = zip(map(operator.sub, energies, itertools.repeat(e_min)), levels.multiplicities)
+    return _partition_sums(tau, u, e_min, int(dim_min), len(levels), [(shifted, 1)], levels)
 
 
 def _entropy_quadrature(n: int, r0: float, u: UnitSystem) -> float:

@@ -536,6 +536,25 @@ class TestPartitionCommand:
     def test_missing_levels_flag(self, capsys):
         assert run(["partition", "--domain", "custom", "--tau", "1"]) == 2
 
+    # dim_min is a float sum of multiplicities: exact below 2**53, refused from there
+    @pytest.mark.parametrize("text, total", [("0,1e308\n0,1e308\n", "inf"),
+                                             ("0,9007199254740993\n", "9007199254740992.0")])
+    def test_ground_multiplicities_past_2_to_the_53_are_refused(self, tmp_path, text, total):
+        path = tmp_path / "levels.txt"
+        path.write_text(text)
+        code, out, err = run_captured(["partition", "--domain", "custom", "--levels", str(path)])
+        assert code == 2 and out == "" and one_error_line(err), err
+        assert err == (f"error: {path}: the ground multiplicities sum to {total}, "
+                       "2**53 or more, so dim_min would not be exact\n")
+
+    def test_ground_multiplicities_below_2_to_the_53_are_exact(self, tmp_path):
+        path = tmp_path / "levels.txt"
+        path.write_text("0,9007199254740990\n0,1\n5,9007199254740993\n")
+        code, out, err = run_captured(["partition", "--domain", "custom", "--levels", str(path),
+                                       "--tau", "0"])
+        assert code == 0, err
+        assert json.loads(out)["results"]["dim_min"] == 2**53 - 1
+
     def test_ground_dimension_independent_of_truncation(self, capsys):
         report = run_json(
             capsys, ["partition", "--domain", "ball", "--tau", "0", "--n-max", "100000"]

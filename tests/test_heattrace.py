@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import warnings
+from array import array
 from collections import Counter
 from functools import partial
 
@@ -26,6 +27,7 @@ from spectherm import (
     weyl_convergence_scan,
     weyl_volume_estimate,
 )
+from spectherm import thermo
 from spectherm.thermo import _cube_partition
 
 from oracles import (
@@ -88,6 +90,28 @@ class TestSpectrum:
     def test_zero_energy_level_accepted(self, u):
         result = heat_trace(Spectrum([0.0], [2]), 3.0, u)
         assert result == 2.0
+
+    # The order is the pair sort's: by energy, then multiplicity, then input order, with
+    # -0.0 == 0.0. Energies come from a small pool, so that ties are common.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        levels=st.lists(
+            st.tuples(
+                st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5, 5e-324, -1e300, 1e300])
+                | st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([1.0, 2.0, 3.0, 2.0**53, 2.0**53 + 2, 1e30, 1e308])
+                | st.integers(min_value=1, max_value=10**6).map(float),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_order_is_the_pair_sort(self, levels):
+        spectrum = Spectrum(*zip(*levels))
+        energies, multiplicities = zip(*sorted(levels))
+        assert spectrum.energies.tobytes() == array("d", energies).tobytes()
+        assert spectrum.multiplicities.tobytes() == array("d", multiplicities).tobytes()
+        assert list(spectrum) == list(zip(energies, multiplicities))
 
 
 class TestHeatTrace:
@@ -467,6 +491,37 @@ class TestSpectralSumKernel:
             assert heat_trace(Spectrum([0.0, 1.0]), 1e10, u) == 1.0
             assert heat_trace(Spectrum([0.0, 1.0], [4, 1]), 1e10, u) == 4.0
             assert heat_trace(Spectrum([1.0]), 1e10, u) == 0.0
+
+    def test_every_sum_reaches_the_one_kernel(self, u):
+        # the s of each call of thermo._exp_sum's code, under whatever name it is bound
+        code = thermo._exp_sum.__code__
+
+        def kernel_calls(function, *args):
+            calls = []
+
+            def profile(frame, event, arg):
+                if event == "call" and frame.f_code is code:
+                    calls.append(frame.f_locals["s"])
+
+            sys.setprofile(profile)
+            try:
+                function(*args)
+            finally:
+                sys.setprofile(None)
+            return calls
+
+        spectrum, a = Spectrum([0.0, 1.0], [2, 1]), float(mp.pi**2)
+        assert kernel_calls(heat_trace, spectrum, 0.3, u) == [0.3]
+        assert kernel_calls(qm_partition, spectrum, 0.3, u) == [0.3]
+        assert kernel_calls(quasistatic_partition, spectrum, 0.3, u) == [0.3]
+        assert kernel_calls(interval_heat_trace, 1.0, 1.0) == [a]  # the series side
+        assert kernel_calls(interval_heat_trace, 1.0, 1e-3) == [1e3]  # the theta side
+        # the quasistatic term, then the sectors and the radial tower
+        assert kernel_calls(thermo._ball_partition, 1.0, 5, 2, 0.3, u) == [0.3] * 3
+        # the quasistatic term and the shifted levels; the levels themselves below E_min = 0
+        assert kernel_calls(thermo._custom_partition, spectrum, 0.3, u, "") == [0.3] * 2
+        below = Spectrum([-1.0, 1.0], [2, 1])
+        assert kernel_calls(thermo._custom_partition, below, 0.3, u, "") == [0.3] * 3
 
     def test_subnormal_terms_are_all_summed(self, u):
         energies = [740.0 + k / 2 for k in range(9)]

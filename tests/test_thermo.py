@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -30,7 +31,7 @@ from spectherm import (
     thermal_partition,
 )
 
-from spectherm.thermo import _ball_partition, _cube_partition, _level_scale
+from spectherm.thermo import _ball_partition, _cube_partition, _custom_partition, _level_scale
 
 from oracles import (
     ENTROPY_EXPECTATION, cube_levels, entropy_expectation_mpmath, wavenumber_mpmath,
@@ -638,6 +639,60 @@ class TestFactoredPartition:
     def test_cube_counts_the_keys_box_modes_lists(self, u):
         for d, n_max in [(1, 7), (2, 5), (3, 4), (5, 3)]:
             assert _cube_partition(1.0, d, n_max, 0.0, u)[2] == len(set(box_modes(1.0, d, n_max, u)[1]))
+
+
+class TestCustomPartition:
+    # A level file's partition sums against the sums over its levels at 50 digits from the
+    # double inputs, within the bound of TestFactoredPartition, eps (8 sum(t |x|) + 4 Z),
+    # with |x| for the exponents of negative levels. Drawn: the ground exponent x_0 = s E_min,
+    # 0 or of either sign with |x_0| in [1e-8, 700]; levels up to 800 above it, whose
+    # shifted terms are subnormal past 708 and 0.0 past 745; multiplicities up to 1e30; and
+    # s = inf (tau = 1e300 with hbar = 1e-150) in about half the draws. A ground space of
+    # 2**53 or more states is refused, and a sum past the double range raises OverflowError.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        sign=st.sampled_from([-1.0, 0.0, 1.0]),
+        size=st.floats(min_value=1e-8, max_value=700.0),
+        ground=st.integers(min_value=1, max_value=2**40),
+        excited=st.lists(st.tuples(st.floats(min_value=0.0, max_value=800.0),
+                                   st.integers(min_value=1, max_value=10**30)), max_size=30),
+        s=st.floats(min_value=1e-3, max_value=1e3),
+        infinite=st.booleans(),
+    )
+    # shifting by E_min < 0 would put this qm 7.9 budgets off: the shift rounds to eps 43.7
+    @example(sign=-1.0, size=43.737928027616505, ground=1,
+             excited=[(43.74156060003703, 10**30)], s=55.57440184062024, infinite=False)
+    def test_sums_within_their_budget_of_mpmath(self, sign, size, ground, excited, s, infinite):
+        x0 = sign * size
+        levels = Spectrum([(x0 + dx) / s for dx, _ in [(0.0, ground), *excited]],
+                          [m for _, m in [(0.0, ground), *excited]])
+        u, tau = (UnitSystem(1e-150, 1.0, 0.5), 1e300) if infinite else (natural_units(), s)
+        dim_min = hilbert_dim_min(levels)
+        if dim_min >= 2**53:
+            with pytest.raises(InputError, match="2\\*\\*53 or more"):
+                _custom_partition(levels, tau, u, "levels.txt")
+            return
+        e_min = levels.energies[0]
+        with mp.workdps(50):
+            s_exact = mp.inf if infinite else mp.mpf(s)
+
+            def sums(energies, scale=1):  # (t, |x|) of the nonzero terms, and their sum
+                xs = [s_exact * mp.mpf(e) if e else mp.mpf(0) for e, _ in energies]
+                pairs = [(m * mp.exp(-x), abs(x)) for x, (_, m) in zip(xs, energies)]
+                pairs = [(t, x) for t, x in pairs if t]
+                return pairs, scale * mp.fsum(t for t, _ in pairs)
+
+            quasistatic, z = sums([(e_min, dim_min)]), sums(list(levels))
+            shifted = sums([(mp.mpf(e) - e_min, m) for e, m in levels], mp.mpf(1) / dim_min)
+            if max(quasistatic[1], z[1]) > sys.float_info.max:
+                with pytest.raises(OverflowError):
+                    _custom_partition(levels, tau, u, "levels.txt")
+                return
+            got = _custom_partition(levels, tau, u, "levels.txt")
+            assert got[1:3] == (dim_min, len(levels))
+            for value, (pairs, _), scale in [(got[0], quasistatic, 1), (got[3], z, 1),
+                                              (got[4], shifted, mp.mpf(1) / dim_min)]:
+                assert within_budget(value, *zip(*pairs), scale) if pairs else value == 0.0
 
 
 def test_negative_infinite_entropy_constant():
