@@ -12,13 +12,7 @@ __version__ = "0.1.0"
 
 _OWNERS = {
     "heattrace": ("WeylScanRow", "interval_heat_trace", "weyl_convergence_scan"),
-    "specfun": (
-        "ABS_TOLERANCE",
-        "MAX_SUBDIVISIONS",
-        "QuadratureError",
-        "integrate",
-        "sine_integral",
-    ),
+    "specfun": ("sine_integral",),
     "spectra": (
         "Spectrum",
         "heat_trace",

@@ -21,9 +21,9 @@ sums every partition function, a level file's too, with its one kernel. Only
 weyl imports heattrace (and fractions), so entropy, fiducial, duality,
 spectrum and partition load neither; csv output is joined by hand.
 
-Exit codes: 0 success, 1 computational failure (no real root, quadrature
-breakdown, overflow, out of memory), 2 rejected input (InputError, an
-unreadable file, or an argument argparse refuses).
+Exit codes: 0 success, 1 computational failure (no real root, overflow,
+out of memory), 2 rejected input (InputError, an unreadable file, or an
+argument argparse refuses).
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .specfun import MAX_SUBDIVISIONS, QuadratureError
 from .thermo import (
-    DEGENERACY_REL_TOLERANCE, ENTROPY_TOLERANCE, NEGATIVE_INFINITE_ENTROPY, NoRealSolution,
-    _ball_partition, _cube_partition, _custom_partition, box_modes, duality_map,
+    DEGENERACY_REL_TOLERANCE, NEGATIVE_INFINITE_ENTROPY, NoRealSolution, _ball_partition,
+    _cube_partition, _custom_partition, _entropy_quadrature, box_modes, duality_map,
     duality_map_from_temperature, entropy_expectation, free_difference_energies,
     interval_energies, solve_fiducial_wavenumber, sphere_energies,
 )
@@ -228,11 +227,11 @@ def _cmd_weyl(args, u: UnitSystem):
 
 
 def _cmd_entropy(args, u: UnitSystem):
-    config = {"n": args.n, "r0": args.r0, "abs_tolerance": ENTROPY_TOLERANCE,
-              "max_subdivisions": MAX_SUBDIVISIONS}
-    closed = entropy_expectation(args.n, args.r0, "closed_form", u)
-    quad = entropy_expectation(args.n, args.r0, "quadrature", u)
-    return config, {"closed_form": closed, "quadrature": quad, "difference": closed - quad}
+    closed = entropy_expectation(args.n, args.r0, "closed_form", u)  # checks n and r0
+    quad, bound = _entropy_quadrature(args.n, args.r0, u)
+    results = {"closed_form": closed, "quadrature": quad, "quadrature_bound": bound,
+               "difference": closed - quad}
+    return {"n": args.n, "r0": args.r0}, results
 
 
 def _cmd_fiducial(args, u: UnitSystem):
@@ -378,7 +377,7 @@ def run(argv: Sequence[str]) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NoRealSolution, QuadratureError, OverflowError, ValueError) as exc:
+    except (NoRealSolution, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # one the interpreter raises carries no message

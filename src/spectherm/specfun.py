@@ -1,53 +1,24 @@
-"""Special functions and quadrature: the sine integral Si and an adaptive integrator.
+"""Special functions and quadrature rules: the sine integral Si and two fixed Gauss rules.
 
 Si(x) = int_0^x sin(t)/t dt is evaluated by a power series for small
 arguments and through the exponential integral of imaginary argument beyond,
 within 2.2 ulp of mpmath on [4, 1e16] (a property test allows 4), and pi/2
 past 2**60, where Si(x) rounds to it.
 
-The integrator is a deterministic adaptive panel scheme built on a fixed
-Gauss-Legendre rule. Panels never evaluate their endpoints, so integrable
-endpoint singularities (a log divergence, say) are handled without special
-casing by the caller. Its accuracy contract is two keywords, whose defaults
-are the module constants ABS_TOLERANCE and MAX_SUBDIVISIONS.
+The rules are 12-point (node, weight) tables, exact through polynomial degree
+23: Gauss-Legendre on [-1, 1], and the rule for the weight -ln x on [0, 1],
+whose nodes never reach the log's singularity at 0. thermo's entropy
+quadrature applies one to each part of its integrand.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable
 
-from .units import InputError, require_at_least, require_positive
+from .units import InputError
 
-__all__ = [
-    "ABS_TOLERANCE",
-    "MAX_SUBDIVISIONS",
-    "QuadratureError",
-    "integrate",
-    "sine_integral",
-]
-
-ABS_TOLERANCE = 1e-10
-MAX_SUBDIVISIONS = 60
-
-
-class QuadratureError(Exception):
-    """Adaptive refinement exhausted without meeting the requested tolerance.
-
-    Carries the best available estimate and the accumulated error bound so
-    callers can still inspect the partial result.
-    """
-
-    def __init__(self, best_estimate: float, error_bound: float, abs_tolerance: float):
-        self.best_estimate = best_estimate
-        self.error_bound = error_bound
-        self.abs_tolerance = abs_tolerance
-        super().__init__(
-            f"quadrature did not converge: error bound {error_bound:.3e} "
-            f"exceeds tolerance {abs_tolerance:.3e} (best estimate {best_estimate!r})"
-        )
-
+__all__ = ["sine_integral"]
 
 # 12-point Gauss-Legendre rule on [-1, 1], exact through polynomial degree 23:
 # (node, weight) pairs, the bits of numpy.polynomial.legendre.leggauss(12)
@@ -66,69 +37,23 @@ _GL_PAIRS = (
     (0.9815606342467192, 0.04717533638651141),
 )
 
-
-def _panel(f: Callable[[float], float], a: float, b: float) -> float:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    total = 0.0
-    for node, weight in _GL_PAIRS:
-        total += weight * f(mid + half * node)
-    return total * half
-
-
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    abs_tolerance: float = ABS_TOLERANCE,
-    max_subdivisions: int = MAX_SUBDIVISIONS,
-) -> float:
-    """Integrate f over [a, b] to within abs_tolerance.
-
-    Deterministic refinement: each panel is compared against its own
-    bisection; panels failing the width-proportional share of the tolerance
-    are split, depth-first, up to max_subdivisions levels. InputError unless
-    abs_tolerance is positive and finite and max_subdivisions >= 1. Leftover
-    panel discrepancies accumulate into an error bound, and a
-    QuadratureError is raised if that bound ends up above the tolerance, or
-    at once, with no estimate (nan), when a panel to split has a difference
-    that is not finite.
-    """
-    require_positive("abs_tolerance", abs_tolerance)
-    require_at_least("max_subdivisions", max_subdivisions, 1)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise InputError(f"integration bounds must be finite, got [{a!r}, {b!r}]")
-    if a > b:
-        raise InputError(f"lower bound {a!r} exceeds upper bound {b!r}")
-    if a == b:
-        return 0.0
-
-    values: list[float] = []
-    errors: list[float] = []
-    # Stack entries: (lo, hi, single-panel value, local tolerance, depth).
-    stack = [(a, b, _panel(f, a, b), abs_tolerance, 0)]
-    while stack:
-        lo, hi, coarse, tol, depth = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left = _panel(f, lo, mid)
-        right = _panel(f, mid, hi)
-        fine = left + right
-        err = abs(fine - coarse)
-        if err <= tol or depth >= max_subdivisions:
-            values.append(fine)
-            errors.append(err)
-        elif not math.isfinite(err):  # splitting would follow it to max depth everywhere
-            raise QuadratureError(math.nan, err, abs_tolerance)
-        else:
-            half_tol = 0.5 * tol
-            stack.append((mid, hi, right, half_tol, depth + 1))
-            stack.append((lo, mid, left, half_tol, depth + 1))
-
-    estimate = math.fsum(values)
-    error_bound = math.fsum(errors)
-    if not (error_bound <= abs_tolerance):  # also trips on NaN
-        raise QuadratureError(estimate, error_bound, abs_tolerance)
-    return estimate
+# 12-point Gauss rule for the weight -ln x on [0, 1]: int_0^1 f(x) (-ln x) dx = sum w f(x)
+# through degree 23. The nodes and weights of Golub & Welsch (1969) from the moments
+# 1/(k+1)^2, at 80 digits, each rounded once to a double.
+_LOG_PAIRS = (
+    (0.006548722279080058, 0.09319269144393133),
+    (0.038946809560449956, 0.14975182757632235),
+    (0.09815026310600664, 0.16655745436459302),
+    (0.18113858159063156, 0.15963355943698765),
+    (0.28322006766737257, 0.13842483186483562),
+    (0.39843443516343663, 0.11001657063572116),
+    (0.5199526267923527, 0.07996182177082897),
+    (0.6405109167161065, 0.05240695482464177),
+    (0.7528650120518305, 0.030071088873761188),
+    (0.8502400241623022, 0.01424924558799828),
+    (0.9267496832239142, 0.004899924582321761),
+    (0.9777561296899975, 0.0008340290380569034),
+)
 
 
 def _si_power_series(x: float) -> float:

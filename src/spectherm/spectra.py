@@ -211,9 +211,9 @@ def _lapack_lowest(
 
 def hilbert_dim_min(spectrum: Spectrum) -> int:
     """Dimension of the lowest-energy eigenspace of a spectrum: the summed multiplicity of
-    the levels up to the first relative gap above thermo.DEGENERACY_REL_TOLERANCE. A change
-    of units cannot change it, and neither can how far the spectrum extends."""
-    return int(_ground_dimension(spectrum))
+    the levels up to the first relative gap above thermo.DEGENERACY_REL_TOLERANCE, an exact
+    int sum. A change of units cannot change it, and neither can how far the spectrum extends."""
+    return _ground_dimension(zip(spectrum.energies, map(int, spectrum.multiplicities)))
 
 
 def heat_trace(spectrum: Spectrum, t: float, u: UnitSystem) -> float:

@@ -25,7 +25,7 @@ import itertools
 import math
 import operator
 
-from .specfun import integrate, sine_integral
+from .specfun import _GL_PAIRS, _LOG_PAIRS, sine_integral
 from .units import (
     PI_RATIONAL, InputError, UnitSystem, kinetic_prefactor, pi_over,
     require_at_least, require_level_range, require_positive,
@@ -51,9 +51,6 @@ __all__ = [
 
 # Formal fiducial-entropy limit; use this constant rather than an ad-hoc float.
 NEGATIVE_INFINITE_ENTROPY = float("-inf")
-
-# Absolute tolerance of the entropy quadrature, in units of k_B (the report's abs_tolerance).
-ENTROPY_TOLERANCE = 1e-13
 
 # Neighbouring energies E < E' are degenerate when E' - E is at most this
 # fraction of |E'|. Far below physical level spacings, far above accumulated
@@ -314,37 +311,75 @@ def _custom_partition(levels, tau: float, u: UnitSystem, source) -> tuple:
     return _partition_sums(tau, u, e_min, int(dim_min), len(levels), [(shifted, 1)], levels)
 
 
-def _entropy_quadrature(n: int, r0: float, u: UnitSystem) -> float:
-    # The n lobes of sin^2(n pi r/r0), each of width w = r0/n, folded onto one: at r = (k + x) w,
-    # sum_{k<n} ln(r/r0) = n ln(w/r0) + lgamma(n + x) - lgamma(x) (DLMF 5.2.5), so
-    # int_0^r0 (2/r0) sin^2(n pi r/r0) ln(r/r0) dr = (2 w/r0) int_0^1 sin^2(pi x) [...] dx,
-    # and the cost does not grow with n. r0 enters through w, so its cancellation is computed.
-    if n > 2**53:  # the n ln n terms' rounding grows as ln(n) eps: 3e-14 k_B here, 2.5e-13 at 1e200
+# The entropy quadrature's rules on [0, 1]: Gauss-Legendre, mapped from [-1, 1], and the rule
+# for the weight -ln x. _ELLIPSE bounds the Legendre rule's error on sin^2(pi x) q(x), per unit
+# of |q| on the Bernstein ellipse rho = 5.75 (Trefethen 2013, Thm 19.3, halved for [0, 1]):
+# there |sin(pi x)|^2 <= cosh(pi B)^2, and |x - 1/2| <= A < 3/2 keeps ln(1 + x) analytic.
+_UNIT_LEGENDRE = tuple((0.5 + 0.5 * t, 0.5 * w) for t, w in _GL_PAIRS)
+_RHO = 5.75
+_A, _B = (_RHO + 1 / _RHO) / 4, (_RHO - 1 / _RHO) / 4
+_ELLIPSE = 32 / 15 * _RHO**-22 / (_RHO**2 - 1) * math.cosh(math.pi * _B) ** 2
+_EPS = 2.0**-52
+
+
+def _sin2_rule(pairs, f) -> float:
+    # sum w sin^2(pi x) f(x) over a rule's (x, w) pairs, rounded once
+    return math.fsum(w * s * s * f(x) for x, w in pairs for s in [math.sin(math.pi * x)])
+
+
+def _entropy_quadrature(n: int, r0: float, u: UnitSystem) -> tuple[float, float]:
+    # The expectation by quadrature, and a bound on its error, both times k_B. The n lobes of
+    # width w = r0/n fold onto one: at r = (k + x) w, sum_{k<n} ln(r/r0) = n ln v + lgamma(n + x)
+    # - lgamma(x) with v = w/r0 (DLMF 5.2.5), so the cost does not grow with n, and r0's
+    # cancellation is computed. The Legendre rule takes h(x) = n ln v + lgamma(n + x) -
+    # lgamma(1 + x), and the log rule ln x = lgamma(1 + x) - lgamma(x). From n = 2**16 Stirling's
+    # series gives lgamma(n + x) (DLMF 5.11.1), so that h's n ln n terms cancel exactly.
+    if n > 2**53:  # -n would not be exact
         raise InputError(f"n={n!r} is too large for the entropy quadrature: more than 2**53")
     w = r0 / n
     if w < 2.0**-1022:
         raise InputError(f"w = r0/n is not a normal double at r0={r0!r}, n={n!r}")
-    scale, offset = 6.0 * (w / r0), n * math.log(w / r0)
+    v, h_max = w / r0, n * (1 + _EPS) + 0.5 * math.log(n)  # |h| <= h_max on [0, 1]
+    # spread bounds h's rounding in units of eps, where math.log, log1p and sin are within 1 ulp
+    # and math.lgamma within 2.5 eps |lgamma(z)| + 8 eps (a test checks these at the arguments)
+    if n < 2**16:
+        offset = n * math.log(v)
 
-    def integrand(x: float) -> float:
-        s = math.sin(math.pi * x)
-        return s * s * (offset + math.lgamma(n + x) - math.lgamma(x))
+        def h(x: float) -> float:
+            return offset + math.lgamma(n + x) - math.lgamma(1 + x)
 
-    # the tolerance applies to the expectation in units of k_B, which is scale times the integral
-    return u.k_boltzmann * (scale * integrate(integrand, 0.0, 1.0, ENTROPY_TOLERANCE / scale))
+        spread = 4.5 * (n + 1) * math.log(n + 1) + h_max + 18
+    else:
+        n_ln_nv = n * math.log(n * v)
+
+        def h(x: float) -> float:  # 0.9189... is ln(2 pi)/2
+            return math.fsum((n_ln_nv, n * math.log1p(x / n), (x - 0.5) * math.log(n + x), -n,
+                              -x, 0.9189385332046728, 1 / (12 * (n + x)), -math.lgamma(1 + x)))
+
+        spread = 0.51 * n + 0.5 * h_max + math.log(n + 1) + 12 + 1 / (360 * _EPS * n**3)
+    value = 6.0 * v * (_sin2_rule(_UNIT_LEGENDRE, h) - _sin2_rule(_LOG_PAIRS, lambda y: 1.0))
+    # 6 v times: the log rule's remainder; the Legendre rule's, on h(1/2) sin^2(pi x) and, by
+    # _ELLIPSE, on the rest; and the rounding. The README derives each term.
+    legendre = 6.4e-20 * h_max
+    if n > 1:  # |h(x) - h(1/2)| <= sum_{k<n} -ln(1 - A/(k + 1/2)) on the ellipse
+        legendre += _ELLIPSE * (_A * math.log(2 * n - 3) - math.log1p(-_A / 1.5))
+    rounding = _EPS * (0.5 * spread + 7.5 * (h_max + 1 + math.log(n)) + 4.5)
+    bound = 6.0 * v * (2.8e-20 + legendre + rounding) * 1.01
+    return u.k_boltzmann * value, u.k_boltzmann * bound
 
 
 def entropy_expectation(n: int, r0: float, method: str, u: UnitSystem) -> float:
     """Entropy expectation in radial mode n, with the fiducial constant subtracted.
 
     method "closed_form" evaluates 3 k_B (Si(2 pi n)/(2 pi n) - 1); method
-    "quadrature" integrates 3 k_B r^2 |psi_n|^2 ln(r/r0) over [0, r0]
-    numerically, with the n lobes of the mode folded onto one, so at a cost that
-    does not grow with n, to an estimated ENTROPY_TOLERANCE = 1e-13 k_B. The two
+    "quadrature" sums 3 k_B r^2 |psi_n|^2 ln(r/r0) over [0, r0]
+    numerically: the n lobes of the mode are folded onto one, which two fixed
+    12-point Gauss rules take (Legendre, and the weight -ln x), at a cost that
+    does not grow with n. Its error is within the bound that the `entropy`
+    report prints as quadrature_bound, at most 1e-13 k_B. The two
     agree to 1e-8 k_B, and neither depends on r0: the fiducial radius cancels
     from the expectation. The quadrature rejects (InputError) an r0 at which
-    w = r0/n is not a normal double, and an n above 2**53, past which the rounding
-    of its n ln n terms (about ln(n) eps) could exceed the tolerance.
+    w = r0/n is not a normal double, and an n above 2**53.
     """
     require_at_least("n", n, 1)
     require_positive("r0", r0)
@@ -354,7 +389,7 @@ def entropy_expectation(n: int, r0: float, method: str, u: UnitSystem) -> float:
             raise InputError(f"n={n!r} is too large for the closed form: 2 pi n is not finite")
         return 3.0 * u.k_boltzmann * (sine_integral(x) / x - 1.0)
     if method == "quadrature":
-        return _entropy_quadrature(n, r0, u)
+        return _entropy_quadrature(n, r0, u)[0]
     raise InputError(f"method must be 'closed_form' or 'quadrature', got {method!r}")
 
 

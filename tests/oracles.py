@@ -45,8 +45,11 @@ CUBE_VOLUME_ESTIMATE_1E6 = 0.9946920576569163
 
 # --------------------------- adaptive Simpson ------------------------------
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-13, max_depth: int = 48) -> float:
-    """Classic recursive Simpson refinement with Richardson correction."""
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-13, max_depth: int = 48,
+                     min_depth: int = 0) -> float:
+    """Classic recursive Simpson refinement with Richardson correction. The first min_depth
+    levels always split, so that an integrand that vanishes at the first nodes, such as
+    sin^2(4 pi x) on [0, 1], is not taken for 0."""
 
     def recurse(x0, f0, x2, f2, x4, f4, whole, tol, depth):
         x1 = 0.5 * (x0 + x2)
@@ -56,7 +59,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-13, max_depth: int =
         left = (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
         right = (x4 - x2) / 6.0 * (f2 + 4.0 * f3 + f4)
         delta = left + right - whole
-        if depth >= max_depth or abs(delta) <= 15.0 * tol:
+        if depth >= max_depth or (depth >= min_depth and abs(delta) <= 15.0 * tol):
             return left + right + delta / 15.0
         return recurse(x0, f0, x1, f1, x2, f2, left, 0.5 * tol, depth + 1) + recurse(
             x2, f2, x3, f3, x4, f4, right, 0.5 * tol, depth + 1
@@ -111,6 +114,26 @@ def radial_overlap_mpmath(n: int, m: int, r0: float) -> float:
             return (2 / r0_mp) * mp.sin(n * mp.pi * r / r0_mp) * mp.sin(m * mp.pi * r / r0_mp)
 
         return float(mp.quad(integrand, [0, r0_mp]))
+
+
+def gauss_rule_mpmath(moment, nodes: int = 12, dps: int = 80):
+    """The Gauss rule of a weight on [0, 1] from its moments moment(k) = int x^k w(x) dx:
+    Golub & Welsch (1969), the Jacobi matrix from the Cholesky factor R of the Hankel matrix
+    of moments, and its eigenpairs. Returns the (node, weight) pairs in ascending node, as
+    mpmath numbers at dps digits, and int pi_N(x)^2 w(x) dx = R[N, N]^2 of the monic
+    orthogonal polynomial pi_N, the factor of the rule's remainder."""
+    with mp.workdps(dps):
+        m = [moment(k) for k in range(2 * nodes + 1)]
+        r = mp.cholesky(mp.matrix([[m[i + j] for j in range(nodes + 1)]
+                                   for i in range(nodes + 1)])).T
+        jacobi = mp.matrix(nodes, nodes)
+        for k in range(nodes):
+            jacobi[k, k] = r[k, k + 1] / r[k, k] - (r[k - 1, k] / r[k - 1, k - 1] if k else 0)
+            if k + 1 < nodes:
+                jacobi[k, k + 1] = jacobi[k + 1, k] = r[k + 1, k + 1] / r[k, k]
+        values, vectors = mp.eigsy(jacobi)
+        pairs = sorted((values[k], m[0] * vectors[0, k] ** 2) for k in range(nodes))
+        return pairs, r[nodes, nodes] ** 2
 
 
 def key_one_energy_mpmath(pref: float, length: float, key: int = 1):

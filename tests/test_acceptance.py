@@ -16,7 +16,6 @@ from spectherm import (
     duality_map_from_temperature,
     entropy_expectation,
     hilbert_dim_min,
-    integrate,
     interval_energies,
     natural_units,
     qm_partition,
@@ -33,6 +32,7 @@ from spectherm.cli import run
 
 from oracles import (
     ENTROPY_EXPECTATION,
+    adaptive_simpson,
     entropy_expectation_mpmath,
     si_by_quadrature,
     wavenumber_mpmath,
@@ -240,15 +240,15 @@ def test_criterion_09_mode_orthonormality():
     for i in range(5):
         for j in range(5):
             def integrand(r):
+                if not r:  # the limit of r^2 psi_i psi_j
+                    return 0.0
                 return (
                     r * r
                     * radial_wavefunction(i + 1, 1.0, r)
                     * radial_wavefunction(j + 1, 1.0, r)
                 )
 
-            gram[i, j] = integrate(
-                integrand, 0.0, 1.0, abs_tolerance=1e-10, max_subdivisions=60
-            )
+            gram[i, j] = adaptive_simpson(integrand, 0.0, 1.0, tol=1e-10, min_depth=3)
     deviation = float(np.max(np.abs(gram - np.eye(5))))
     ok = deviation < 1e-8
     _report(9, "r^2-weighted Gram matrix", ok, f"max |G - I| = {deviation:.2e}")

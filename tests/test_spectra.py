@@ -17,7 +17,6 @@ from spectherm import (
     box_modes,
     free_difference_energies,
     hilbert_dim_min,
-    integrate,
     interval_energies,
     kinetic_prefactor,
     natural_units,
@@ -29,6 +28,7 @@ from spectherm.spectra import _lapack_lowest
 from spectherm.thermo import _ball_levels, _ball_partition, _cube_partition, _level_scale
 
 from oracles import (
+    adaptive_simpson,
     dirichlet_tridiagonal_eigenvalue,
     dirichlet_tridiagonal_eigenvalue_mpmath,
     key_one_energy_mpmath,
@@ -140,11 +140,11 @@ class TestRadialWavefunction:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("r0", [0.5, 1.0, 2.0])
     def test_normalization(self, n, r0):
-        def integrand(r):
-            psi = radial_wavefunction(n, r0, r)
+        def integrand(r):  # r^2 psi^2 -> 0 at r = 0, where psi is not defined
+            psi = radial_wavefunction(n, r0, r) if r else 0.0
             return r * r * psi * psi
 
-        value = integrate(integrand, 0.0, r0, abs_tolerance=1e-11, max_subdivisions=60)
+        value = adaptive_simpson(integrand, 0.0, r0, tol=1e-11, min_depth=3)
         assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_orthonormality_gram(self):
@@ -154,6 +154,8 @@ class TestRadialWavefunction:
                 for j in range(i, 6):
 
                     def integrand(r):
+                        if not r:  # the limit of r^2 psi_i psi_j
+                            return 0.0
                         return (
                             r
                             * r
@@ -161,7 +163,7 @@ class TestRadialWavefunction:
                             * radial_wavefunction(j, r0, r)
                         )
 
-                    value = integrate(integrand, 0.0, r0, abs_tolerance=1e-10, max_subdivisions=60)
+                    value = adaptive_simpson(integrand, 0.0, r0, tol=1e-10, min_depth=3)
                     expected = 1.0 if i == j else 0.0
                     assert abs(value - expected) < 1e-8
 
@@ -174,9 +176,11 @@ class TestRadialWavefunction:
 
     def test_overlap_matches_mpmath(self):
         def integrand(r):
+            if not r:  # the limit of r^2 psi_1 psi_3
+                return 0.0
             return r * r * radial_wavefunction(1, 2.0, r) * radial_wavefunction(3, 2.0, r)
 
-        ours = integrate(integrand, 0.0, 2.0, abs_tolerance=1e-11, max_subdivisions=60)
+        ours = adaptive_simpson(integrand, 0.0, 2.0, tol=1e-11, min_depth=3)
         assert ours == pytest.approx(radial_overlap_mpmath(1, 3, 2.0), abs=1e-10)
 
 
@@ -425,6 +429,10 @@ class TestHilbertDimMin:
 
     def test_all_equal(self):
         assert hilbert_dim_min(Spectrum([5.0, 5.0, 5.0])) == 3
+
+    def test_multiplicities_sum_exactly_past_2_to_the_53(self):
+        # a float sum rounded 2**53 + 1 to 2**53
+        assert hilbert_dim_min(Spectrum([0.0, 0.0], [2**53, 1])) == 2**53 + 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

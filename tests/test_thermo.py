@@ -23,7 +23,6 @@ from spectherm import (
     ideal_gas_entropy,
     interval_energies,
     natural_units,
-    integrate,
     qm_partition,
     quasistatic_partition,
     solve_fiducial_wavenumber,
@@ -31,11 +30,18 @@ from spectherm import (
     thermal_partition,
 )
 
-from spectherm.thermo import _ball_partition, _cube_partition, _custom_partition, _level_scale
+from spectherm.specfun import _LOG_PAIRS
+from spectherm.thermo import (
+    _UNIT_LEGENDRE, _ball_partition, _cube_partition, _custom_partition, _entropy_quadrature,
+    _level_scale, _sin2_rule,
+)
 
 from oracles import (
-    ENTROPY_EXPECTATION, cube_levels, entropy_expectation_mpmath, wavenumber_mpmath,
+    ENTROPY_EXPECTATION, cube_levels, entropy_expectation_mpmath, gauss_rule_mpmath,
+    wavenumber_mpmath,
 )
+
+EPS = 2.0**-52
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 log_uniform = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
@@ -112,38 +118,69 @@ class TestEntropyExpectation:
             value = entropy_expectation(n, r0, "quadrature", u)
             assert abs(value - reference) < 1e-8
 
-    # The bound, fixed before measuring, is the report's abs_tolerance, 1e-13 k_B; n
-    # reaches 1e12 and r0 the edges of the double range, at a bounded cost: at most
-    # 1000 integrand calls.
+    # The bound, fixed before measuring: the printed quadrature_bound, which assumes that
+    # math.log, log1p and sin are within 1 ulp and math.lgamma within 2.5 eps |lgamma| + 8 eps,
+    # and which is itself at most 1e-13 k_B. n reaches 2**53 and r0 the edges of the double
+    # range, and every call evaluates the two 12-point rules once: 24 sines.
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(log_n=st.floats(0.0, 12.0), log_r0=st.floats(-300.0, 300.0), kb=log_uniform)
+    @given(log_n=st.floats(0.0, math.log10(2**53)), log_r0=st.floats(-300.0, 300.0),
+           kb=log_uniform)
     @example(log_n=0.0, log_r0=-300.0, kb=1.0)
     @example(log_n=math.log10(4999), log_r0=155.0, kb=2.0)
     @example(log_n=math.log10(13117595275), log_r0=0.0, kb=1.0)
+    @example(log_n=math.log10(2**53), log_r0=0.0, kb=1.0)
     def test_quadrature_within_its_tolerance_of_mpmath(self, log_n, log_r0, kb):
-        n, r0, u = round(10.0**log_n), 10.0**log_r0, UnitSystem(1.0, kb, 0.5)
-        calls = 0
-
-        def counting_integrate(f, a, b, *args):
-            def counted(x):
-                nonlocal calls
-                calls += 1
-                return f(x)
-
-            return integrate(counted, a, b, *args)
-
-        with mock.patch("spectherm.thermo.integrate", counting_integrate):
+        n, r0, u = min(round(10.0**log_n), 2**53), 10.0**log_r0, UnitSystem(1.0, kb, 0.5)
+        with mock.patch("math.sin", wraps=math.sin) as sines:
             try:
-                value = entropy_expectation(n, r0, "quadrature", u)
+                value, bound = _entropy_quadrature(n, r0, u)
             except InputError as exc:  # only where one lobe's width is not a normal double
                 assert r0 / n < 2.0**-1022, exc
                 assert str(exc) == f"w = r0/n is not a normal double at r0={r0!r}, n={n!r}"
                 return
-        assert 0 < calls <= 1000
+        assert sines.call_count == 24
+        assert value == entropy_expectation(n, r0, "quadrature", u)
         with mp.workdps(40):
             x = 2 * mp.pi * n
             exact = 3 * mp.mpf(kb) * (mp.si(x) / x - 1)
-            assert abs(value - exact) <= 1e-13 * kb
+            assert abs(value - exact) <= bound <= 1e-13 * kb
+
+    # The library calls at the arguments the quadrature passes them, against 40-digit mpmath,
+    # within the errors its bound assumes (fixed before this test was measured).
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(log_n=st.floats(0.0, math.log10(2**53)), log_r0=st.floats(-300.0, 300.0))
+    def test_library_calls_within_the_assumed_error(self, log_n, log_r0):
+        n, r0 = min(round(10.0**log_n), 2**53), 10.0**log_r0
+        assume(r0 / n >= 2.0**-1022)
+        v = r0 / n / r0
+        calls = [(math.log, mp.log, v), (math.log, mp.log, n * v)]
+        for x, _ in _UNIT_LEGENDRE:
+            calls += [(math.log1p, mp.log1p, x / n), (math.log, mp.log, n + x)]
+            calls += [(math.lgamma, mp.loggamma, n + x), (math.lgamma, mp.loggamma, 1 + x)]
+        calls += [(math.sin, mp.sin, math.pi * x) for x, _ in _UNIT_LEGENDRE + _LOG_PAIRS]
+        with mp.workdps(40):
+            for ours, exact, arg in calls:
+                got, want = ours(arg), exact(mp.mpf(arg))
+                allowed = (2.5 * abs(want) + 8) * EPS if ours is math.lgamma else math.ulp(got)
+                assert abs(got - want) <= allowed, (ours, arg)
+
+    def test_bound_constants_hold(self):
+        # The fixed terms of the quadrature's bound, against mpmath: the log rule's remainder,
+        # (2 pi)^24/2/24! int pi_12^2 (-ln x); the Legendre rule's on sin^2(pi x), by its 24th
+        # derivative; the error of the Legendre literals against the exact rule, weighted by
+        # sin^2 and (for the nodes) by pi; and the log rule's sum of sin^2 against its integral.
+        legendre, _ = gauss_rule_mpmath(lambda k: mp.mpf(1) / (k + 1))
+        _, norm = gauss_rule_mpmath(lambda k: mp.mpf(1) / (k + 1) ** 2)
+        with mp.workdps(40):
+            derivative = (2 * mp.pi) ** 24 / 2
+            assert derivative / mp.factorial(24) * norm <= 2.8e-20
+            assert mp.factorial(12) ** 4 / (25 * mp.factorial(24) ** 3) * derivative <= 6.4e-20
+            literals = mp.fsum(abs(mp.mpf(ours) - w) * mp.sin(mp.pi * x) ** 2
+                               + mp.pi * ours * abs(mp.mpf(node) - x)
+                               for (node, ours), (x, w) in zip(_UNIT_LEGENDRE, legendre))
+            assert literals <= 1.9 * EPS
+            integral = mp.quad(lambda x: -mp.sin(mp.pi * x) ** 2 * mp.log(x), [0, 1])
+            assert abs(_sin2_rule(_LOG_PAIRS, lambda y: 1.0) - integral) <= 4 * EPS
 
     def test_quadrature_takes_n_up_to_2_53(self, u):
         with mp.workdps(40):
