@@ -11,16 +11,18 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _OWNERS = {
-    "heattrace": ("WeylScanRow", "interval_heat_trace", "weyl_convergence_scan"),
     "specfun": ("sine_integral",),
     "spectra": (
         "Spectrum",
+        "WeylScanRow",
         "heat_trace",
         "hilbert_dim_min",
+        "interval_heat_trace",
         "qm_partition",
         "quasistatic_partition",
         "solve_radial_numeric",
         "thermal_partition",
+        "weyl_convergence_scan",
         "weyl_volume_estimate",
     ),
     "thermo": (

@@ -15,11 +15,11 @@ it rejects, and load_levels for an unreadable or malformed level file.
 The front end itself checks only what no library call sees: that a
 custom domain names a level file, and that duality gets a value.
 
-No subcommand imports numpy. Only a custom domain's level file (load_levels)
-imports spectra: every spectrum table takes its rows from thermo, and thermo
-sums every partition function, a level file's too, with its one kernel. Only
-weyl imports heattrace (and fractions), so entropy, fiducial, duality,
-spectrum and partition load neither; csv output is joined by hand.
+No subcommand imports numpy or a rational type: every exact ratio with pi is
+a pair of ints. Only weyl and a custom domain's level file (load_levels)
+import spectra: every spectrum table takes its rows from thermo, and thermo
+sums every partition function, a level file's too, with its one kernel.
+csv output is joined by hand.
 
 Exit codes: 0 success, 1 computational failure (no real root, overflow,
 out of memory), 2 rejected input (InputError, an unreadable file, or an
@@ -205,24 +205,22 @@ def _custom_levels(args) -> Spectrum:
 
 
 def _cmd_weyl(args, u: UnitSystem):
-    from .heattrace import interval_heat_trace, weyl_convergence_scan
+    from . import spectra
 
     d = args.d if args.d is not None else (3 if args.domain == "cube" else 1)
     if args.domain == "custom":
-        from . import spectra
-
         config = {"domain": "custom", "levels": str(args.levels), "d": d}
         axis_trace = partial(spectra.heat_trace, _custom_levels(args), u=u)
     else:
         ball = args.domain == "ball"
         length = args.r0 if ball else args.L
         config = {"domain": args.domain, "r0" if ball else "L": length, "d": d}
-        axis_trace = partial(interval_heat_trace, length)
+        axis_trace = partial(spectra.interval_heat_trace, length)
 
     config["t"] = list(args.t)
     columns = ["t", "trace", "volume_estimate"]
     # the ball's radial tower is its whole spectrum; a cube is d identical intervals
-    rows = weyl_convergence_scan(axis_trace, args.t, d, d if args.domain == "cube" else 1)
+    rows = spectra.weyl_convergence_scan(axis_trace, args.t, d, d if args.domain == "cube" else 1)
     return config, {"columns": columns, "rows": rows}
 
 

@@ -4,11 +4,16 @@ A level file (cli.load_levels) is a `Spectrum`: sorted energies with their
 multiplicities, whose lowest eigenspace hilbert_dim_min counts by thermo's
 one degeneracy rule. The analytic families need no level list.
 
-The heat trace at diffusion time t (heat_trace, weyl_volume_estimate) and
-the partition function at imaginary time tau (qm_partition,
-thermal_partition, quasistatic_partition) are the same sum of
-m * exp(-s * E), with s = t/(hbar^2/2m) or s = tau/hbar, which thermo's one
-kernel (_exp_sum) sums exactly and rounds once, with nothing truncated.
+The heat trace at diffusion time t and the partition function at imaginary
+time tau (qm_partition, thermal_partition, quasistatic_partition) are the
+same sum of m * exp(-s * E), with s = t/(hbar^2/2m) or s = tau/hbar, which
+thermo's one kernel (_exp_sum) sums exactly and rounds once, with nothing
+truncated. heat_trace sums it over a level list, and interval_heat_trace
+over the Dirichlet interval, which the ball and the cube need, in closed
+form. Times (4 pi t)^(d/2), a trace recovers the domain volume as t -> 0:
+weyl_volume_estimate, and weyl_convergence_scan over a one-axis trace
+callable. Exact ratios with pi are pairs of ints (units.pi_squared_ratio),
+and no trace uses arrays, so no scan loads numpy.
 
 A finite-difference solver covers the radial problem with an arbitrary
 radial potential, given as a callable U(r) or as samples on the grid.
@@ -17,7 +22,7 @@ coordinate singularity at r = 0, leaving a plain Dirichlet problem
 -pref * u'' + U(r) u = E u on the interval, discretized by central
 differences into a symmetric tridiagonal matrix. thermo.free_difference_energies
 checks the grid and forms the free levels; it uses no arrays, so `spectrum
---kind numeric` loads neither numpy nor fractions. When U is constant on the
+--kind numeric` loads no numpy. When U is constant on the
 interior nodes (in particular with no potential) the eigenvectors are sines
 and the eigenvalues those levels plus U. Any other potential goes to LAPACK,
 once the matrix's Gershgorin bound is finite (the matrix is scaled by a
@@ -35,20 +40,17 @@ from __future__ import annotations
 import math
 from array import array
 from functools import partial
+from itertools import count
 from operator import eq, ge
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .thermo import (
     _exp_sum, _ground_dimension, _partition_sums, duality_map_from_temperature,
     free_difference_energies,
 )
 from .units import (
-    Frozen,
-    InputError,
-    UnitSystem,
-    kinetic_prefactor,
-    require_level_range,
-    require_positive,
+    PI_RATIONAL, Frozen, InputError, UnitSystem, kinetic_prefactor, pi_squared_ratio,
+    require_at_least, require_level_range, require_normal, require_positive,
 )
 
 if TYPE_CHECKING:
@@ -59,6 +61,9 @@ __all__ = [
     "solve_radial_numeric",
     "hilbert_dim_min",
     "heat_trace",
+    "interval_heat_trace",
+    "WeylScanRow",
+    "weyl_convergence_scan",
     "weyl_volume_estimate",
     "qm_partition",
     "thermal_partition",
@@ -228,9 +233,95 @@ def heat_trace(spectrum: Spectrum, t: float, u: UnitSystem) -> float:
     return _exp_sum(t / kinetic_prefactor(u), spectrum)
 
 
+def interval_heat_trace(length: float, t: float) -> float:
+    """sum_{n>=1} exp(-t (n pi/length)^2), the Dirichlet interval trace, untruncated.
+
+    With a = t (pi/length)^2 >= 0.1 every nonzero term is summed (at most
+    86). Below that it is (c (1 + 2 S) - 1)/2 with c = length/sqrt(pi t),
+    where S sums every nonzero exp(-k^2 length^2/t) (at most 2): Jacobi's
+    theta inversion, DLMF 20.7.32. a and c^2 are exact ratios of ints rounded
+    once, c carries a Newton correction, and each side is one thermo._exp_sum.
+    """
+    require_positive("length", length)
+    require_normal("t", t)
+    num, den = pi_squared_ratio(t, length)  # a = num/den
+    if 10 * num >= den:  # num / den may overflow; exp(-746) == 0
+        return _exp_sum(num / den if num < 746 * den else 746.0, ((k * k, 1) for k in count(1)))
+    e = (den.bit_length() - num.bit_length()) // 2
+    sn, sd = PI_RATIONAL[0] * den, PI_RATIONAL[1] * num << 2 * e  # c^2 / 4^e, near 1
+    root = math.sqrt(sn / sd)
+    c = math.ldexp(root, e)  # OverflowError if the trace does not fit a double
+    rn, rd = root.as_integer_ratio()  # Newton: c_low 2^-e = (s - root^2)/(2 root)
+    c_low = math.ldexp((sn * rd * rd - sd * rn * rn) / (2 * sd * rd * rn), e)
+    dual = ((k * k, 2.0 * c) for k in count(1))  # 2 c exp(-k^2 length^2/t)
+    return 0.5 * _exp_sum(length / t * length, dual, [c, c_low, -1.0])
+
+
+class WeylScanRow(NamedTuple):
+    t: float
+    trace: float
+    volume_estimate: float
+
+
+def _times_weyl_power(a: float, t: float, num: int, den: int) -> float:
+    """a * (4 pi t)**(num/den), also where that power, or 4 pi t itself, overflows.
+
+    There it writes a = a_m 2^a_e and 4 pi t = x_m 2^x_e with frexp, x_m
+    from 4 pi times the mantissa of t, and splits x_e num = k den + r exactly,
+    k an integer and 0 <= r < den: the product is
+    ldexp(a_m x_m**(num/den) 2**(r/den), a_e + k), a few roundings and no log
+    or exp. A zero a gives 0.0; OverflowError if the product is out of range,
+    or if x_m**(num/den) has lost digits to underflow (num/den above about 1000).
+    """
+    x = 4.0 * math.pi * t
+    if math.isfinite(x):
+        try:
+            return a * x ** (num / den)
+        except OverflowError:
+            pass
+    if a == 0.0:
+        return 0.0
+    (a_m, a_e), (t_m, t_e) = math.frexp(a), math.frexp(t)
+    x_m, x_e = math.frexp(4.0 * math.pi * t_m)
+    k, r = divmod((x_e + t_e) * num, den)
+    scaled = a_m * x_m ** (num / den) * 2.0 ** (r / den)
+    if scaled < 2.0**-1022:
+        raise OverflowError(f"(4 pi t)**p at t={t!r}, p={num}/{den} has no accurate double scaling")
+    return math.ldexp(scaled, a_e + k)
+
+
+def weyl_convergence_scan(
+    axis_trace: Callable[[float], float], t_values: Sequence[float], d: int, axes: int = 1
+) -> list[WeylScanRow]:
+    """One (t, trace, volume estimate) row per requested t, in input order.
+
+    axis_trace(t) is the heat trace of one axis. With axes > 1 the domain
+    is a product of `axes` identical factors, such as the d-cube with
+    axes = d: the trace is the axes-th power of the one-axis trace, and so
+    is the volume estimate. OverflowError names the first t whose trace or
+    estimate leaves the double-precision range.
+    """
+    if len(t_values) == 0:
+        raise InputError("t_values must be nonempty")
+    require_at_least("d", d, 1)
+    require_at_least("axes", axes, 1)
+    rows = []
+    for t in t_values:
+        require_normal("t", t)  # 4 pi t keeps every digit of a normal t only
+        try:
+            axis = axis_trace(t)
+            estimate = _times_weyl_power(axis, t, d, 2 * axes)
+            row = WeylScanRow(t=t, trace=axis**axes, volume_estimate=estimate**axes)
+        except OverflowError:
+            row = None
+        if row is None or math.isinf(row.volume_estimate):
+            raise OverflowError(f"the Weyl scan at t={t!r} exceeds the double-precision range")
+        rows.append(row)
+    return rows
+
+
 def weyl_volume_estimate(spectrum: Spectrum, t: float, d: int, u: UnitSystem) -> float:
     """Volume recovered from the trace: heat_trace * (4 pi t)^(d/2)."""
-    from .heattrace import weyl_convergence_scan  # deferred: no partition process needs it
     return weyl_convergence_scan(partial(heat_trace, spectrum, u=u), [t], d)[0].volume_estimate
 
 

@@ -27,8 +27,8 @@ import operator
 
 from .specfun import _GL_PAIRS, _LOG_PAIRS, sine_integral
 from .units import (
-    PI_RATIONAL, InputError, UnitSystem, kinetic_prefactor, pi_over,
-    require_at_least, require_level_range, require_positive,
+    InputError, UnitSystem, kinetic_prefactor, pi_over, pi_squared_ratio, require_at_least,
+    require_level_range, require_positive,
 )
 
 __all__ = [
@@ -146,8 +146,8 @@ def _level_scale(u: UnitSystem, n_max: int, length: float | None = None, d: int 
     scale = pref = kinetic_prefactor(u)
     try:  # the division, or the top key's conversion to float, may pass the double range
         if length is not None:
-            (a, b), (c, e) = pref.as_integer_ratio(), length.as_integer_ratio()
-            scale = a * (PI_RATIONAL[0] * e) ** 2 / (b * (PI_RATIONAL[1] * c) ** 2)
+            num, den = pi_squared_ratio(pref, length)
+            scale = num / den
         top = scale * top_key
     except OverflowError:
         scale = top = math.inf

@@ -1,6 +1,7 @@
 """Unit system threaded through every computation in the package, the one exception
 type for arguments and inputs the package rejects, and the checks, the rational pi
-(two ints), k pi / length (pi_over) and the value base, Frozen, that the modules share."""
+(two ints), k pi / length (pi_over), x (pi/length)^2 as two ints (pi_squared_ratio)
+and the value base, Frozen, that the modules share."""
 
 from __future__ import annotations
 
@@ -27,6 +28,13 @@ def pi_over(length: float, parts: int = 1):
             return math.inf
 
     return times
+
+
+def pi_squared_ratio(x: float, length: float) -> tuple[int, int]:
+    """Two ints, num and den, with num/den = x (pi/length)^2 exactly: x and length (ints
+    or floats, length > 0) are taken exactly, so num / den is that value rounded once."""
+    (a, b), (c, e) = x.as_integer_ratio(), length.as_integer_ratio()
+    return a * (PI_RATIONAL[0] * e) ** 2, b * (PI_RATIONAL[1] * c) ** 2
 
 
 class InputError(ValueError):

@@ -1335,13 +1335,12 @@ SCALAR_ARGVS = [
     ["spectrum", "--kind", "box", "--format", "csv"],
 ]
 
-# The modules a fresh process is checked for: numpy and spectherm.spectra,
-# which only a level list needs; fractions (with decimal) and
-# spectherm.heattrace, which only weyl needs; csv, which nothing needs (csv
-# output is joined by hand); and dataclasses, which no computation needs and
-# which loads inspect, ast and dis.
-WATCHED = ("csv", "dataclasses", "decimal", "fractions", "numpy", "spectherm.heattrace",
-           "spectherm.spectra")
+# The modules a fresh process is checked for: spectherm.spectra, which only
+# weyl and a level list need; numpy, fractions and decimal, which no
+# subcommand needs; csv, which nothing needs (csv output is joined by hand);
+# and dataclasses, which no computation needs and which loads inspect, ast
+# and dis.
+WATCHED = ("csv", "dataclasses", "decimal", "fractions", "numpy", "spectherm.spectra")
 LOADED = f"*[m for m in {WATCHED!r} if m in sys.modules]"
 
 # Runs argv through the CLI's run(), as the console script does, then
@@ -1379,13 +1378,13 @@ class TestFreshProcess:
 
     @pytest.mark.parametrize("argv", SCALAR_ARGVS, ids=" ".join)
     def test_scalar_subcommand_loads_no_numpy(self, argv):
-        # nor any other WATCHED module it does not run: fractions (with
-        # decimal) and heattrace only for weyl, and csv never
+        # nor any other WATCHED module: spectra only for weyl, and fractions,
+        # decimal and csv never
         probe = run_python("-c", MODULE_PROBE, *argv)
         assert probe.returncode == 0, probe.stderr
         assert probe.stdout != ""
         loaded = set(probe.stderr.split())
-        allowed = {"decimal", "fractions", "spectherm.heattrace"} if argv[0] == "weyl" else set()
+        allowed = {"spectherm.spectra"} if argv[0] == "weyl" else set()
         assert loaded <= allowed
         assert "csv" not in loaded
 
@@ -1408,16 +1407,16 @@ class TestFreshProcess:
 
     @pytest.mark.parametrize("domain", ["ball", "cube"])
     def test_partition_loads_no_heattrace(self, domain):
-        # thermo sums the ball and the cube, and imports neither heattrace nor fractions
+        # thermo sums the ball and the cube: no heat trace module (spectra) and no fractions
         probe = run_python("-c", MODULE_PROBE, "partition", "--domain", domain)
         assert probe.returncode == 0, probe.stderr
-        assert not {"decimal", "fractions", "spectherm.heattrace"} & set(probe.stderr.split())
+        assert not {"decimal", "fractions", "spectherm.spectra"} & set(probe.stderr.split())
 
     def test_public_names_are_the_objects_their_modules_define(self):
         import spectherm
-        from spectherm import heattrace, specfun, spectra, thermo, units
+        from spectherm import specfun, spectra, thermo, units
 
-        modules = (heattrace, specfun, spectra, thermo, units)
+        modules = (specfun, spectra, thermo, units)
         for name in spectherm.__all__:
             owners = [m for m in modules if name in m.__all__]
             assert len(owners) == 1, (name, owners)

@@ -4,6 +4,7 @@ import sys
 import warnings
 from array import array
 from collections import Counter
+from fractions import Fraction
 from functools import partial
 
 import mpmath as mp
@@ -28,7 +29,9 @@ from spectherm import (
     weyl_volume_estimate,
 )
 from spectherm import thermo
+from spectherm.spectra import _times_weyl_power
 from spectherm.thermo import _cube_partition
+from spectherm.units import PI_RATIONAL
 
 from oracles import (
     CUBE_VOLUME_ESTIMATE_1E6,
@@ -37,8 +40,11 @@ from oracles import (
     boltzmann_sum_mpmath,
     cube_levels,
     interval_heat_trace_mpmath,
+    interval_heat_trace_fraction,
     interval_trace_direct,
     key_one_energy_mpmath,
+    times_weyl_power_fraction,
+    weyl_convergence_scan_fraction,
 )
 
 EPS = 2.0**-52
@@ -314,6 +320,102 @@ class TestWeylConvergenceScan:
             exact = interval_heat_trace_mpmath(r0, t) * (4 * mp.pi * mp.mpf(t)) ** 1.5
         assert float(exact) == pytest.approx(8.7463407029189e306, rel=1e-13)
         assert abs(mp.mpf(row.volume_estimate) - exact) <= 4 * math.ulp(float(exact))
+
+
+def outcome(fn, *args):
+    """The hex of every float fn returns (a float or scan rows), or the type and
+    message of the exception it raises."""
+    try:
+        result = fn(*args)
+    except (ArithmeticError, ValueError) as error:  # OverflowError, InputError
+        return type(error), str(error)
+    rows = result if isinstance(result, list) else [[result]]
+    return [tuple(map(float.hex, row)) for row in rows]
+
+
+def assert_int_route_is_the_fraction_route(length, t, d, axes):
+    trace = outcome(interval_heat_trace, length, t)
+    assert trace == outcome(interval_heat_trace_fraction, length, t)
+    scan = outcome(weyl_convergence_scan, partial(interval_heat_trace, length), [t], d, axes)
+    reference = partial(interval_heat_trace_fraction, length)
+    assert scan == outcome(weyl_convergence_scan_fraction, reference, [t], d, axes)
+    return trace, scan
+
+
+def exact_a(length, t):
+    """a = t (pi/length)^2 as a Fraction, pi to 50 digits."""
+    return Fraction(t) * Fraction(*PI_RATIONAL) ** 2 / Fraction(length) ** 2
+
+
+def least_t_with_a_tenth(length):
+    """The least double t with a >= 1/10 exactly."""
+    t = 0.1 * (length / math.pi) ** 2
+    while exact_a(length, t) < Fraction(1, 10):
+        t = math.nextafter(t, math.inf)
+    while exact_a(length, math.nextafter(t, 0.0)) >= Fraction(1, 10):
+        t = math.nextafter(t, 0.0)
+    return t
+
+
+# Doubles log-uniform over the normal range: a mantissa in [0.5, 1) times 2**e
+normal_floats = st.builds(
+    math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1021, 1024)
+)
+
+
+class TestIntRouteMatchesFraction:
+    # The trace and the scan form their exact ratios with pi as pairs of ints;
+    # tests/oracles keeps the former Fraction route, whose bits they must return.
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        length=normal_floats,
+        t=normal_floats,
+        d=st.sampled_from([1, 2, 3, 50, 1000]),
+        cube=st.booleans(),
+    )
+    def test_same_bits_or_same_exception(self, length, t, d, cube):
+        assert_int_route_is_the_fraction_route(length, t, d, d if cube else 1)
+
+    @pytest.mark.parametrize("length", [1.0, 0.3, 7e-150, 3e120])
+    @pytest.mark.parametrize("steps", range(-3, 4))
+    def test_ulps_either_side_of_a_tenth(self, length, steps):
+        # the direct sum from a = 1/10 up, the theta inversion below it
+        t = least_t_with_a_tenth(length)
+        for _ in range(abs(steps)):
+            t = math.nextafter(t, math.inf if steps > 0 else 0.0)
+        for d, axes in [(1, 1), (3, 3)]:
+            assert_int_route_is_the_fraction_route(length, t, d, axes)
+        assert (exact_a(length, t) >= Fraction(1, 10)) == (steps >= 0)
+
+    @pytest.mark.parametrize(
+        "length, t",
+        [(1.0, 75.59), (1.0, 80.0), (1e-200, 1.0), (1e-300, 1e300), (1.0, sys.float_info.max)],
+    )
+    def test_a_past_746(self, length, t):
+        # exp(-746) is 0: the direct sum takes 746 in place of a, which may overflow
+        assert exact_a(length, t) >= 746
+        for d, axes in [(1, 1), (3, 1), (3, 3), (1000, 1)]:
+            trace, _ = assert_int_route_is_the_fraction_route(length, t, d, axes)
+        assert trace == [((0.0).hex(),)]
+
+    @pytest.mark.parametrize("d, axes", [(1, 1), (3, 1), (3, 3), (50, 1), (1000, 1000)])
+    def test_where_4_pi_t_overflows(self, d, axes):
+        r0, t = 1e155, 1.5e307
+        assert math.isinf(4.0 * math.pi * t)
+        assert_int_route_is_the_fraction_route(r0, t, d, axes)
+
+    def test_frexp_branch_raises_for_a_high_power(self):
+        # 4 pi t = 1.5, so 1.5**2500 overflows while 2**-1000 times it is 2**462,
+        # but the mantissa power 0.75**2500 underflows: both routes refuse
+        t, a = 1.5 / (4.0 * math.pi), 2.0**-1000
+        expected = outcome(times_weyl_power_fraction, a, t, Fraction(5000, 2))
+        assert expected[0] is OverflowError and "no accurate double scaling" in expected[1]
+        assert outcome(_times_weyl_power, a, t, 5000, 2)[0] is OverflowError
+        # the same through a scan: a = 693 makes the trace about 2**-1000
+        length = math.pi * math.sqrt(t / 693.0)
+        _, scan = assert_int_route_is_the_fraction_route(length, t, 5000, 1)
+        assert scan[0] is OverflowError
 
 
 class TestLevelHelpers:
