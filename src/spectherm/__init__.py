@@ -1,8 +1,8 @@
-"""Laplacian spectra on balls and boxes, heat-trace volume asymptotics,
-and the thermostatic dual picture built on them.
+"""Laplacian spectra on balls, boxes and level files, heat-trace volume
+asymptotics, and the thermostatic dual picture built on them.
 
 The public names load lazily (PEP 562): `import spectherm` imports no
-submodule, and a name imports only the module that defines it. Only
+submodule, and a name imports only its module: units, thermo or spectra. Only
 solve_radial_numeric imports numpy (and scipy, for a nonconstant potential).
 """
 
@@ -11,13 +11,13 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _OWNERS = {
-    "specfun": ("sine_integral",),
     "spectra": (
         "Spectrum",
         "WeylScanRow",
         "heat_trace",
         "hilbert_dim_min",
         "interval_heat_trace",
+        "load_levels",
         "qm_partition",
         "quasistatic_partition",
         "solve_radial_numeric",
@@ -39,6 +39,7 @@ _OWNERS = {
         "ideal_gas_entropy",
         "interval_energies",
         "radial_wavefunction",
+        "sine_integral",
         "solve_fiducial_wavenumber",
         "sphere_energies",
     ),

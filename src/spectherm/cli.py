@@ -11,15 +11,15 @@ Each subcommand is declared once, as an argparse subparser naming its
 handler and formats; only spectrum, weyl and duality offer csv, so
 argparse refuses it elsewhere before anything is computed. Arguments are
 checked where they are used: the library raises InputError for any value
-it rejects, and load_levels for an unreadable or malformed level file.
+it rejects, and spectra.load_levels for an unreadable or malformed level file.
 The front end itself checks only what no library call sees: that a
 custom domain names a level file, and that duality gets a value.
 
 No subcommand imports numpy or a rational type: every exact ratio with pi is
-a pair of ints. Only weyl and a custom domain's level file (load_levels)
-import spectra: every spectrum table takes its rows from thermo, and thermo
-sums every partition function, a level file's too, with its one kernel.
-csv output is joined by hand.
+a pair of ints. Only weyl and a custom domain import spectra, the owner of
+every heat trace and of the level-file format (spectra.load_levels): every
+spectrum table takes its rows from thermo, and thermo sums every partition
+function with its one kernel. csv output is joined by hand.
 
 Exit codes: 0 success, 1 computational failure (no real root, overflow,
 out of memory), 2 rejected input (InputError, an unreadable file, or an
@@ -31,91 +31,20 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from functools import partial
-from itertools import repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .thermo import (
     DEGENERACY_REL_TOLERANCE, NEGATIVE_INFINITE_ENTROPY, NoRealSolution, _ball_partition,
-    _cube_partition, _custom_partition, _entropy_quadrature, box_modes, duality_map,
+    _cube_partition, _entropy_quadrature, box_modes, duality_map,
     duality_map_from_temperature, entropy_expectation, free_difference_energies,
     interval_energies, solve_fiducial_wavenumber, sphere_energies,
 )
 from .units import InputError, UnitSystem, kinetic_prefactor, pi_over
 
-if TYPE_CHECKING:
-    from .spectra import Spectrum
-
-__all__ = ["load_levels", "run", "main"]
-
-_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-
-
-def load_levels(path: str | Path) -> Spectrum:
-    """Parse an energy,multiplicity level file (one pair per line, # comments).
-
-    Chunks of lines drop comments and blank lines, and float() parses their
-    columns, which `Spectrum` checks. If that fails, a pass over the lines
-    names the first that fails alone. Every failure raises InputError.
-    """
-    from .spectra import Spectrum
-
-    if str(path).endswith(_COMPRESSED_SUFFIXES):
-        raise InputError(f"cannot read levels file {path}: compressed files are not read")
-    try:
-        with open(path, encoding="utf-8") as text:  # universal newlines: a lone CR ends a line
-            return Spectrum(*_columns(text))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read levels file {path}: {exc}") from exc
-    except ValueError:  # _columns takes every file whose lines each pass _check_row
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
-            row = line.partition("#")[0]
-            try:
-                if row.strip():
-                    _check_row(row)
-            except ValueError as error:
-                raise InputError(f"{path}:{lineno}: {error}, in line {line!r}") from None
-    raise InputError(f"{path}: no levels found")
-
-
-def _columns(text) -> tuple[Sequence[float], Sequence[float]]:
-    # Both columns; ValueError at a row that is not two ASCII numbers (no "_") around a comma.
-    from array import array  # deferred, so that only a level file loads it
-
-    energies, multiplicities = array("d"), array("d")
-    while lines := text.readlines(1 << 16):
-        if "#" in "".join(lines):
-            lines = [line.partition("#")[0] for line in lines]
-        rows = list(filter(None, map(str.strip, lines)))
-        fields = ",".join(rows)
-        if not fields.isascii() or any(map(fields.__contains__, "\x1c\x1d\x1e\x1f")):
-            fields = ",".join(map(str.strip, fields.split(",")))  # blanks float() keeps
-        if not fields.isascii() or "_" in fields or set(map(str.count, rows, repeat(","))) - {1}:
-            raise ValueError("not two ASCII numbers around one comma")
-        values = array("d", map(float, fields.split(",") if rows else ()))
-        energies.extend(values[0::2])
-        multiplicities.extend(values[1::2])
-    return energies, multiplicities
-
-
-def _check_row(row: str) -> None:
-    # np.loadtxt's or Spectrum's message if the row fails alone: blanks (str.strip's) may
-    # surround a number, and only ASCII and no "_" may be in it.
-    from .spectra import Spectrum
-
-    level = []
-    for field in row.split(","):
-        core = field.strip()
-        try:
-            level.append(float(core if core.isascii() and "_" not in core else "?"))
-        except ValueError:
-            raise ValueError(f"could not convert string {repr(field)[:100]} to float64") from None
-    if len(level) != 2:
-        raise InputError(f"expected 'energy,multiplicity', got {len(level)} columns")
-    Spectrum(*zip(level))  # the checks of one level
+__all__ = ["run", "main"]
 
 
 # ----------------------------- serialization -------------------------------
@@ -198,7 +127,9 @@ def _cmd_spectrum(args, u: UnitSystem):
     return config, {"columns": columns, "rows": rows}
 
 
-def _custom_levels(args) -> Spectrum:
+def _custom_levels(args):
+    from .spectra import load_levels
+
     if args.levels is None:
         raise InputError("--levels FILE is required for --domain custom")
     return load_levels(args.levels)
@@ -253,6 +184,8 @@ def _cmd_partition(args, u: UnitSystem):
         config = {"domain": "cube", "L": args.L, "d": d, "n_max_per_axis": args.n_max}
         sums = _cube_partition(args.L, d, args.n_max, args.tau, u)
     else:
+        from .spectra import _custom_partition
+
         config = {"domain": "custom", "levels": str(args.levels)}
         sums = _custom_partition(_custom_levels(args), args.tau, u, args.levels)
 

@@ -1,6 +1,6 @@
 """Level lists of the kinetic operator and every sum over them.
 
-A level file (cli.load_levels) is a `Spectrum`: sorted energies with their
+A level file (load_levels) is a `Spectrum`: sorted energies with their
 multiplicities, whose lowest eigenspace hilbert_dim_min counts by thermo's
 one degeneracy rule. The analytic families need no level list.
 
@@ -40,8 +40,9 @@ from __future__ import annotations
 import math
 from array import array
 from functools import partial
-from itertools import count
-from operator import eq, ge
+from itertools import count, repeat
+from operator import eq, ge, sub
+from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .thermo import (
@@ -58,6 +59,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Spectrum",
+    "load_levels",
     "solve_radial_numeric",
     "hilbert_dim_min",
     "heat_trace",
@@ -118,6 +120,67 @@ class Spectrum(Frozen):
 
     def _values(self) -> tuple:  # for pickle and repr: a memoryview's list
         return self.energies.tolist(), self.multiplicities.tolist()
+
+
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def load_levels(path: str | Path) -> Spectrum:
+    """Parse an energy,multiplicity level file (one pair per line, # comments).
+
+    Chunks of lines drop comments and blank lines, and float() parses their
+    columns, which `Spectrum` checks. If that fails, a pass over the lines
+    names the first that fails alone. Every failure raises InputError.
+    """
+    if str(path).endswith(_COMPRESSED_SUFFIXES):
+        raise InputError(f"cannot read levels file {path}: compressed files are not read")
+    try:
+        with open(path, encoding="utf-8") as text:  # universal newlines: a lone CR ends a line
+            return Spectrum(*_columns(text))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read levels file {path}: {exc}") from exc
+    except ValueError:  # _columns takes every file whose lines each pass _check_row
+        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
+            row = line.partition("#")[0]
+            try:
+                if row.strip():
+                    _check_row(row)
+            except ValueError as error:
+                raise InputError(f"{path}:{lineno}: {error}, in line {line!r}") from None
+    raise InputError(f"{path}: no levels found")
+
+
+def _columns(text) -> tuple[Sequence[float], Sequence[float]]:
+    # Both columns; ValueError at a row that is not two ASCII numbers (no "_") around a comma.
+    energies, multiplicities = array("d"), array("d")
+    while lines := text.readlines(1 << 16):
+        if "#" in "".join(lines):
+            lines = [line.partition("#")[0] for line in lines]
+        rows = list(filter(None, map(str.strip, lines)))
+        fields = ",".join(rows)
+        if not fields.isascii() or any(map(fields.__contains__, "\x1c\x1d\x1e\x1f")):
+            fields = ",".join(map(str.strip, fields.split(",")))  # blanks float() keeps
+        if not fields.isascii() or "_" in fields or set(map(str.count, rows, repeat(","))) - {1}:
+            raise ValueError("not two ASCII numbers around one comma")
+        values = array("d", map(float, fields.split(",") if rows else ()))
+        energies.extend(values[0::2])
+        multiplicities.extend(values[1::2])
+    return energies, multiplicities
+
+
+def _check_row(row: str) -> None:
+    # np.loadtxt's or Spectrum's message if the row fails alone: blanks (str.strip's) may
+    # surround a number, and only ASCII and no "_" may be in it.
+    level = []
+    for field in row.split(","):
+        core = field.strip()
+        try:
+            level.append(float(core if core.isascii() and "_" not in core else "?"))
+        except ValueError:
+            raise ValueError(f"could not convert string {repr(field)[:100]} to float64") from None
+    if len(level) != 2:
+        raise InputError(f"expected 'energy,multiplicity', got {len(level)} columns")
+    Spectrum(*zip(level))  # the checks of one level
 
 
 def solve_radial_numeric(
@@ -353,3 +416,14 @@ def quasistatic_partition(spectrum: Spectrum, tau: float, u: UnitSystem) -> floa
     spectrum it equals qm_partition bit for bit.
     """
     return _partition_sums(tau, u, spectrum.energies[0], hilbert_dim_min(spectrum))[0]
+
+
+def _custom_partition(levels, tau: float, u: UnitSystem, source) -> tuple:
+    # _partition_sums of a level file's Spectrum: one walk for dim_min, exact below 2**53
+    # (InputError naming source otherwise), and one for the levels less E_min.
+    if not (dim_min := _ground_dimension(levels)) < 2**53:
+        raise InputError(f"{source}: the ground multiplicities sum to {dim_min!r}, "
+                         "2**53 or more, so dim_min would not be exact")
+    energies, e_min = levels.energies, levels.energies[0]
+    shifted = zip(map(sub, energies, repeat(e_min)), levels.multiplicities)
+    return _partition_sums(tau, u, e_min, int(dim_min), len(levels), [(shifted, 1)], levels)

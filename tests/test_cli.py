@@ -30,7 +30,8 @@ from spectherm import (
     solve_radial_numeric,
     sphere_energies,
 )
-from spectherm.cli import load_levels, run
+from spectherm.cli import run
+from spectherm.spectra import load_levels
 from spectherm.thermo import _ball_levels, _cube_partition, _level_scale
 from spectherm.units import pi_over
 
@@ -1414,9 +1415,9 @@ class TestFreshProcess:
 
     def test_public_names_are_the_objects_their_modules_define(self):
         import spectherm
-        from spectherm import specfun, spectra, thermo, units
+        from spectherm import spectra, thermo, units
 
-        modules = (specfun, spectra, thermo, units)
+        modules = (spectra, thermo, units)
         for name in spectherm.__all__:
             owners = [m for m in modules if name in m.__all__]
             assert len(owners) == 1, (name, owners)

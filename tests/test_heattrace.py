@@ -28,7 +28,7 @@ from spectherm import (
     weyl_convergence_scan,
     weyl_volume_estimate,
 )
-from spectherm import thermo
+from spectherm import spectra, thermo
 from spectherm.spectra import _times_weyl_power
 from spectherm.thermo import _cube_partition
 from spectherm.units import PI_RATIONAL
@@ -621,9 +621,9 @@ class TestSpectralSumKernel:
         # the quasistatic term, then the sectors and the radial tower
         assert kernel_calls(thermo._ball_partition, 1.0, 5, 2, 0.3, u) == [0.3] * 3
         # the quasistatic term and the shifted levels; the levels themselves below E_min = 0
-        assert kernel_calls(thermo._custom_partition, spectrum, 0.3, u, "") == [0.3] * 2
+        assert kernel_calls(spectra._custom_partition, spectrum, 0.3, u, "") == [0.3] * 2
         below = Spectrum([-1.0, 1.0], [2, 1])
-        assert kernel_calls(thermo._custom_partition, below, 0.3, u, "") == [0.3] * 3
+        assert kernel_calls(spectra._custom_partition, below, 0.3, u, "") == [0.3] * 3
 
     def test_subnormal_terms_are_all_summed(self, u):
         energies = [740.0 + k / 2 for k in range(9)]

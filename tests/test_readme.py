@@ -1,6 +1,9 @@
 import math
+import pkgutil
 import re
 from pathlib import Path
+
+import spectherm
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +25,11 @@ def test_python_example_prints_the_values_its_comments_state():
     assert abs(quadrature - closed) <= 1e-8
     assert levels_note == "pi**2 * (1, 4, 9)"
     assert levels == tuple(math.pi**2 * k for k in (1, 4, 9))
+
+
+def test_library_overview_lists_the_package_modules():
+    # one row per module of the package, so a folded module leaves no stale row
+    section = README.read_text().split("## Library overview\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` +\|", section, re.M)
+    modules = [m.name for m in pkgutil.iter_modules(spectherm.__path__) if m.name != "__main__"]
+    assert sorted(listed) == sorted(modules)

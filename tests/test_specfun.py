@@ -89,7 +89,7 @@ class TestSineIntegral:
 
 def _legendre(f, a: float, b: float, panels: int = 1) -> float:
     # the 12-point Gauss-Legendre rule on each of `panels` equal parts of [a, b], summed once
-    from spectherm.specfun import _GL_PAIRS
+    from spectherm.thermo import _GL_PAIRS
 
     h = (b - a) / panels
     return math.fsum(
@@ -111,7 +111,7 @@ class TestIntegrate:
 
     def test_log_endpoint_singularity(self):
         # int_0^1 ln x dx = -1, by the rule for the weight -ln x on f = -1; no node is at 0
-        from spectherm.specfun import _LOG_PAIRS
+        from spectherm.thermo import _LOG_PAIRS
 
         assert min(x for x, _ in _LOG_PAIRS) > 0.0
         assert math.fsum(-w for _, w in _LOG_PAIRS) == pytest.approx(-1.0, abs=1e-9)
@@ -128,7 +128,7 @@ class TestIntegrate:
 def test_gauss_legendre_literals_are_the_bits_of_leggauss_12():
     import numpy as np
 
-    from spectherm.specfun import _GL_PAIRS
+    from spectherm.thermo import _GL_PAIRS
 
     nodes, weights = np.polynomial.legendre.leggauss(12)
     expected = [(x.hex(), w.hex()) for x, w in zip(nodes.tolist(), weights.tolist())]
@@ -137,7 +137,7 @@ def test_gauss_legendre_literals_are_the_bits_of_leggauss_12():
 
 def test_log_rule_literals_are_the_bits_of_golub_welsch_12():
     # regenerated from the moments 1/(k+1)^2 of the weight -ln x at 80 digits, each rounded once
-    from spectherm.specfun import _LOG_PAIRS
+    from spectherm.thermo import _LOG_PAIRS
 
     pairs, _ = gauss_rule_mpmath(lambda k: mp.mpf(1) / (k + 1) ** 2)
     expected = [(float(x).hex(), float(w).hex()) for x, w in pairs]
@@ -148,7 +148,7 @@ def test_log_rule_literals_are_the_bits_of_golub_welsch_12():
 def test_rules_are_exact_through_degree_23(weight):
     # x^k against its moment, 1/(k+1) on [0, 1] or 1/(k+1)^2 with the weight -ln x, at each
     # rule's own literals; the sums are rounded only in the last bits
-    from spectherm.specfun import _GL_PAIRS, _LOG_PAIRS
+    from spectherm.thermo import _GL_PAIRS, _LOG_PAIRS
 
     if weight == "legendre":
         pairs, moment = [(0.5 + 0.5 * t, 0.5 * w) for t, w in _GL_PAIRS], lambda k: 1 / (k + 1)

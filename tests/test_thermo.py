@@ -30,9 +30,9 @@ from spectherm import (
     thermal_partition,
 )
 
-from spectherm.specfun import _LOG_PAIRS
+from spectherm.spectra import _custom_partition
 from spectherm.thermo import (
-    _UNIT_LEGENDRE, _ball_partition, _cube_partition, _custom_partition, _entropy_quadrature,
+    _LOG_PAIRS, _UNIT_LEGENDRE, _ball_partition, _cube_partition, _entropy_quadrature,
     _level_scale, _sin2_rule,
 )
 
